@@ -4,10 +4,13 @@ Per egress port the Class-A aggregate arrival curve is bounded by summing,
 over predecessor ports, the minimum of the propagated per-flow token buckets,
 the physical link's serialization envelope, and (behind switch egresses) the
 CBS shaping envelope.  The port offers a rate-latency service derived from
-the credit bounds.  A fixed-point iteration propagates per-port delay bounds
-along every flow's path until they stop changing; the end-to-end bound adds
-the constant propagation/switching/sync terms once the queueing part has
-converged.
+the credit bounds, so each port's delay bound has a closed form over the
+aggregate's segment starts.  Every flow's envelope entering a port is shifted
+by the delay bounds of the ports upstream of it on its path.  When no port's
+delay feeds back into itself, one pass over the ports in topological order
+gives the exact bounds; only cyclic port dependencies need fixed-point sweeps.
+The end-to-end bound adds the constant propagation/switching/sync terms to
+the per-port queueing bounds.
 
 No time-triggered traffic exists in these test cases, so the TAS terms of
 the underlying model are identically zero: the service latency reduces to
@@ -16,8 +19,10 @@ c_max / idleSlope and the shaping burst to (c_max - c_min) + max frame.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from typing import Optional, Sequence
 
 from .errors import ConvergenceError, InstabilityError, ValidationError
@@ -27,7 +32,6 @@ from .minplus import (
     TokenBucket,
     as_curve,
     frac,
-    h_dev,
     min_of,
     shift_delay,
     sum_of,
@@ -109,13 +113,6 @@ def source_arrival(flow: Flow, constants: NetworkConstants) -> TokenBucket:
     return TokenBucket(l_f, l_f / flow.period)
 
 
-def propagate_arrival(arr, delay_bound: Fraction) -> Curve:
-    """Arrival envelope after a stage whose delay is bounded by
-    delay_bound; constant-delay stages leave envelopes unchanged and need no
-    call here."""
-    return shift_delay(arr, delay_bound)
-
-
 def link_shaping(C: Fraction, l_max_on_link: Fraction) -> Curve:
     """Serialization cap of the physical predecessor link: C*t + l_max."""
     l = frac(l_max_on_link)
@@ -142,7 +139,7 @@ class SourceGroup:
     cbs_shaping: Optional[Curve] = None
 
 
-def aggregate_arrival(port: Port, groups: Sequence[SourceGroup]) -> Curve:
+def aggregate_arrival(groups: Sequence[SourceGroup]) -> Curve:
     """Class aggregate at a port: sum over predecessors of the per-group
     minimum of summed flow envelopes and the applicable shaping caps."""
     total = Curve.zero()
@@ -184,46 +181,57 @@ def default_lower_frame_bits(constants: NetworkConstants) -> Fraction:
     return Fraction((MTU_BYTES + constants.frame_overhead) * 8)
 
 
-def _round_up(x: Fraction, grid: Fraction) -> Fraction:
-    q = x / grid
-    n = q.numerator // q.denominator
-    if n * q.denominator != q.numerator:
-        n += 1
-    return n * grid
+def rate_latency_delay(alpha: Curve, service: RateLatency) -> Fraction:
+    """Delay bound of arrival curve alpha at a rate-latency server (rate R,
+    latency T), in closed form: T + max over alpha's segment starts s of
+    (alpha(s+)/R - s), and never below 0.
+
+    Between segment starts alpha(t)/R - t is linear and alpha jumps only
+    upward, so the supremum over t sits at a segment start; a leading
+    stretch where alpha is still 0 waits for nothing and is skipped.  The
+    result equals minplus.h_dev(alpha, service.curve()).
+    """
+    R = service.rate
+    if alpha.final_slope > R:
+        raise InstabilityError(
+            f"arrival rate {alpha.final_slope} exceeds service rate {R}")
+    # max of alpha(s+) - R*s, divided by R once at the end
+    best = max((seg.value - R * seg.start for seg in alpha.segments
+                if seg.value or seg.slope), default=None)
+    if best is None:
+        return Fraction(0)
+    return max(Fraction(0), service.latency + best / R)
 
 
-def _dependency_cyclic(flow_ports: dict[int, tuple[Port, ...]]) -> bool:
-    """True if some port's delay (transitively) feeds back into itself via
-    the prefix-shift propagation."""
-    edges: dict[Port, set[Port]] = {}
+def _topological_order(
+        flow_ports: dict[int, tuple[Port, ...]]) -> Optional[list[Port]]:
+    """Ports ordered so that each comes after every port upstream of it on
+    some flow's path; None when some port's delay (transitively) feeds back
+    into itself via the prefix-shift propagation."""
+    upstream: dict[Port, set[Port]] = {}
     for ports in flow_ports.values():
         for i, p in enumerate(ports):
-            for q in ports[i + 1:]:
-                edges.setdefault(p, set()).add(q)
-    state: dict[Port, int] = {}
-
-    def visit(node: Port) -> bool:
-        state[node] = 1
-        for peer in edges.get(node, ()):
-            mark = state.get(peer)
-            if mark == 1:
-                return True
-            if mark is None and visit(peer):
-                return True
-        state[node] = 2
-        return False
-
-    return any(visit(p) for p in edges if p not in state)
+            upstream.setdefault(p, set())
+            if i:
+                upstream[p].add(ports[i - 1])
+    try:
+        return list(TopologicalSorter(upstream).static_order())
+    except CycleError:
+        return None
 
 
 def tfa_solve(tc: TestCase,
               lower_frame_bits: Optional[Fraction] = None) -> CbsReport:
-    """Fixed-point total flow analysis over all ports carrying CBS traffic.
+    """Total flow analysis over all ports carrying CBS traffic.
 
-    Port delays start at zero and are recomputed jointly each sweep from the
-    previous sweep's values; they grow monotonically to the least fixed
-    point.  Raises InstabilityError when a port's aggregate rate reaches the
-    idle slope, ConvergenceError when the iteration cap is hit.
+    On a feed-forward port graph every port is evaluated once, in
+    topological order, from the final delays of the ports upstream of it:
+    that is the exact least fixed point, reported as one iteration.  With
+    cyclic port dependencies the delays start at zero and are recomputed
+    jointly each sweep from the previous sweep's values, rounded up to
+    CYCLIC_GRID; they grow monotonically until no change reaches TOLERANCE.
+    Raises InstabilityError naming every port whose aggregate rate reaches
+    the idle slope, ConvergenceError when the sweep cap is hit.
     """
     if tc.mechanism != CBS:
         raise ValidationError(f"{tc.name}: tfa_solve needs a CBS test case")
@@ -260,46 +268,62 @@ def tfa_solve(tc: TestCase,
             l_max_lower=l_lower)
         for p in ports
     }
-    service = {p: cbs_service_curve(cfg[p], C).curve() for p in ports}
-
-    round_delays = _dependency_cyclic(flow_ports)
+    service = {p: cbs_service_curve(cfg[p], C) for p in ports}
     delays: dict[Port, Fraction] = {p: Fraction(0) for p in ports}
-    iterations = 0
-    converged = False
     arrivals: dict[Port, Curve] = {}
 
-    while iterations < MAX_ITERATIONS:
-        iterations += 1
-        new_delays: dict[Port, Fraction] = {}
-        unstable: list[Port] = []
-        for p in ports:
-            groups = _port_groups(tc, p, port_flows[p], flow_ports, source_tb,
-                                  bits, cfg, delays, C)
-            alpha = aggregate_arrival(p, groups)
-            arrivals[p] = alpha
-            if alpha.final_slope >= idsl:
+    def port_delay(p: Port, delays: dict[Port, Fraction]
+                   ) -> Optional[Fraction]:
+        """Delay bound of p given the upstream delays; None when p is
+        unstable."""
+        groups = _port_groups(tc, p, port_flows[p], flow_ports, source_tb,
+                              bits, cfg, delays, C)
+        alpha = aggregate_arrival(groups)
+        arrivals[p] = alpha
+        if alpha.final_slope >= idsl:
+            return None
+        return rate_latency_delay(alpha, service[p])
+
+    order = _topological_order(flow_ports)
+    if order is not None:
+        # an unstable port keeps delay 0, so the rest of the pass still runs
+        # and every unstable port is named
+        unstable = []
+        for p in order:
+            d = port_delay(p, delays)
+            if d is None:
                 unstable.append(p)
-                continue
-            d = h_dev(alpha, service[p])
-            if round_delays:
-                d = _round_up(d, CYCLIC_GRID)
-            new_delays[p] = d
-        if unstable:
-            names = ", ".join(f"{a}->{b}" for a, b in unstable)
-            raise InstabilityError(
-                f"{tc.name}: aggregate rate reaches the idle slope at "
-                f"port(s) {names}")
-        if all(abs(new_delays[p] - delays[p]) < TOLERANCE for p in ports):
+            else:
+                delays[p] = d
+        _raise_unstable(tc, sorted(unstable))
+        iterations = 1
+        converged = True
+    else:
+        iterations = 0
+        converged = False
+        while iterations < MAX_ITERATIONS:
+            iterations += 1
+            new_delays: dict[Port, Fraction] = {}
+            unstable = []
+            for p in ports:
+                d = port_delay(p, delays)
+                if d is None:
+                    unstable.append(p)
+                else:
+                    new_delays[p] = math.ceil(d / CYCLIC_GRID) * CYCLIC_GRID
+            _raise_unstable(tc, unstable)
+            done = all(abs(new_delays[p] - delays[p]) < TOLERANCE
+                       for p in ports)
             delays = new_delays
-            converged = True
-            break
-        delays = new_delays
-    if not converged:
-        raise ConvergenceError(
-            f"{tc.name}: no fixed point after {MAX_ITERATIONS} sweeps")
+            if done:
+                converged = True
+                break
+        if not converged:
+            raise ConvergenceError(
+                f"{tc.name}: no fixed point after {MAX_ITERATIONS} sweeps")
 
     per_port = {
-        p: PortAnalysis(p, arrivals[p], service[p], delays[p],
+        p: PortAnalysis(p, arrivals[p], service[p].curve(), delays[p],
                         tuple(port_flows[p]))
         for p in ports
     }
@@ -317,6 +341,14 @@ def tfa_solve(tc: TestCase,
                     + consts.sync_error)
     return CbsReport(tc.name, per_port, per_flow_hops, e2e,
                      iterations, converged)
+
+
+def _raise_unstable(tc: TestCase, unstable: Sequence[Port]) -> None:
+    if unstable:
+        names = ", ".join(f"{a}->{b}" for a, b in unstable)
+        raise InstabilityError(
+            f"{tc.name}: aggregate rate reaches the idle slope at "
+            f"port(s) {names}")
 
 
 def _port_groups(tc, port, fids, flow_ports, source_tb, bits, cfg, delays, C):
@@ -366,6 +398,5 @@ def report_to_json(report: CbsReport) -> str:
         "mechanism": "CBS",
         "flows": flows,
         "converged": report.converged,
-        "iterations": report.iterations,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -1,17 +1,26 @@
 """CBS analysis tests.
 
-Credit-bound and curve-construction hand values, a fully hand-computed
-single-switch fixed point, structural convergence on feed-forward cases, the
-cyclic-route path, instability detection, and report serialization.
+Credit-bound and curve-construction hand values, the closed-form port delay
+against the general horizontal deviation, a fully hand-computed single-switch
+fixed point, the one-pass solution of feed-forward cases, the cyclic-route
+path, instability detection, and report serialization.
 """
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tsnwcd import cbs, netmodel as nm
+from tsnwcd import cbs, netmodel as nm, testgen
 from tsnwcd.errors import InstabilityError, ValidationError
-from tsnwcd.minplus import RateLatency, TokenBucket, frac, h_dev, min_of
+from tsnwcd.minplus import (
+    Curve,
+    RateLatency,
+    TokenBucket,
+    frac,
+    h_dev,
+    shift_delay,
+)
 
 F = Fraction
 
@@ -117,10 +126,10 @@ def test_cbs_shaping_without_credit_range():
 
 
 def test_aggregate_arrival_empty_and_single_flow():
-    assert cbs.aggregate_arrival(("a", "b"), []) == cbs.Curve.zero()
+    assert cbs.aggregate_arrival([]) == Curve.zero()
     tb = TokenBucket(8056, F(8056, 2500)).curve()
     group = cbs.SourceGroup((tb,), cbs.link_shaping(C, AVB_FRAME))
-    assert cbs.aggregate_arrival(("a", "b"), [group]) == tb
+    assert cbs.aggregate_arrival([group]) == tb
 
 
 def test_aggregate_arrival_two_predecessors_sum():
@@ -128,7 +137,6 @@ def test_aggregate_arrival_two_predecessors_sum():
     tb2 = TokenBucket(2000, 2).curve()
     cap = cbs.link_shaping(C, 500)
     got = cbs.aggregate_arrival(
-        ("a", "b"),
         [cbs.SourceGroup((tb1,), cap), cbs.SourceGroup((tb2,), cap)])
     for t in (F(0), F(1, 2), F(3), F(50)):
         want = (min(tb1.value(t), cap.value(t))
@@ -136,9 +144,58 @@ def test_aggregate_arrival_two_predecessors_sum():
         assert got.value(t) == want
 
 
-def test_propagate_arrival_is_shift():
-    tb = TokenBucket(100, 2)
-    assert cbs.propagate_arrival(tb, 5) == TokenBucket(110, 2).curve()
+# ======================================================================
+# closed-form port delay
+
+amounts = st.fractions(min_value=0, max_value=20000, max_denominator=8)
+pos_amounts = st.fractions(min_value=1, max_value=20000, max_denominator=8)
+rates = st.fractions(min_value=0, max_value=50, max_denominator=8)
+pos_rates = st.fractions(min_value=F(1, 8), max_value=150, max_denominator=8)
+
+
+@st.composite
+def cbs_aggregates(draw):
+    """Class aggregates as tfa_solve builds them: per predecessor, shifted
+    token buckets capped by a link and maybe a CBS shaping curve."""
+    groups = []
+    for _ in range(draw(st.integers(1, 3))):
+        arrivals = tuple(
+            shift_delay(TokenBucket(draw(pos_amounts), draw(rates)),
+                        draw(st.fractions(0, 500, max_denominator=8)))
+            for _ in range(draw(st.integers(1, 4))))
+        link_rate = draw(pos_rates) + 1
+        link_cap = cbs_cap = None
+        if draw(st.booleans()):
+            link_cap = cbs.link_shaping(link_rate, draw(pos_amounts))
+        if draw(st.booleans()):
+            idsl = link_rate * draw(st.fractions(F(1, 10), F(9, 10),
+                                                 max_denominator=10))
+            cfg = cbs.CbsClassConfig(1, idsl, idsl - link_rate,
+                                     draw(pos_amounts), draw(amounts))
+            cbs_cap = cbs.cbs_shaping(cfg, link_rate, draw(pos_amounts))
+        groups.append(cbs.SourceGroup(arrivals, link_cap, cbs_cap))
+    return cbs.aggregate_arrival(groups)
+
+
+@given(cbs_aggregates(), pos_rates,
+       st.fractions(min_value=0, max_value=300, max_denominator=8))
+@settings(deadline=None)
+def test_rate_latency_delay_equals_h_dev(alpha, extra_rate, latency):
+    service = RateLatency(alpha.final_slope + extra_rate, latency)
+    assert (cbs.rate_latency_delay(alpha, service)
+            == h_dev(alpha, service.curve()))
+
+
+def test_rate_latency_delay_edge_cases():
+    service = RateLatency(2, 5)
+    # nothing ever arrives: no delay, although the latency is positive
+    assert cbs.rate_latency_delay(Curve.zero(), service) == 0
+    # traffic that starts late and slowly never waits for the latency
+    late = Curve([(0, 0, 0), (10, 0, 1)])
+    assert cbs.rate_latency_delay(late, service) == 0
+    assert h_dev(late, service.curve()) == 0
+    with pytest.raises(InstabilityError):
+        cbs.rate_latency_delay(TokenBucket(1, 3).curve(), service)
 
 
 # ======================================================================
@@ -149,7 +206,7 @@ def test_tfa_single_flow_hand_computed():
     tc = star_tc([flow], [nm.Route(0, ("h1", "sw1", "h2"))])
     report = cbs.tfa_solve(tc)
     assert report.converged
-    assert report.iterations <= 3
+    assert report.iterations == 1
 
     l_f = F((100 + 42) * 8)          # 1136 bits
     rho = l_f / 1000
@@ -191,7 +248,7 @@ def test_tfa_ten_flow_chain_converges_fast():
         routes.append(nm.Route(i, (src, "sw1", dst)))
     report = cbs.tfa_solve(star_tc(flows, routes))
     assert report.converged
-    assert report.iterations <= 3    # feed-forward depth plus one check sweep
+    assert report.iterations == 1    # feed-forward: one topological pass
     assert all(d > 0 for d in report.e2e_wcd.values())
 
 
@@ -216,6 +273,17 @@ def test_tfa_instability_reports_port():
     tc = star_tc([flow], [nm.Route(0, ("h1", "sw1", "h2"))])
     with pytest.raises(InstabilityError, match="h1->sw1"):
         cbs.tfa_solve(tc)
+    # a second overloaded talker on the same acyclic star: every port at or
+    # above the idle slope is named, the lightly loaded ones are not
+    flows = [flow, nm.Flow(1, "h3", "h1", 100, 5000, 1500),
+             nm.Flow(2, "h2", "h3", 5000, 5000, 100)]
+    routes = [nm.Route(0, ("h1", "sw1", "h2")),
+              nm.Route(1, ("h3", "sw1", "h1")),
+              nm.Route(2, ("h2", "sw1", "h3"))]
+    with pytest.raises(InstabilityError) as err:
+        cbs.tfa_solve(star_tc(flows, routes))
+    assert str(err.value).endswith(
+        "port(s) h1->sw1, h3->sw1, sw1->h1, sw1->h2")
 
 
 def test_tfa_instability_at_exact_idle_slope():
@@ -233,6 +301,55 @@ def test_tfa_rejects_cqf_testcase():
                      "CQF", nm.NetworkConstants(cycle_T=50))
     with pytest.raises(ValidationError, match="CBS"):
         cbs.tfa_solve(tc)
+
+
+def rebuilt_aggregate(tc, report, port):
+    """The aggregate at port rebuilt from the reported final delays of the
+    ports upstream of it, independently of the solver's own bookkeeping."""
+    consts = tc.constants
+    C = consts.link_rate
+    idsl = consts.idle_slope_fraction * C
+    delay = {p: pa.delay_bound for p, pa in report.per_port.items()}
+    bits = {f.id: nm.frame_bits(f, consts) for f in tc.flows}
+    local, by_pred = [], {}
+    for fid in report.per_port[port].contributing_flows:
+        ports = tc.route_for(fid).ports
+        k = ports.index(port)
+        env = shift_delay(cbs.source_arrival(tc.flow(fid), consts),
+                          sum(delay[q] for q in ports[:k]))
+        if k == 0:
+            local.append(env)
+        else:
+            by_pred.setdefault(ports[k - 1][0], []).append((fid, env))
+    groups = [cbs.SourceGroup(tuple(local))] if local else []
+    for pred, members in by_pred.items():
+        l_link = max(bits[fid] for fid, _ in members)
+        cbs_cap = None
+        if tc.topology.is_switch(pred):
+            prev = report.per_port[(pred, port[0])]
+            cfg = cbs.CbsClassConfig(
+                1, idsl, idsl - C,
+                max(bits[fid] for fid in prev.contributing_flows),
+                cbs.default_lower_frame_bits(consts))
+            cbs_cap = cbs.cbs_shaping(cfg, C, l_link)
+        groups.append(cbs.SourceGroup(tuple(env for _, env in members),
+                                      cbs.link_shaping(C, l_link), cbs_cap))
+    return cbs.aggregate_arrival(groups)
+
+
+def test_tfa_feed_forward_delays_are_the_exact_fixed_point():
+    # a mesh on which sweeps stopped by a tolerance end below the fixed point
+    spec = testgen.GenSpec("medium_mesh", 12, 4, 80, payload_range=(64, 700),
+                           seed=1432080079)
+    tc = testgen.build_testcase("fixpoint", spec, nm.CBS,
+                                nm.NetworkConstants())
+    report = cbs.tfa_solve(tc)
+    assert report.converged
+    assert report.iterations == 1
+    for port, pa in report.per_port.items():
+        alpha = rebuilt_aggregate(tc, report, port)
+        assert alpha == pa.arrival
+        assert h_dev(alpha, pa.service) == pa.delay_bound
 
 
 # ======================================================================
@@ -260,9 +377,11 @@ def ring_tc():
 def test_dependency_cycle_detection():
     tc = ring_tc()
     ports = {f.id: tc.route_for(f.id).ports for f in tc.flows}
-    assert cbs._dependency_cyclic(ports)
-    chain = {0: ((("a", "s"), ("s", "b")))}
-    assert not cbs._dependency_cyclic(chain)
+    assert cbs._topological_order(ports) is None
+    chain = {0: (("a", "s"), ("s", "b")), 1: (("c", "s"), ("s", "b"))}
+    order = cbs._topological_order(chain)
+    assert sorted(order) == [("a", "s"), ("c", "s"), ("s", "b")]
+    assert order[-1] == ("s", "b")
 
 
 def test_tfa_ring_converges_on_rounding_grid():
@@ -289,6 +408,7 @@ def test_report_json_layout():
     assert payload["testcase"] == "star9"
     assert payload["mechanism"] == "CBS"
     assert payload["converged"] is True
+    assert "iterations" not in payload    # solver metadata stays out
     assert [f["id"] for f in payload["flows"]] == [0]
     entry = payload["flows"][0]
     assert [h["port"] for h in entry["per_hop"]] == ["h1->sw1", "sw1->h2"]
