@@ -43,7 +43,6 @@ from .netmodel import (
     NetworkConstants,
     TestCase,
     frame_bits,
-    validate_testcase,
 )
 from .netmodel import json_num
 
@@ -78,26 +77,19 @@ class CbsClassConfig:
             raise ValidationError("l_max_lower must be >= 0")
 
 
-def credit_bounds(cfg: CbsClassConfig, C: Fraction,
-                  higher_classes: Sequence[CbsClassConfig] = ()
+def credit_bounds(cfg: CbsClassConfig, C: Fraction
                   ) -> tuple[Fraction, Fraction]:
-    """(c_min, c_max) in bits for the class described by cfg.
-
-    higher_classes lists the strictly higher-priority classes at the same
-    port; with none (the single-class setting used throughout) c_max reduces
-    to idleSlope * l_max_lower / C.
+    """(c_min, c_max) in bits for the class described by cfg, the only
+    credit-shaped class at its port: c_min = sendSlope * l_max_class / C and
+    c_max = idleSlope * l_max_lower / C.
     """
     C = frac(C)
     if cfg.idle_slope >= C:
         raise ValidationError("idle_slope must be below the link rate")
     if cfg.send_slope != cfg.idle_slope - C:
         raise ValidationError("send_slope must equal idle_slope - link rate")
-    c_min = cfg.send_slope * cfg.l_max_class / C
-    higher_idsl = sum((h.idle_slope for h in higher_classes), Fraction(0))
-    higher_cmin = sum((credit_bounds(h, C)[0] for h in higher_classes),
-                      Fraction(0))
-    c_max = cfg.idle_slope * (higher_cmin - cfg.l_max_lower) / (higher_idsl - C)
-    return c_min, c_max
+    return (cfg.send_slope * cfg.l_max_class / C,
+            cfg.idle_slope * cfg.l_max_lower / C)
 
 
 def cbs_service_curve(cfg: CbsClassConfig, C: Fraction) -> RateLatency:
@@ -220,8 +212,7 @@ def _topological_order(
         return None
 
 
-def tfa_solve(tc: TestCase,
-              lower_frame_bits: Optional[Fraction] = None) -> CbsReport:
+def tfa_solve(tc: TestCase) -> CbsReport:
     """Total flow analysis over all ports carrying CBS traffic.
 
     On a feed-forward port graph every port is evaluated once, in
@@ -233,18 +224,12 @@ def tfa_solve(tc: TestCase,
     Raises InstabilityError naming every port whose aggregate rate reaches
     the idle slope, ConvergenceError when the sweep cap is hit.
     """
-    if tc.mechanism != CBS:
-        raise ValidationError(f"{tc.name}: tfa_solve needs a CBS test case")
-    problems = validate_testcase(tc)
-    if problems:
-        raise ValidationError(f"{tc.name}: " + "; ".join(problems))
-
+    tc.require(CBS)
     consts = tc.constants
     C = consts.link_rate
     idsl = consts.idle_slope_fraction * C
     sdsl = idsl - C
-    l_lower = (frac(lower_frame_bits) if lower_frame_bits is not None
-               else default_lower_frame_bits(consts))
+    l_lower = default_lower_frame_bits(consts)
 
     flow_ports: dict[int, tuple[Port, ...]] = {
         f.id: tc.route_for(f.id).ports for f in tc.flows}
@@ -257,10 +242,8 @@ def tfa_solve(tc: TestCase,
     if not ports:
         return CbsReport(tc.name, {}, {}, {}, 1, True)
 
-    flows_by_id = {f.id: f for f in tc.flows}
-    source_tb = {fid: source_arrival(flows_by_id[fid], consts)
-              for fid in flows_by_id}
-    bits = {fid: frame_bits(flows_by_id[fid], consts) for fid in flows_by_id}
+    source_tb = {f.id: source_arrival(f, consts) for f in tc.flows}
+    bits = {f.id: frame_bits(f, consts) for f in tc.flows}
     cfg = {
         p: CbsClassConfig(
             1, idsl, sdsl,
@@ -329,10 +312,10 @@ def tfa_solve(tc: TestCase,
     }
     per_flow_hops = {
         fid: [(p, delays[p]) for p in flow_ports[fid]]
-        for fid in sorted(flows_by_id)
+        for fid in sorted(flow_ports)
     }
     e2e = {}
-    for fid in sorted(flows_by_id):
+    for fid in sorted(flow_ports):
         route = tc.route_for(fid)
         queueing = sum((delays[p] for p in flow_ports[fid]), Fraction(0))
         e2e[fid] = (queueing

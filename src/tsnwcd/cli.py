@@ -88,14 +88,6 @@ def _load(tc_dir: str) -> netmodel.TestCase:
     return netmodel.load_testcase(tc_dir)
 
 
-def _check_mechanism(tc: netmodel.TestCase, flag: str) -> str:
-    mech = flag.upper()
-    if tc.mechanism != mech:
-        raise ValidationError(
-            f"{tc.name} is a {tc.mechanism} bundle, not {mech}")
-    return mech
-
-
 _MECH_CHOICE = click.Choice(["cbs", "cqf"], case_sensitive=False)
 
 
@@ -147,7 +139,7 @@ def analyze(tc_dir, mechanism, out_path):
     """Compute worst-case delay bounds for one test-case bundle."""
     def body():
         tc = _load(tc_dir)
-        _check_mechanism(tc, mechanism)
+        tc.require(mechanism.upper())
         text = _solve_text(tc)
         Path(out_path).write_text(text)
         return {"command": "analyze", "testcase": tc.name,
@@ -203,11 +195,10 @@ def prompt(tc_dir, mechanism, out_path):
     """Render the open-ended question prompt for one test case."""
     def body():
         tc = _load(tc_dir)
-        mech = _check_mechanism(tc, mechanism)
-        text = evalharness.build_open_prompt(tc, mech)
+        text = evalharness.build_open_prompt(tc, mechanism.upper())
         Path(out_path).write_text(text)
         return {"command": "prompt", "testcase": tc.name,
-                "mechanism": mech, "bytes": len(text.encode()),
+                "mechanism": tc.mechanism, "bytes": len(text.encode()),
                 "out": str(out_path)}
 
     _emit(_domain(body))
@@ -293,12 +284,8 @@ def report(metrics_path, csv_path):
         if not cal:
             raise ValidationError(
                 f"{metrics_path} has no calibration section")
-        lines = ["bin_lo,bin_hi,n,conf_mean,acc"]
-        for b in cal["bins"]:
-            conf = "" if b["conf_mean"] is None else repr(float(b["conf_mean"]))
-            acc = "" if b["acc"] is None else repr(float(b["acc"]))
-            lines.append(f"{b['lo']},{b['hi']},{b['n']},{conf},{acc}")
-        Path(csv_path).write_text("\n".join(lines) + "\n")
+        Path(csv_path).write_text(evalharness.reliability_to_csv(
+            evalharness.calibration_from_json(cal)))
         return {"command": "report", "bins": len(cal["bins"]),
                 "ece": cal["ece"], "out": str(csv_path)}
 

@@ -4,15 +4,15 @@
 Egress queues ping-pong on a global cycle of T microseconds: everything
 received during one cycle is forwarded during the next.  A frame therefore
 reaches the listener within (switch_count + 1) full cycles of its aligned
-injection, plus the network constant term xi and the flow's injection offset.
-The hypercycle is the least common multiple of the flow periods; T must
-divide it for the schedule to repeat cleanly.
+injection, plus the network constant term xi.  T is the test case's
+constants.cycle_T.  The hypercycle is the least common multiple of the flow
+periods; T must divide it for the schedule to repeat cleanly.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -26,38 +26,7 @@ from .netmodel import (
     TestCase,
     frame_bits,
     json_num,
-    validate_testcase,
 )
-
-XI_PER_LINK_PROP_PLUS_SYNC = "per_link_prop_plus_sync"
-XI_EXPLICIT = "explicit"
-
-
-@dataclass(frozen=True)
-class CqfConfig:
-    T: Fraction
-    offsets: dict = field(default_factory=dict)   # flow id -> us, default 0
-    xi_policy: str = XI_PER_LINK_PROP_PLUS_SYNC
-    explicit_xi: Optional[Fraction] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "T", frac(self.T))
-        if self.T <= 0:
-            raise ValidationError("cycle duration T must be > 0")
-        object.__setattr__(
-            self, "offsets",
-            {fid: frac(v) for fid, v in self.offsets.items()})
-        if any(v < 0 for v in self.offsets.values()):
-            raise ValidationError("offsets must be >= 0")
-        if self.xi_policy not in (XI_PER_LINK_PROP_PLUS_SYNC, XI_EXPLICIT):
-            raise ValidationError(f"unknown xi policy {self.xi_policy!r}")
-        if self.xi_policy == XI_EXPLICIT:
-            if self.explicit_xi is None:
-                raise ValidationError("explicit xi policy needs explicit_xi")
-            object.__setattr__(self, "explicit_xi", frac(self.explicit_xi))
-
-    def offset(self, flow_id: int) -> Fraction:
-        return self.offsets.get(flow_id, Fraction(0))
 
 
 def _lcm_frac(values: Sequence[Fraction]) -> Fraction:
@@ -83,24 +52,16 @@ def hypercycle(flows: Sequence[Flow], T: Optional[Fraction] = None) -> Fraction:
     return h
 
 
-def xi(route: Route, constants: NetworkConstants,
-       cfg: Optional[CqfConfig] = None) -> Fraction:
-    """Constant network term of the delay bound.  Default policy: one
-    propagation delay per traversed link plus one synchronization error."""
-    if cfg is not None and cfg.xi_policy == XI_EXPLICIT:
-        return cfg.explicit_xi
+def xi(route: Route, constants: NetworkConstants) -> Fraction:
+    """Constant network term of the delay bound: one propagation delay per
+    traversed link plus one synchronization error."""
     return constants.propagation * route.link_count + constants.sync_error
 
 
-def cqf_wcd(flow: Flow, route: Route, cfg: CqfConfig,
+def cqf_wcd(route: Route, T: Fraction,
             constants: NetworkConstants) -> Fraction:
-    """offset + (switch_count + 1) * T + xi."""
-    if route.flow_id != flow.id:
-        raise ValidationError(
-            f"route belongs to flow {route.flow_id}, not {flow.id}")
-    return (cfg.offset(flow.id)
-            + (route.switch_count + 1) * cfg.T
-            + xi(route, constants, cfg))
+    """(switch_count + 1) * T + xi."""
+    return (route.switch_count + 1) * T + xi(route, constants)
 
 
 @dataclass(frozen=True)
@@ -116,39 +77,34 @@ class CapacityDiagnostic:
                 f"{float(self.load_us)}us scheduled into a {float(self.limit_us)}us cycle")
 
 
-def cycle_capacity_check(tc: TestCase,
-                         cfg: Optional[CqfConfig] = None
-                         ) -> list[CapacityDiagnostic]:
+def cycle_capacity_check(tc: TestCase) -> list[CapacityDiagnostic]:
     """Per-port, per-cycle transmission load over one hypercycle.
 
     A frame released at r is injected in cycle ceil(r/T) (boundary releases
     keep their own cycle) and advances one cycle per switch; any cycle asked
     to carry more serialization time than T is reported.
     """
-    cfg = _effective_config(tc, cfg)
+    tc.require(CQF)
     if not tc.flows:
         return []
-    h = hypercycle(tc.flows, cfg.T)
-    slots = int(h / cfg.T)
+    T = tc.constants.cycle_T
+    h = hypercycle(tc.flows, T)
+    slots = int(h / T)
     load: dict[tuple[tuple[str, str], int], Fraction] = {}
     for f in sorted(tc.flows, key=lambda f: f.id):
         route = tc.route_for(f.id)
         tx = frame_bits(f, tc.constants) / tc.constants.link_rate
         releases = int(h / f.period)
         for k in range(releases):
-            r = cfg.offset(f.id) + k * f.period
-            base = r / cfg.T
-            inject = base.numerator // base.denominator
-            if inject * base.denominator != base.numerator:
-                inject += 1
+            inject = math.ceil(k * f.period / T)
             for j, port in enumerate(route.ports):
                 slot = (inject + j) % slots
                 key = (port, slot)
                 load[key] = load.get(key, Fraction(0)) + tx
     return [
-        CapacityDiagnostic(port, slot, total, cfg.T)
+        CapacityDiagnostic(port, slot, total, T)
         for (port, slot), total in sorted(load.items())
-        if total > cfg.T
+        if total > T
     ]
 
 
@@ -160,36 +116,20 @@ class CqfReport:
     per_flow: dict   # flow id -> {"sw_num", "xi_us", "wcd_us"}
 
 
-def _effective_config(tc: TestCase, cfg: Optional[CqfConfig]) -> CqfConfig:
-    if cfg is not None:
-        return cfg
-    if tc.constants.cycle_T is None:
-        raise ValidationError(f"{tc.name}: no cycle_T configured")
-    return CqfConfig(T=tc.constants.cycle_T)
-
-
-def solve(tc: TestCase, cfg: Optional[CqfConfig] = None) -> CqfReport:
+def solve(tc: TestCase) -> CqfReport:
     """Closed-form per-flow worst-case delays for a CQF test case."""
-    if tc.mechanism != CQF:
-        raise ValidationError(f"{tc.name}: solve needs a CQF test case")
-    problems = validate_testcase(tc)
-    if problems:
-        raise ValidationError(f"{tc.name}: " + "; ".join(problems))
-    cfg = _effective_config(tc, cfg)
-    h = hypercycle(tc.flows, cfg.T) if tc.flows else cfg.T
-    for fid, off in cfg.offsets.items():
-        if off >= h:
-            raise ValidationError(
-                f"offset of flow {fid} must lie inside the hypercycle")
+    tc.require(CQF)
+    T = tc.constants.cycle_T
+    h = hypercycle(tc.flows, T) if tc.flows else T
     per_flow = {}
     for f in sorted(tc.flows, key=lambda f: f.id):
         route = tc.route_for(f.id)
         per_flow[f.id] = {
             "sw_num": route.switch_count,
-            "xi_us": xi(route, tc.constants, cfg),
-            "wcd_us": cqf_wcd(f, route, cfg, tc.constants),
+            "xi_us": xi(route, tc.constants),
+            "wcd_us": cqf_wcd(route, T, tc.constants),
         }
-    return CqfReport(tc.name, cfg.T, h, per_flow)
+    return CqfReport(tc.name, T, h, per_flow)
 
 
 def report_to_json(report: CqfReport) -> str:

@@ -8,7 +8,8 @@ Three independent pieces live here:
     open-ended and MCQA metric computations (MAE, MAPE, accuracy,
     consistency, ECE, Brier, confidently-wrong rate), and
   * a minimal chat-completions HTTP client with retry and bounded
-    concurrency.
+    concurrency, which needs the optional ``requests`` package (the
+    ``llm`` extra).
 
 Metric arithmetic is exact (Fraction) end to end; floats appear only in
 JSON/CSV output and in standard deviations, which need a square root.
@@ -34,8 +35,6 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-import requests
-
 from .errors import (
     AuthError,
     CompletionError,
@@ -46,7 +45,6 @@ from .errors import (
 from .minplus import frac
 from .netmodel import (
     CBS,
-    MECHANISMS,
     TestCase,
     json_num,
     serialize_flows,
@@ -254,11 +252,7 @@ def build_open_prompt(tc: TestCase, mechanism: str) -> str:
     blocks and the constants differ between test cases, so output is
     byte-stable for equal input.
     """
-    if mechanism not in MECHANISMS:
-        raise ValidationError(f"mechanism must be one of {MECHANISMS}")
-    if tc.mechanism != mechanism:
-        raise ValidationError(
-            f"{tc.name} is a {tc.mechanism} test case, not {mechanism}")
+    tc.require(mechanism)
     mech_block = _CBS_MECHANISM if mechanism == CBS else _CQF_MECHANISM
     tasks = _CBS_TASKS if mechanism == CBS else _CQF_TASKS
     return (
@@ -715,6 +709,25 @@ def metrics_to_json(report: MetricsReport) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def calibration_from_json(section: dict) -> CalibrationScore:
+    """Read back the "calibration" section that metrics_to_json writes."""
+    def opt(x):
+        return None if x is None else frac(x)
+    try:
+        return CalibrationScore(
+            ece=frac(section["ece"]),
+            brier=frac(section["brier"]),
+            cw_rate=opt(section["cw_rate_percent"]),
+            bins=tuple(ReliabilityBin(frac(b["lo"]), frac(b["hi"]), b["n"],
+                                      opt(b["conf_mean"]), opt(b["acc"]))
+                       for b in section["bins"]),
+            sample_count=section["sample_count"],
+            diagnostics=tuple(section["diagnostics"]))
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(
+            f"malformed calibration section: {exc!r}") from exc
+
+
 # ---------------------------------------------------------------- file IO
 
 
@@ -836,6 +849,8 @@ def fetch_completion(cfg: EndpointConfig, prompt: str,
         body["temperature"] = cfg.temperature
     headers = {"Authorization": f"Bearer {key}",
                "Content-Type": "application/json"}
+
+    import requests     # optional dependency: the "llm" extra
 
     last_error: CompletionError = CompletionError("no attempt made")
     for attempt in range(cfg.max_retries + 1):

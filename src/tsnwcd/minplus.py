@@ -27,6 +27,7 @@ def frac(x: RationalLike) -> Fraction:
 
     Floats go through their shortest decimal repr, so 0.75 means exactly 3/4
     and 0.1 means exactly 1/10 rather than the binary approximation.
+    Anything that is not a finite rational raises ValidationError.
     """
     if isinstance(x, Fraction):
         return x
@@ -34,10 +35,14 @@ def frac(x: RationalLike) -> Fraction:
         raise ValidationError(f"not a rational quantity: {x!r}")
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(Decimal(repr(x)))
-    if isinstance(x, str):
-        return Fraction(x)
+    try:
+        if isinstance(x, float):
+            return Fraction(Decimal(repr(x)))
+        if isinstance(x, str):
+            return Fraction(x)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        # malformed text, a zero denominator, inf or nan
+        raise ValidationError(f"not a rational quantity: {x!r}") from exc
     raise ValidationError(f"not a rational quantity: {x!r}")
 
 
@@ -419,50 +424,6 @@ def sum_of(f: CurveLike, g: CurveLike) -> Curve:
     return Curve(segs)
 
 
-def nondecreasing_nonneg_closure(
-        f: Union[CurveLike, Iterable[Sequence[RationalLike]]]) -> Curve:
-    """Smallest wide-sense-increasing non-negative curve >= max(f, 0).
-
-    Accepts a Curve or raw (start, value, slope) triples; raw input may dip
-    below zero or decrease, but must be continuous on (0, inf).
-    """
-    if isinstance(f, (Curve, TokenBucket, RateLatency)):
-        pieces = [(s.start, s.value, s.slope) for s in as_curve(f).segments]
-    else:
-        pieces = [(frac(s), frac(v), frac(m)) for s, v, m in f]
-    if not pieces or pieces[0][0] != 0:
-        raise ValidationError("closure input must start at t = 0")
-    for i in range(1, len(pieces)):
-        s_prev, v_prev, m_prev = pieces[i - 1]
-        s_cur, v_cur, _ = pieces[i]
-        if s_cur <= s_prev:
-            raise ValidationError("segment starts must be strictly increasing")
-        if v_prev + m_prev * (s_cur - s_prev) != v_cur:
-            raise ValidationError("closure input must be continuous on (0, inf)")
-
-    out: list[Seg] = []
-    cur = Fraction(0)  # running max reached so far; floor at 0
-    for i, (s, v, m) in enumerate(pieces):
-        end = pieces[i + 1][0] if i + 1 < len(pieces) else None
-        if v >= cur and m >= 0:
-            out.append(Seg(s, v, m))
-            cur = v if end is None else v + m * (end - s)
-        elif v >= cur:  # m < 0: the peak is at the piece start
-            out.append(Seg(s, v, Fraction(0)))
-            cur = v
-        elif m > 0:
-            cross = s + (cur - v) / m
-            if end is None or cross < end:
-                out.append(Seg(s, cur, Fraction(0)))
-                out.append(Seg(cross, cur, m))
-                cur = cur if end is None else v + m * (end - s)
-            else:
-                out.append(Seg(s, cur, Fraction(0)))
-        else:  # below the running max and not rising
-            out.append(Seg(s, cur, Fraction(0)))
-    return Curve(out)
-
-
 def h_dev(alpha: CurveLike, beta: CurveLike) -> Fraction:
     """Horizontal deviation: sup over t >= 0 of inf{tau >= 0 | alpha(t) <=
     beta(t + tau)}.  This is the worst-case delay bound for arrival curve
@@ -534,12 +495,3 @@ def _inverse_strict(b: Curve, v: Fraction) -> Optional[Fraction]:
             if nxt is None or u < nxt:
                 return u
     return None
-
-
-def sample_rows(f: CurveLike, t_max: RationalLike, samples: int = 200) -> list[tuple[float, float]]:
-    """(t, value) rows for a debug CSV dump, breakpoints included."""
-    fc = as_curve(f)
-    t_max = frac(t_max)
-    ts = {Fraction(i) * t_max / samples for i in range(samples + 1)}
-    ts |= {t for t in fc._starts if t <= t_max}
-    return [(float(t), float(fc.value(t))) for t in sorted(ts)]

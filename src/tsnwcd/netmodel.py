@@ -15,7 +15,7 @@ in frame_bits().
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional, Union
@@ -74,25 +74,14 @@ class Node:
 
 @dataclass(frozen=True)
 class Link:
-    """Undirected full-duplex link.  rate/propagation of None mean "use the
-    test case's NetworkConstants"."""
+    """Undirected full-duplex link; rate and propagation delay come from the
+    test case's NetworkConstants."""
     a: str
     b: str
-    rate: Optional[Fraction] = None
-    propagation: Optional[Fraction] = None
 
     def __post_init__(self):
         if self.a == self.b:
             raise ValidationError(f"link {self.a}-{self.b}: self-loop")
-        if self.rate is not None:
-            object.__setattr__(self, "rate", frac(self.rate))
-            if self.rate <= 0:
-                raise ValidationError(f"link {self.a}-{self.b}: rate must be > 0")
-        if self.propagation is not None:
-            object.__setattr__(self, "propagation", frac(self.propagation))
-            if self.propagation < 0:
-                raise ValidationError(
-                    f"link {self.a}-{self.b}: propagation must be >= 0")
 
     @property
     def pair(self) -> frozenset:
@@ -243,6 +232,9 @@ class NetworkConstants:
 
 @dataclass(frozen=True)
 class TestCase:
+    """A complete, validated analysis input.  Construction runs
+    validate_testcase and raises ValidationError listing every diagnostic,
+    so every TestCase in hand is fit for analysis."""
     name: str
     topology: Topology
     flows: tuple[Flow, ...]
@@ -255,18 +247,32 @@ class TestCase:
         object.__setattr__(self, "routes", tuple(self.routes))
         if self.mechanism not in MECHANISMS:
             raise ValidationError(f"mechanism must be one of {MECHANISMS}")
+        problems = validate_testcase(self)
+        if problems:
+            raise ValidationError(
+                f"{self.name}: invalid test case: " + "; ".join(problems))
+        object.__setattr__(self, "_flow_by_id", {f.id: f for f in self.flows})
+        object.__setattr__(self, "_route_by_id",
+                           {r.flow_id: r for r in self.routes})
 
     def flow(self, flow_id: int) -> Flow:
-        for f in self.flows:
-            if f.id == flow_id:
-                return f
-        raise ValidationError(f"no flow {flow_id} in {self.name}")
+        try:
+            return self._flow_by_id[flow_id]
+        except KeyError:
+            raise ValidationError(f"no flow {flow_id} in {self.name}") from None
 
     def route_for(self, flow_id: int) -> Route:
-        for r in self.routes:
-            if r.flow_id == flow_id:
-                return r
-        raise ValidationError(f"no route for flow {flow_id} in {self.name}")
+        try:
+            return self._route_by_id[flow_id]
+        except KeyError:
+            raise ValidationError(
+                f"no route for flow {flow_id} in {self.name}") from None
+
+    def require(self, mechanism: str) -> None:
+        """Raise ValidationError unless this is a test case for mechanism."""
+        if self.mechanism != mechanism:
+            raise ValidationError(
+                f"{self.name} is a {self.mechanism} test case, not {mechanism}")
 
 
 def frame_bits(flow: Flow, constants: NetworkConstants) -> Fraction:
@@ -420,19 +426,25 @@ def constants_from_json(text: str) -> tuple[str, NetworkConstants]:
     raw = payload.get("constants", {})
     if not isinstance(raw, dict):
         raise ParseError("constants must be an object")
-    kwargs: dict = {}
-    fields = {"link_rate", "propagation", "switching", "sync_error",
-              "idle_slope_fraction", "frame_overhead", "cut_through", "cycle_T"}
-    unknown = set(raw) - fields
+    unknown = set(raw) - {f.name for f in fields(NetworkConstants)}
     if unknown:
         raise ParseError(f"unknown constants: {sorted(unknown)}")
-    for key in fields & set(raw):
+    kwargs: dict = {}
+    for key, value in raw.items():
         if key == "cut_through":
-            kwargs[key] = bool(raw[key])
+            if not isinstance(value, bool):
+                raise ParseError(
+                    f"cut_through must be true or false, got {value!r}")
         elif key == "frame_overhead":
-            kwargs[key] = int(raw[key])
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ParseError(
+                    f"frame_overhead must be an integer, got {value!r}")
         else:
-            kwargs[key] = frac(raw[key])
+            try:
+                value = frac(value)
+            except ValidationError as exc:
+                raise ParseError(f"{key}: {exc}") from exc
+        kwargs[key] = value
     try:
         return mech, NetworkConstants(**kwargs)
     except ValidationError as exc:
@@ -490,6 +502,9 @@ def validate_testcase(tc: TestCase) -> list[str]:
 
     if tc.mechanism == CQF and tc.constants.cycle_T is None:
         out.append("CQF test case needs constants.cycle_T")
+    if tc.mechanism == CBS and not tc.constants.cut_through:
+        # the CBS analysis and simulator model cut-through forwarding only
+        out.append("CBS test case needs constants.cut_through = true")
     return out
 
 
@@ -519,10 +534,9 @@ def infer_bundle_name(directory: Union[str, Path]) -> str:
 
 
 def load_testcase(directory: Union[str, Path],
-                  name: Optional[str] = None,
-                  strict: bool = True) -> TestCase:
-    """Read a bundle directory into a TestCase.  With strict=True (default)
-    any validate_testcase diagnostic raises."""
+                  name: Optional[str] = None) -> TestCase:
+    """Read a bundle directory into a TestCase; raises ParseError on a
+    malformed file and ValidationError on an invalid test case."""
     if name is None:
         name = infer_bundle_name(directory)
     paths = bundle_paths(directory, name)
@@ -535,13 +549,7 @@ def load_testcase(directory: Union[str, Path],
                           flows=flows, topology=topo)
     mech, constants = constants_from_json(
         paths["config"].read_text(encoding="utf-8"))
-    tc = TestCase(name, topo, tuple(flows), tuple(routes), mech, constants)
-    if strict:
-        problems = validate_testcase(tc)
-        if problems:
-            raise ValidationError(
-                f"{name}: invalid test case: " + "; ".join(problems))
-    return tc
+    return TestCase(name, topo, tuple(flows), tuple(routes), mech, constants)
 
 
 def save_testcase(tc: TestCase, directory: Union[str, Path]) -> dict[str, Path]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -32,7 +33,6 @@ from .netmodel import (
     TestCase,
     frame_bits,
     json_num,
-    validate_testcase,
 )
 
 RELEASE_SYNCHRONIZED = "synchronized"
@@ -282,15 +282,6 @@ def _release_schedule(tc, cfg, rng, cycle=None):
     return out
 
 
-def _precheck(tc, mechanism):
-    if tc.mechanism != mechanism:
-        raise ValidationError(
-            f"{tc.name}: simulator for {mechanism} got a {tc.mechanism} case")
-    problems = validate_testcase(tc)
-    if problems:
-        raise ValidationError(f"{tc.name}: " + "; ".join(problems))
-
-
 def _empty_report(tc, cfg):
     return SimReport(tc.name, tc.mechanism, cfg.seed, cfg.horizon,
                      cfg.release_policy, {}, {}, None)
@@ -319,7 +310,7 @@ def _fold_deliveries(tc, cfg, deliveries, release_of):
 
 def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
     """Event-driven credit-based shaper run; reports max delay per flow."""
-    _precheck(tc, CBS)
+    tc.require(CBS)
     if not tc.flows:
         return _empty_report(tc, cfg)
     rng = random.Random(cfg.seed)
@@ -428,7 +419,7 @@ def simulate_cqf(tc: TestCase, cfg: SimConfig) -> SimReport:
     then advance one hop per switch.  Raises CapacityError when a cycle is
     asked to carry more serialization time than T.
     """
-    _precheck(tc, CQF)
+    tc.require(CQF)
     if not tc.flows:
         return _empty_report(tc, cfg)
     T = tc.constants.cycle_T
@@ -446,11 +437,6 @@ def simulate_cqf(tc: TestCase, cfg: SimConfig) -> SimReport:
     port_keys = sorted({p for r in tc.routes for p in r.ports})
     index = {k: i for i, k in enumerate(port_keys)}
 
-    def ceil_div(x: Fraction) -> int:
-        q = x / T
-        n = q.numerator // q.denominator
-        return n if n * q.denominator == q.numerator else n + 1
-
     load: dict = {}
     busy_until: dict = {}
     heap = []
@@ -465,7 +451,7 @@ def simulate_cqf(tc: TestCase, cfg: SimConfig) -> SimReport:
         t, rank, pidx, cyc_hint, flow, seq, hop = heapq.heappop(heap)
         route = routes[flow]
         port = route.ports[hop]
-        cycle = ceil_div(t) if hop == 0 else cyc_hint
+        cycle = math.ceil(t / T) if hop == 0 else cyc_hint
         tx = bits[flow] / C
         key = (port, cycle)
         total = load.get(key, Fraction(0)) + tx

@@ -15,12 +15,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ValidationError
 from .netmodel import (
     ES,
-    MECHANISMS,
     MTU_BYTES,
     SW,
     Flow,
@@ -33,7 +32,6 @@ from .netmodel import (
     constants_from_json,
     constants_to_json,
     save_testcase,
-    validate_testcase,
 )
 
 ONE_SWITCH = "one_switch"
@@ -166,11 +164,7 @@ def build_testcase(name: str, spec: GenSpec, mechanism: str,
     topo = gen_topology(spec)
     flows = gen_flows(spec, topo)
     routes = tuple(k_shortest_routes(topo, f, 1)[0] for f in flows)
-    tc = TestCase(name, topo, flows, routes, mechanism, constants)
-    problems = validate_testcase(tc)
-    if problems:
-        raise ValidationError(f"{name}: " + "; ".join(problems))
-    return tc
+    return TestCase(name, topo, flows, routes, mechanism, constants)
 
 
 def emit_testcase(tc: TestCase, out_dir) -> Path:
@@ -223,15 +217,6 @@ def testcase_from_entry(entry: dict) -> TestCase:
     mech, constants = constants_from_json(json.dumps(
         {"mechanism": entry["mechanism"], "constants": entry["constants"]}))
     return build_testcase(entry["name"], spec, mech, constants)
-
-
-def generate_from_manifest(manifest_text: str, out_dir) -> list[Path]:
-    """Regenerate every bundle named in the manifest; returns written dirs."""
-    written = []
-    for entry in parse_manifest(manifest_text):
-        tc = testcase_from_entry(entry)
-        written.append(emit_testcase(tc, out_dir))
-    return written
 
 
 # the shipped corpus

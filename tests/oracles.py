@@ -75,23 +75,6 @@ def deconv_at(f, g, t):
     return max(pw_value_right(f, t + s) - pw_value(g, s) for s in cands)
 
 
-def running_max_at(f, t):
-    """max(0, sup over s <= t of f(s)) as a right-limit: pieces are
-    monotone, so the sup sits at a piece start (taken from the right, which
-    also covers the jump at 0+) or at t itself."""
-    t = Fraction(t)
-    cands = {t}
-    for s in starts(f):
-        if 0 <= s <= t:
-            cands.add(Fraction(s))
-    best = Fraction(0)
-    for s in cands:
-        v = pw_value_right(f, s)
-        if v > best:
-            best = v
-    return best
-
-
 def needed_delay_at(alpha, beta, t):
     """Smallest d >= 0 with beta(t + d) >= alpha(t+), by scanning beta's
     pieces from the left.  Returns None if beta never reaches the level."""

@@ -59,18 +59,6 @@ def test_credit_min_scales_with_class_frame():
         assert c_min == SDSL * l / C
 
 
-def test_credit_bounds_two_classes():
-    # higher-priority class consumes credit; the general form divides by the
-    # residual link rate
-    high = cbs.CbsClassConfig(1, 30, -70, 4000, 12000)
-    low = cbs.CbsClassConfig(2, 20, -80, 6000, 12000)
-    c_min_high, _ = cbs.credit_bounds(high, C)
-    assert c_min_high == -2800
-    _, c_max_low = cbs.credit_bounds(low, C, higher_classes=[high])
-    assert c_max_low == F(20) * (-2800 - 12000) / (30 - 100)
-    assert c_max_low == F(29600, 7)
-
-
 def test_credit_bounds_rejects_inconsistent_slopes():
     cfg = cbs.CbsClassConfig(1, IDSL, F(-30), AVB_FRAME, BE_FRAME)
     with pytest.raises(ValidationError):

@@ -112,6 +112,20 @@ def test_analyze_mechanism_mismatch_is_domain_error(runner, tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_analyze_bad_config_number_is_domain_error(runner, tmp_path):
+    tc_dir = chain_tc_dir(tmp_path, mechanism="CBS")
+    config = tc_dir / "case_config.json"
+    doc = json.loads(config.read_text())
+    doc["constants"]["link_rate"] = "abc"
+    config.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["analyze", "--tc", str(tc_dir),
+                               "--mechanism", "cbs",
+                               "--out", str(tmp_path / "x.json")])
+    assert res.exit_code == 1
+    assert res.stderr.startswith("error: link_rate: not a rational quantity")
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
 def test_usage_errors_exit_2(runner, tmp_path):
     res = runner.invoke(main, ["analyze", "--tc", str(tmp_path)])
     assert res.exit_code == 2

@@ -57,22 +57,12 @@ def test_wcd_zero_switch_direct_link():
     assert report.per_flow[0]["sw_num"] == 0
 
 
-def test_wcd_offset_and_explicit_xi():
-    tc = chain_tc(2, [(400, 100)], cycle_T=F(100))
-    cfg = cqf.CqfConfig(T=F(100), offsets={0: F(30)},
-                        xi_policy=cqf.XI_EXPLICIT, explicit_xi=F(3))
-    report = cqf.solve(tc, cfg)
-    assert report.per_flow[0]["wcd_us"] == F(333)
-
-
 def test_wcd_identity_holds_in_report():
     tc = chain_tc(2, [(1000, 300), (500, 64)], cycle_T=F(25))
-    cfg = cqf.CqfConfig(T=F(25), offsets={1: F(40)})
-    report = cqf.solve(tc, cfg)
+    report = cqf.solve(tc)
+    assert report.T == tc.constants.cycle_T
     for fid, row in report.per_flow.items():
-        assert row["wcd_us"] == (cfg.offset(fid)
-                                 + (row["sw_num"] + 1) * cfg.T
-                                 + row["xi_us"])
+        assert row["wcd_us"] == (row["sw_num"] + 1) * report.T + row["xi_us"]
 
 
 # xi policies
@@ -91,13 +81,6 @@ def test_xi_scales_with_constants():
     consts = NetworkConstants(propagation=F(2), sync_error=F(1, 2))
     route = Route(0, ("es1", "s1", "s2", "s3", "es2"))
     assert cqf.xi(route, consts) == F(17, 2)
-
-
-def test_xi_explicit_ignores_route():
-    cfg = cqf.CqfConfig(T=F(50), xi_policy=cqf.XI_EXPLICIT, explicit_xi=F(7))
-    consts = NetworkConstants()
-    assert cqf.xi(Route(0, ("es1", "es2")), consts, cfg) == F(7)
-    assert cqf.xi(Route(0, ("es1", "s1", "s2", "es2")), consts, cfg) == F(7)
 
 
 # hypercycle
@@ -136,56 +119,26 @@ def test_hypercycle_requires_flows():
         cqf.hypercycle([])
 
 
-# config validation
+# cycle duration validation
 
 
 def test_config_rejects_nonpositive_T():
+    # cqf.solve reads T from constants.cycle_T, which must be > 0
     with pytest.raises(ValidationError):
-        cqf.CqfConfig(T=F(0))
+        NetworkConstants(cycle_T=F(0))
     with pytest.raises(ValidationError):
-        cqf.CqfConfig(T=F(-5))
-
-
-def test_config_rejects_negative_offset():
-    with pytest.raises(ValidationError):
-        cqf.CqfConfig(T=F(50), offsets={0: F(-1)})
-
-
-def test_config_rejects_unknown_policy():
-    with pytest.raises(ValidationError):
-        cqf.CqfConfig(T=F(50), xi_policy="guesswork")
-
-
-def test_config_explicit_policy_needs_value():
-    with pytest.raises(ValidationError):
-        cqf.CqfConfig(T=F(50), xi_policy=cqf.XI_EXPLICIT)
+        NetworkConstants(cycle_T=F(-5))
 
 
 # structural properties of the bound
 
 
-@given(sw=st.integers(0, 6),
-       t1=st.integers(1, 500), t2=st.integers(1, 500),
-       phi=st.integers(0, 300))
-def test_wcd_affine_in_cycle_duration(sw, t1, t2, phi):
-    tc = chain_tc(sw, [(5000, 100)])
-    f, route = tc.flows[0], tc.routes[0]
-    w1 = cqf.cqf_wcd(f, route, cqf.CqfConfig(T=F(t1), offsets={0: F(phi)}),
-                     tc.constants)
-    w2 = cqf.cqf_wcd(f, route, cqf.CqfConfig(T=F(t2), offsets={0: F(phi)}),
-                     tc.constants)
-    assert w2 - w1 == (sw + 1) * (F(t2) - F(t1))
-
-
-@given(sw=st.integers(0, 6), p1=st.integers(0, 400), p2=st.integers(0, 400))
-def test_wcd_affine_in_offset(sw, p1, p2):
-    tc = chain_tc(sw, [(5000, 100)])
-    f, route = tc.flows[0], tc.routes[0]
-    w1 = cqf.cqf_wcd(f, route, cqf.CqfConfig(T=F(50), offsets={0: F(p1)}),
-                     tc.constants)
-    w2 = cqf.cqf_wcd(f, route, cqf.CqfConfig(T=F(50), offsets={0: F(p2)}),
-                     tc.constants)
-    assert w2 - w1 == F(p2) - F(p1)
+@given(sw=st.integers(0, 6), t1=st.integers(1, 500), t2=st.integers(1, 500))
+def test_wcd_affine_in_cycle_duration(sw, t1, t2):
+    def wcd(T):
+        tc = chain_tc(sw, [(5000, 100)], cycle_T=F(T))
+        return cqf.cqf_wcd(tc.routes[0], tc.constants.cycle_T, tc.constants)
+    assert wcd(t2) - wcd(t1) == (sw + 1) * (F(t2) - F(t1))
 
 
 def test_wcd_depends_on_route_only_through_counts():
@@ -204,13 +157,6 @@ def test_wcd_depends_on_route_only_through_counts():
     assert report.per_flow[0]["wcd_us"] == report.per_flow[1]["wcd_us"]
 
 
-def test_wcd_rejects_mismatched_route():
-    tc = chain_tc(1, [(400, 100)], cycle_T=F(50))
-    other = Route(7, ("es1", "s1", "es2"))
-    with pytest.raises(ValidationError):
-        cqf.cqf_wcd(tc.flows[0], other, cqf.CqfConfig(T=F(50)), tc.constants)
-
-
 # solve entry point
 
 
@@ -221,25 +167,11 @@ def test_solve_rejects_cbs_testcase():
 
 
 def test_solve_requires_cycle_T_in_constants():
-    tc = chain_tc(1, [(400, 100)])   # no constants.cycle_T
-    with pytest.raises(ValidationError):
-        cqf.solve(tc)
-    # an explicit config does not excuse an invalid bundle
-    with pytest.raises(ValidationError):
-        cqf.solve(tc, cqf.CqfConfig(T=F(50)))
-
-
-def test_solve_config_T_overrides_constants():
-    tc = chain_tc(1, [(400, 100)], cycle_T=F(50))
-    report = cqf.solve(tc, cqf.CqfConfig(T=F(100)))
-    assert report.T == F(100)
-    assert report.per_flow[0]["wcd_us"] == F(203)
-
-
-def test_solve_rejects_offset_at_or_past_hypercycle():
-    tc = chain_tc(1, [(400, 100)], cycle_T=F(50))
-    with pytest.raises(ValidationError):
-        cqf.solve(tc, cqf.CqfConfig(T=F(50), offsets={0: F(400)}))
+    # a CQF case without a cycle duration cannot even be built
+    with pytest.raises(ValidationError,
+                       match="tc: invalid test case: CQF test case needs "
+                             "constants.cycle_T"):
+        chain_tc(1, [(400, 100)])
 
 
 def test_report_json_layout():
@@ -291,11 +223,14 @@ def test_capacity_sums_colliding_flows():
 
 
 def test_capacity_mid_cycle_release_waits_for_next_boundary():
-    tc = chain_tc(1, [(400, 965)], cycle_T=F(50))
-    cfg = cqf.CqfConfig(T=F(50), offsets={0: F(10)})
-    diags = cqf.cycle_capacity_check(tc, cfg)
+    # T = 60 divides the 300us hypercycle of periods 100 and 75 but not 100,
+    # so flow 0's frames released at 100 and 200 are injected in cycles 2
+    # and 4, not 1 and 3.  Only flow 0's 80.56us frames overfill a cycle.
+    tc = chain_tc(1, [(100, 965), (75, 64)], cycle_T=F(60))
+    diags = cqf.cycle_capacity_check(tc)
     assert [(d.port, d.cycle_index) for d in diags] == [
-        (("es1", "s1"), 1), (("s1", "es2"), 2)]
+        (("es1", "s1"), 0), (("es1", "s1"), 2), (("es1", "s1"), 4),
+        (("s1", "es2"), 0), (("s1", "es2"), 1), (("s1", "es2"), 3)]
 
 
 def test_capacity_wraps_cycles_modulo_hypercycle():

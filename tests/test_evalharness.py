@@ -1,9 +1,14 @@
 """Scoring-harness tests: hand-checked metric fixtures, lenient parsing,
 calibration arithmetic, and a scripted HTTP stub for the client."""
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 from fractions import Fraction as F
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -465,6 +470,17 @@ def test_reliability_csv_layout():
     assert lines[1] == "0,0.1,0,,"
 
 
+def test_calibration_json_round_trip_keeps_csv_bytes():
+    items, records = conf_records(
+        [("0.75", True), ("0.75", False), ("1/3", True), (1, False)])
+    cal = ev.calibration(items, records)
+    doc = json.loads(ev.metrics_to_json(ev.MetricsReport(calib=cal)))
+    back = ev.calibration_from_json(doc["calibration"])
+    assert ev.reliability_to_csv(back) == ev.reliability_to_csv(cal)
+    with pytest.raises(ValidationError, match="malformed calibration"):
+        ev.calibration_from_json({"bins": [{}]})
+
+
 # prompts
 
 
@@ -609,6 +625,17 @@ def cfg_for(server, **kw):
         model="test-model", **kw)
 
 
+def test_requests_is_imported_lazily():
+    # the HTTP client's dependency is optional: loading the package and
+    # its CLI must not need it
+    code = ("import sys, tsnwcd.cli, tsnwcd.evalharness; "
+            "sys.exit('requests' in sys.modules)")
+    src = str(Path(ev.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=60).returncode == 0
+
+
 def test_fetch_roundtrip(stub_server, monkeypatch):
     monkeypatch.setenv("TSNWCD_API_KEY", "sekrit")
     stub_server.script = [("ok", "the answer text")]
@@ -665,12 +692,14 @@ def test_fetch_malformed_payload(stub_server, monkeypatch):
 
 def test_fetch_timeout_after_retries(monkeypatch):
     monkeypatch.setenv("TSNWCD_API_KEY", "k")
-    # unroutable per RFC 5737; connect cannot succeed inside the timeout
-    cfg = ev.EndpointConfig(base_url="http://192.0.2.1/v1/chat",
-                            model="m", timeout_s=0.2, max_retries=1,
-                            backoff_base_s=0.0)
-    with pytest.raises(CompletionError):
-        ev.fetch_completion(cfg, "p")
+    # a local listener that never answers: every attempt times out
+    with socket.create_server(("127.0.0.1", 0)) as silent:
+        port = silent.getsockname()[1]
+        cfg = ev.EndpointConfig(base_url=f"http://127.0.0.1:{port}/v1/chat",
+                                model="m", timeout_s=0.2, max_retries=1,
+                                backoff_base_s=0.0)
+        with pytest.raises(CompletionTimeout):
+            ev.fetch_completion(cfg, "p")
 
 
 def test_collect_predictions_records_timeout(monkeypatch):

@@ -21,8 +21,6 @@ from tsnwcd.minplus import (
     frac,
     h_dev,
     min_of,
-    nondecreasing_nonneg_closure,
-    sample_rows,
     shift_delay,
     sum_of,
 )
@@ -50,19 +48,6 @@ def curve_triples(draw, max_extra_segments=3, allow_jump=True):
         t += draw(pos_fracs)
         s0, v0, m0 = segs[-1]
         segs.append((t, v0 + m0 * (t - s0), draw(small_fracs)))
-    return segs
-
-
-@st.composite
-def raw_triples(draw, max_extra_segments=3):
-    """Continuous piecewise-linear specs that may dip or decrease."""
-    signed = st.fractions(min_value=-12, max_value=12, max_denominator=4)
-    segs = [(F(0), draw(signed), draw(signed))]
-    t = F(0)
-    for _ in range(draw(st.integers(0, max_extra_segments))):
-        t += draw(pos_fracs)
-        s0, v0, m0 = segs[-1]
-        segs.append((t, v0 + m0 * (t - s0), draw(signed)))
     return segs
 
 
@@ -385,47 +370,3 @@ def test_h_dev_rate_violation_raises():
 def test_deconvolve_rate_violation_raises():
     with pytest.raises(DivergenceError):
         deconvolve(TokenBucket(0, 2), RateLatency(1, 0))
-
-
-# ======================================================================
-# closure
-
-def test_closure_of_dipping_ramp_goes_flat_then_rises():
-    got = nondecreasing_nonneg_closure([(0, -5, 2)])
-    assert got == Curve([(0, 0, 0), (F(5, 2), 0, 2)])
-
-
-def test_closure_clamps_decreasing_stretch():
-    raw = [(0, 4, -1), (2, 2, 3)]
-    got = nondecreasing_nonneg_closure(raw)
-    # peak 4 at 0+, input returns to 4 at t = 8/3, rises with slope 3 after
-    assert got == Curve([(0, 4, 0), (F(8, 3), 4, 3)])
-
-
-def test_closure_of_valid_curve_is_identity():
-    c = Curve([(0, 2, 1), (3, 5, 0)])
-    assert nondecreasing_nonneg_closure(c) == c
-
-
-def test_closure_rejects_discontinuous_input():
-    with pytest.raises(ValidationError):
-        nondecreasing_nonneg_closure([(0, 0, 1), (2, 9, 1)])
-
-
-@given(raw_triples(), times)
-@settings(deadline=None)
-def test_closure_matches_running_max_oracle(raw, t):
-    got = nondecreasing_nonneg_closure(raw)
-    assert got.value_right(t) == oracles.running_max_at(raw, t)
-
-
-# ======================================================================
-# sampling helper
-
-def test_sample_rows_cover_breakpoints():
-    rows = sample_rows(RateLatency(4, 3), 10, samples=7)
-    ts = [t for t, _ in rows]
-    assert 3.0 in ts
-    assert rows[0] == (0.0, 0.0)
-    assert rows[-1] == (10.0, 28.0)
-    assert all(b >= a for (_, a), (_, b) in zip(rows, rows[1:]))

@@ -23,11 +23,11 @@ link,h2,sw1
 FLOW_LINE = "0,node2_1,node5_2,2500,709,965"
 
 
-def star_testcase(mechanism="CBS", cycle_T=None):
+def star_testcase(mechanism="CBS", cycle_T=None, **const_kw):
     topo = nm.parse_topology(STAR_TOPO)
     flows = (nm.Flow(0, "h1", "h2", 1000, 500, 100),)
     routes = (nm.Route(0, ("h1", "sw1", "h2")),)
-    consts = nm.NetworkConstants(cycle_T=cycle_T)
+    consts = nm.NetworkConstants(cycle_T=cycle_T, **const_kw)
     return nm.TestCase("star", topo, flows, routes, mechanism, consts)
 
 
@@ -161,40 +161,50 @@ def test_validate_clean_testcase():
 
 def test_validate_flow_without_route():
     tc = star_testcase()
-    tc = nm.TestCase(tc.name, tc.topology,
-                     tc.flows + (nm.Flow(1, "h2", "h1", 1000, 500, 100),),
-                     tc.routes, tc.mechanism, tc.constants)
-    probs = nm.validate_testcase(tc)
-    assert len(probs) == 1
-    assert "flows without a route: [1]" in probs[0]
+    with pytest.raises(ValidationError) as err:
+        nm.TestCase(tc.name, tc.topology,
+                    tc.flows + (nm.Flow(1, "h2", "h1", 1000, 500, 100),),
+                    tc.routes, tc.mechanism, tc.constants)
+    assert str(err.value) == (
+        "star: invalid test case: flows without a route: [1]")
 
 
 def test_validate_route_with_missing_link():
     topo = nm.parse_topology(STAR_TOPO + "node,h3,es\nlink,h3,sw1\n")
-    tc = nm.TestCase(
-        "bad", topo,
-        (nm.Flow(0, "h1", "h3", 1000, 500, 100),),
-        (nm.Route(0, ("h1", "h2", "h3")),),
-        "CBS", nm.NetworkConstants())
-    probs = nm.validate_testcase(tc)
-    assert any("no link between h1 and h2" in p for p in probs)
-    assert any("end-station h2 used as interior hop" in p for p in probs)
+    with pytest.raises(ValidationError) as err:
+        nm.TestCase(
+            "bad", topo,
+            (nm.Flow(0, "h1", "h3", 1000, 500, 100),),
+            (nm.Route(0, ("h1", "h2", "h3")),),
+            "CBS", nm.NetworkConstants())
+    assert "no link between h1 and h2" in str(err.value)
+    assert "end-station h2 used as interior hop" in str(err.value)
 
 
 def test_validate_cqf_needs_cycle():
-    probs = nm.validate_testcase(star_testcase(mechanism="CQF"))
-    assert probs == ["CQF test case needs constants.cycle_T"]
+    with pytest.raises(ValidationError) as err:
+        star_testcase(mechanism="CQF")
+    assert str(err.value) == (
+        "star: invalid test case: CQF test case needs constants.cycle_T")
     assert nm.validate_testcase(star_testcase("CQF", cycle_T=50)) == []
+
+
+def test_validate_cbs_needs_cut_through():
+    # the CBS analysis and simulator model cut-through forwarding only
+    with pytest.raises(ValidationError, match="cut_through = true"):
+        star_testcase(cut_through=False)
+    cqf = star_testcase("CQF", cycle_T=50, cut_through=False)
+    assert nm.validate_testcase(cqf) == []
 
 
 def test_validate_route_endpoint_mismatch():
     tc = star_testcase()
-    bad = nm.TestCase(tc.name, tc.topology, tc.flows,
-                      (nm.Route(0, ("h2", "sw1", "h1")),),
-                      tc.mechanism, tc.constants)
-    probs = nm.validate_testcase(bad)
-    assert any("starts at h2" in p for p in probs)
-    assert any("ends at h1" in p for p in probs)
+    with pytest.raises(ValidationError) as err:
+        nm.TestCase(tc.name, tc.topology, tc.flows,
+                    (nm.Route(0, ("h2", "sw1", "h1")),),
+                    tc.mechanism, tc.constants)
+    assert "starts at h2" in str(err.value)
+    assert "ends at h1" in str(err.value)
 
 
 # ======================================================================
@@ -246,6 +256,21 @@ def test_constants_json_rejects_unknown_keys():
         nm.constants_from_json('{"mechanism": "CBS", "constants": {"x": 1}}')
 
 
+@pytest.mark.parametrize("key, raw, message", [
+    ("link_rate", '"abc"', "link_rate: not a rational quantity: 'abc'"),
+    ("link_rate", "1e999", "link_rate: not a rational quantity: inf"),
+    ("link_rate", '"1/0"', "link_rate: not a rational quantity: '1/0'"),
+    ("frame_overhead", '"x"', "frame_overhead must be an integer"),
+    ("cut_through", '"no"', "cut_through must be true or false"),
+], ids=["rate_text", "rate_inf", "rate_zero_denominator", "overhead_text",
+        "cut_through_text"])
+def test_constants_json_bad_value_is_parse_error(key, raw, message):
+    text = '{"mechanism": "CBS", "constants": {"%s": %s}}' % (key, raw)
+    with pytest.raises(ParseError) as err:
+        nm.constants_from_json(text)
+    assert str(err.value).startswith(message)
+
+
 def test_bundle_save_load_identity(tmp_path):
     tc = star_testcase("CQF", cycle_T=100)
     paths = nm.save_testcase(tc, tmp_path)
@@ -270,10 +295,9 @@ def test_load_rejects_invalid_strict(tmp_path):
     flows_file = tmp_path / "star_flows.txt"
     flows_file.write_text("0,h1,h2,1000,500,100\n1,h1,h2,1000,500,64\n",
                           encoding="utf-8")
-    with pytest.raises(ValidationError, match="flows without a route"):
+    with pytest.raises(ValidationError,
+                       match="star: invalid test case: flows without a route"):
         nm.load_testcase(tmp_path)
-    tc2 = nm.load_testcase(tmp_path, strict=False)
-    assert len(tc2.flows) == 2
 
 
 def test_load_missing_file(tmp_path):
