@@ -21,7 +21,7 @@ from pathlib import Path
 import click
 
 from . import cbs, cqf, evalharness, netmodel, sim, testgen
-from .errors import ToolkitError, ValidationError
+from .errors import ParseError, ToolkitError, ValidationError
 
 log = logging.getLogger("tsnwcd")
 
@@ -105,7 +105,8 @@ def gen(ctx, manifest, out_dir, truth_dir, jobs):
     def body():
         n_jobs = _jobs(ctx, "gen", jobs)
         truth_out = _setting(ctx, "gen", "truth_dir", truth_dir, None)
-        entries = testgen.parse_manifest(Path(manifest).read_text())
+        entries = testgen.parse_manifest(Path(manifest).read_text(),
+                                         manifest)
         log.info("generating %d test cases with %d jobs",
                  len(entries), n_jobs)
 
@@ -279,8 +280,11 @@ def score_mcqa(ctx, items_path, runs_path, bins, out_path):
 def report(metrics_path, csv_path):
     """Export the reliability-bin table of a metrics file as CSV."""
     def body():
-        doc = json.loads(Path(metrics_path).read_text())
-        cal = doc.get("calibration")
+        try:
+            doc = json.loads(Path(metrics_path).read_text())
+        except ValueError as exc:
+            raise ParseError(f"{metrics_path}: not valid JSON: {exc}") from exc
+        cal = doc.get("calibration") if isinstance(doc, dict) else None
         if not cal:
             raise ValidationError(
                 f"{metrics_path} has no calibration section")

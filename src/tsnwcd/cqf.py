@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 from .minplus import frac
 from .netmodel import (
     CQF,
@@ -74,15 +74,20 @@ class CapacityDiagnostic:
     def __str__(self):
         a, b = self.port
         return (f"port {a}->{b} cycle {self.cycle_index}: "
-                f"{float(self.load_us)}us scheduled into a {float(self.limit_us)}us cycle")
+                f"{float(self.load_us)}us scheduled where a cycle fits "
+                f"{float(self.limit_us)}us")
 
 
 def cycle_capacity_check(tc: TestCase) -> list[CapacityDiagnostic]:
     """Per-port, per-cycle transmission load over one hypercycle.
 
     A frame released at r is injected in cycle ceil(r/T) (boundary releases
-    keep their own cycle) and advances one cycle per switch; any cycle asked
-    to carry more serialization time than T is reported.
+    keep their own cycle) and advances one cycle per switch.  A cycle's
+    frames go out back to back from its start, and a port whose next node
+    is a switch must finish them propagation + switching before the cycle
+    ends, so that they reach the switch before the cycle that forwards them
+    opens; a last hop has the whole cycle.  Every cycle over its limit is
+    reported.
     """
     tc.require(CQF)
     if not tc.flows:
@@ -90,6 +95,7 @@ def cycle_capacity_check(tc: TestCase) -> list[CapacityDiagnostic]:
     T = tc.constants.cycle_T
     h = hypercycle(tc.flows, T)
     slots = int(h / T)
+    margin = tc.constants.propagation + tc.constants.switching
     load: dict[tuple[tuple[str, str], int], Fraction] = {}
     for f in sorted(tc.flows, key=lambda f: f.id):
         route = tc.route_for(f.id)
@@ -101,10 +107,12 @@ def cycle_capacity_check(tc: TestCase) -> list[CapacityDiagnostic]:
                 slot = (inject + j) % slots
                 key = (port, slot)
                 load[key] = load.get(key, Fraction(0)) + tx
+    limits = {port: T - margin if tc.topology.is_switch(port[1]) else T
+              for port, _ in load}
     return [
-        CapacityDiagnostic(port, slot, total, T)
+        CapacityDiagnostic(port, slot, total, limits[port])
         for (port, slot), total in sorted(load.items())
-        if total > T
+        if total > limits[port]
     ]
 
 
@@ -117,8 +125,15 @@ class CqfReport:
 
 
 def solve(tc: TestCase) -> CqfReport:
-    """Closed-form per-flow worst-case delays for a CQF test case."""
-    tc.require(CQF)
+    """Closed-form per-flow worst-case delays for a CQF test case.
+
+    Raises CapacityError when cycle_capacity_check finds an overfull cycle:
+    the bound assumes every frame is forwarded in the cycle after the one
+    that received it.
+    """
+    overfull = cycle_capacity_check(tc)
+    if overfull:
+        raise CapacityError("; ".join(str(d) for d in overfull))
     T = tc.constants.cycle_T
     h = hypercycle(tc.flows, T) if tc.flows else T
     per_flow = {}

@@ -1,7 +1,14 @@
 """Event-driven shaper simulator for CBS and CQF egress ports.
 
 The simulator is the empirical oracle for the analytical bounds: observed
-end-to-end delays must never exceed them.  Time is exact (Fraction), the
+end-to-end delays must never exceed them.  Time and credit are exact
+integers.  Each run picks one tick of 1/den us for its inputs, den being the
+least common multiple of the denominators of every duration the run can
+produce (constants, horizon, cycle, periods, phases, frame transmission
+times and CBS credit recovery times), and one credit unit of 1/scale bits
+that makes every slope a whole number of units per tick.  The event loops
+then work on Python ints; values turn back into Fraction only where they
+leave the simulator (reports, traces, transmissions, error messages).  The
 event queue breaks ties deterministically (arrivals, then transmission
 completions, then credit wakeups; among flows by ascending id), and for a
 fixed (test case, config, seed) the report is bit-identical across runs.
@@ -20,6 +27,7 @@ import heapq
 import json
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -84,6 +92,37 @@ class SimReport:
     credit_trace: Optional[list] = None       # (t, port, credit bits)
 
 
+# the integer time base
+
+def _exact_div(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"{a}/{b} is off the simulator's integer grid")
+    return q
+
+
+class _Grid:
+    """One run's ticks per us (den) and credit units per bit (scale)."""
+
+    def __init__(self, durations, slopes=()):
+        self.den = math.lcm(*(d.denominator for d in durations))
+        self.scale = math.lcm(*((s / self.den).denominator for s in slopes))
+
+    def ticks(self, us: Fraction) -> int:
+        return _exact_div(us.numerator * self.den, us.denominator)
+
+    def slope(self, bits_per_us: Fraction) -> int:
+        """Credit units per tick."""
+        return _exact_div(bits_per_us.numerator * self.scale,
+                          bits_per_us.denominator * self.den)
+
+    def us(self, ticks: int) -> Fraction:
+        return Fraction(ticks, self.den)
+
+    def bits(self, units: int) -> Fraction:
+        return Fraction(units, self.scale)
+
+
 # credit-based shaper port
 
 class _Queue:
@@ -92,10 +131,10 @@ class _Queue:
     def __init__(self, idle, send):
         self.idle = idle
         self.send = send
-        self.credit = Fraction(0)
-        self.slope = Fraction(0)
-        self.t0 = Fraction(0)
-        self.fifo = []
+        self.credit = 0
+        self.slope = 0
+        self.t0 = 0
+        self.fifo = deque()
 
 
 class _CbsPort:
@@ -104,16 +143,16 @@ class _CbsPort:
     Credit of a queue rises at idle_slope while a frame waits or the credit
     is negative, falls at send_slope while the queue transmits, and snaps to
     zero the moment it is positive with nothing waiting.  Eligibility is
-    credit >= 0; transmission is non-preemptive.
+    credit >= 0; transmission is non-preemptive.  Times are ticks, credits
+    and slopes credit units.
     """
 
-    def __init__(self, idx, key, rate, slopes, be_bits, traced):
+    def __init__(self, idx, key, slopes, be_tx, traced):
         self.idx = idx
         self.key = key
-        self.rate = rate
         self.queues = [_Queue(a, b) for a, b in slopes]
-        self.be_fifo = []
-        self.be_bits = be_bits            # synthetic saturating frame, or None
+        self.be_fifo = deque()            # (duration, tag)
+        self.be_tx = be_tx                # synthetic saturating frame, or None
         self.traced = traced
         self.busy = None                  # (cls, flow, seq, hop) or (None,) for BE
         self.trace = []                   # (t, cls, credit)
@@ -138,10 +177,10 @@ class _CbsPort:
             if (q.slope > 0 and new >= 0 and not q.fifo
                     and not self._transmitting(cls)):
                 # recovery with an empty queue pegs at zero
-                cross = q.t0 + -q.credit / q.slope
+                cross = q.t0 + _exact_div(-q.credit, q.slope)
                 q.t0 = cross
-                q.credit = Fraction(0)
-                self._set_slope(cross, cls, Fraction(0))
+                q.credit = 0
+                self._set_slope(cross, cls, 0)
             else:
                 q.credit = new
         q.t0 = t
@@ -165,7 +204,7 @@ class _CbsEngine:
         self.horizon = horizon
         self.heap = []
         self.deliveries = []              # (t, flow, seq)
-        self.be_payload = {}              # (flow, seq) -> (bits, tag)
+        self.be_payload = {}              # (flow, seq) -> (duration, tag)
         self._serial = 0
 
     def push(self, entry):
@@ -207,15 +246,15 @@ class _CbsEngine:
             port._set_slope(t, cls, q.idle)
         elif q.credit > 0:
             port._emit(t, cls)            # reset discontinuity: down to zero
-            q.credit = Fraction(0)
-            port._set_slope(t, cls, Fraction(0))
+            q.credit = 0
+            port._set_slope(t, cls, 0)
             port._emit(t, cls)
         elif q.credit < 0:
             port._set_slope(t, cls, q.idle)
-            self.push((t + -q.credit / q.idle, _RANK_WAKE, port.idx, cls,
-                       _NO_FLOW, -1, 0))
+            self.push((t + _exact_div(-q.credit, q.idle), _RANK_WAKE,
+                       port.idx, cls, _NO_FLOW, -1, 0))
         else:
-            port._set_slope(t, cls, Fraction(0))
+            port._set_slope(t, cls, 0)
 
     def _kick(self, port, t):
         if port.busy is not None:
@@ -225,28 +264,28 @@ class _CbsEngine:
                 continue
             port._update(t, cls)
             if q.credit >= 0:
-                self._start(port, t, cls, q.fifo.pop(0))
+                self._start(port, t, cls, q.fifo.popleft())
                 return
-        saturating = (port.be_bits is not None
+        saturating = (port.be_tx is not None
                       and (self.horizon is None or t < self.horizon))
         if port.be_fifo or saturating:
             if port.be_fifo:
-                bits, tag = port.be_fifo.pop(0)
+                duration, tag = port.be_fifo.popleft()
             else:
-                bits, tag = port.be_bits, None
+                duration, tag = port.be_tx, None
             port.busy = (None,)
             self._serial += 1
-            self.push((t + bits / port.rate, _RANK_TX_END, port.idx, 0,
+            self.push((t + duration, _RANK_TX_END, port.idx, 0,
                        _NO_FLOW, -self._serial, 0))
             if self.on_be_start is not None:
-                self.on_be_start(port, t, tag, bits / port.rate)
+                self.on_be_start(port, t, tag, duration)
             return
         # idle: every waiting queue must be credit-blocked (work conservation)
         for cls, q in enumerate(port.queues):
             if q.fifo:
                 assert q.credit < 0, "port idled with an eligible queue"
-                self.push((t + -q.credit / q.idle, _RANK_WAKE, port.idx, cls,
-                           _NO_FLOW, -1, 0))
+                self.push((t + _exact_div(-q.credit, q.idle), _RANK_WAKE,
+                           port.idx, cls, _NO_FLOW, -1, 0))
 
     def _start(self, port, t, cls, item):
         flow, seq, hop = item
@@ -258,14 +297,13 @@ class _CbsEngine:
 
 # release schedules
 
-def _release_schedule(tc, cfg, rng, cycle=None):
-    """(release time, flow, seq) triples up to horizon minus a drain margin."""
+def _phases(tc, cfg, rng, cycle=None):
+    """Release offset per flow id, drawn in ascending flow id."""
     max_period = max(f.period for f in tc.flows)
     if cfg.horizon < 10 * max_period:
         raise ValidationError(
             "horizon must be at least 10 times the longest flow period")
-    release_end = cfg.horizon - 2 * max_period
-    out = []
+    phases = {}
     for f in sorted(tc.flows, key=lambda f: f.id):
         if cfg.phases is not None and f.id in cfg.phases:
             phase = cfg.phases[f.id]
@@ -275,11 +313,36 @@ def _release_schedule(tc, cfg, rng, cycle=None):
             phase = f.period * Fraction(rng.randrange(1_000_000), 1_000_000)
         else:
             phase = cycle * rng.randrange(int(f.period / cycle))
-        k = 0
-        while phase + k * f.period <= release_end:
-            out.append((phase + k * f.period, f, k))
-            k += 1
-    return out
+        phases[f.id] = phase
+    return phases
+
+
+def _releases(tc, cfg, grid, phases):
+    """(release tick, flow, seq) up to horizon minus a drain margin."""
+    end = grid.ticks(cfg.horizon - 2 * max(f.period for f in tc.flows))
+    for f in sorted(tc.flows, key=lambda f: f.id):
+        ticks = range(grid.ticks(phases[f.id]), end + 1, grid.ticks(f.period))
+        for seq, r in enumerate(ticks):
+            yield r, f, seq
+
+
+def _grid_durations(tc, cfg, phases, tx):
+    c = tc.constants
+    return [c.propagation, c.switching, cfg.horizon, *phases.values(),
+            *(f.period for f in tc.flows), *tx.values()]
+
+
+def _port_tables(tc):
+    """Sorted port keys; per flow id the index of its first port, and per
+    hop the index of the port the next node sends it on (None at the
+    listener)."""
+    keys = sorted({p for r in tc.routes for p in r.ports})
+    index = {k: i for i, k in enumerate(keys)}
+    first = {r.flow_id: index[r.ports[0]] for r in tc.routes}
+    nxt = {r.flow_id: [index[(b, r.hops[h + 2])] if tc.topology.is_switch(b)
+                       else None for h, b in enumerate(r.hops[1:])]
+           for r in tc.routes}
+    return keys, first, nxt
 
 
 def _empty_report(tc, cfg):
@@ -287,22 +350,23 @@ def _empty_report(tc, cfg):
                      cfg.release_policy, {}, {}, None)
 
 
-def _fold_deliveries(tc, cfg, deliveries, release_of):
-    sync = tc.constants.sync_error
-    max_delay = {f.id: Fraction(0) for f in tc.flows}
+def _fold_deliveries(tc, cfg, grid, deliveries, release_of):
+    horizon = grid.ticks(cfg.horizon)
+    longest = {f.id: 0 for f in tc.flows}
     counts = {f.id: 0 for f in tc.flows}
     late = 0
-    for t, flow, seq in sorted(deliveries):
-        if t > cfg.horizon:
+    for t, flow, seq in deliveries:
+        if t > horizon:
             late += 1
             continue
-        delay = t - release_of[(flow, seq)] + sync
         counts[flow] += 1
-        if delay > max_delay[flow]:
-            max_delay[flow] = delay
+        longest[flow] = max(longest[flow], t - release_of[(flow, seq)])
     if late:
         raise HorizonError(
             f"{late} frame(s) not delivered within the horizon; extend it")
+    sync = tc.constants.sync_error
+    max_delay = {fid: grid.us(d) + sync if counts[fid] else Fraction(0)
+                 for fid, d in longest.items()}
     return max_delay, counts
 
 
@@ -313,56 +377,56 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
     tc.require(CBS)
     if not tc.flows:
         return _empty_report(tc, cfg)
-    rng = random.Random(cfg.seed)
-    C = tc.constants.link_rate
-    idle = tc.constants.idle_slope_fraction * C
-    slopes = [(idle, idle - C)]
-    be_bits = (Fraction((MTU_BYTES + tc.constants.frame_overhead) * 8)
-               if cfg.be_saturate else None)
+    phases = _phases(tc, cfg, random.Random(cfg.seed))
+    consts = tc.constants
+    C = consts.link_rate
+    idle = consts.idle_slope_fraction * C
+    send = idle - C
+    tx = {f.id: frame_bits(f, consts) / C for f in tc.flows}
+    be_tx = Fraction((MTU_BYTES + consts.frame_overhead) * 8) / C
+    durations = _grid_durations(tc, cfg, phases, tx)
+    durations += [d * -send / idle for d in tx.values()]
+    if cfg.be_saturate:
+        durations.append(be_tx)
+    grid = _Grid(durations, (idle, send))
 
-    port_keys = sorted({p for r in tc.routes for p in r.ports})
-    index = {k: i for i, k in enumerate(port_keys)}
-    ports = [
-        _CbsPort(i, k, C, slopes, be_bits, k in cfg.trace_ports)
-        for i, k in enumerate(port_keys)
-    ]
-    routes = {r.flow_id: r for r in tc.routes}
-    bits = {f.id: frame_bits(f, tc.constants) for f in tc.flows}
-    prop = tc.constants.propagation
-    switching = tc.constants.switching
+    port_keys, first, nxt = _port_tables(tc)
+    slopes = [(grid.slope(idle), grid.slope(send))]
+    be = grid.ticks(be_tx) if cfg.be_saturate else None
+    ports = [_CbsPort(i, k, slopes, be, k in cfg.trace_ports)
+             for i, k in enumerate(port_keys)]
+    tx_t = {fid: grid.ticks(d) for fid, d in tx.items()}
+    hop_t = grid.ticks(consts.propagation + consts.switching)
+    prop_t = grid.ticks(consts.propagation)
 
     def on_start(port, t, cls, item):
         flow, seq, hop = item
-        route = routes[flow]
-        tx = bits[flow] / C
-        nxt = route.hops[hop + 1]
-        if tc.topology.is_switch(nxt):
-            nxt_port = (nxt, route.hops[hop + 2])
-            eng.push((t + prop + switching, _RANK_ARRIVE, index[nxt_port],
+        pidx = nxt[flow][hop]
+        if pidx is None:
+            eng.push((t + tx_t[flow] + prop_t, _RANK_ARRIVE, _DELIVERY_PORT,
                       0, flow, seq, hop + 1))
         else:
-            eng.push((t + tx + prop, _RANK_ARRIVE, _DELIVERY_PORT,
-                      0, flow, seq, hop + 1))
-        return tx
+            eng.push((t + hop_t, _RANK_ARRIVE, pidx, 0, flow, seq, hop + 1))
+        return tx_t[flow]
 
-    eng = _CbsEngine(ports, on_start, cfg.horizon)
+    eng = _CbsEngine(ports, on_start, grid.ticks(cfg.horizon))
     if cfg.be_saturate:
         # wake every port at t=0 so the background source starts immediately
         for p in ports:
-            eng.push((Fraction(0), _RANK_WAKE, p.idx, 0, _NO_FLOW, -1, 0))
+            eng.push((0, _RANK_WAKE, p.idx, 0, _NO_FLOW, -1, 0))
     release_of = {}
-    for r, f, seq in _release_schedule(tc, cfg, rng):
+    for r, f, seq in _releases(tc, cfg, grid, phases):
         release_of[(f.id, seq)] = r
-        eng.push((r, _RANK_ARRIVE, index[routes[f.id].ports[0]], 0, f.id, seq, 0))
+        eng.push((r, _RANK_ARRIVE, first[f.id], 0, f.id, seq, 0))
     eng.run()
 
-    max_delay, counts = _fold_deliveries(tc, cfg, eng.deliveries, release_of)
+    max_delay, counts = _fold_deliveries(tc, cfg, grid, eng.deliveries,
+                                         release_of)
     trace = None
     if cfg.trace_ports:
-        trace = []
-        for p in ports:
-            trace.extend((t, p.key, c) for t, _cls, c in p.trace)
-        trace.sort(key=lambda e: (e[0], e[1]))
+        raw = [(t, p.key, c) for p in ports for t, _cls, c in p.trace]
+        raw.sort(key=lambda e: (e[0], e[1]))
+        trace = [(grid.us(t), key, grid.bits(c)) for t, key, c in raw]
     return SimReport(tc.name, CBS, cfg.seed, cfg.horizon, cfg.release_policy,
                      max_delay, counts, trace)
 
@@ -380,31 +444,42 @@ def simulate_port(frames, rate, slopes):
     """
     rate = frac(rate)
     slopes = [(frac(a), frac(b)) for a, b in slopes]
-    port = _CbsPort(0, ("port", "out"), rate, slopes, None, True)
+    frames = [(label, cls, frac(bits) / rate, frac(release))
+              for label, cls, bits, release in frames]
+    durations = [d for _, _, d, _ in frames]
+    durations += [r for *_, r in frames]
+    durations += [d * -slopes[cls][1] / slopes[cls][0]
+                  for _, cls, d, _ in frames if cls is not None]
+    grid = _Grid(durations, [s for pair in slopes for s in pair])
+    port = _CbsPort(0, ("port", "out"),
+                    [(grid.slope(a), grid.slope(b)) for a, b in slopes],
+                    None, True)
     transmissions = []
     meta = {}
 
     def on_start(p, t, cls, item):
         flow, seq, hop = item
-        label, bits = meta[(flow, seq)]
-        tx = bits / rate
-        transmissions.append((label, t, t + tx))
-        return tx
+        label, duration = meta[flow]
+        transmissions.append((label, t, t + duration))
+        return duration
 
     def on_be_start(p, t, tag, duration):
         transmissions.append((tag, t, t + duration))
 
     eng = _CbsEngine([port], on_start, on_be_start=on_be_start)
-    for i, (label, cls, bits, release) in enumerate(frames):
-        bits = frac(bits)
+    for i, (label, cls, duration, release) in enumerate(frames):
+        duration, release = grid.ticks(duration), grid.ticks(release)
         if cls is None:
-            eng.be_payload[(_NO_FLOW, i)] = (bits, label)
-            eng.push((frac(release), _RANK_ARRIVE, 0, _BE_CLS, _NO_FLOW, i, 0))
+            eng.be_payload[(_NO_FLOW, i)] = (duration, label)
+            eng.push((release, _RANK_ARRIVE, 0, _BE_CLS, _NO_FLOW, i, 0))
         else:
-            meta[(i, 0)] = (label, bits)
-            eng.push((frac(release), _RANK_ARRIVE, 0, cls, i, 0, 0))
+            meta[i] = (label, duration)
+            eng.push((release, _RANK_ARRIVE, 0, cls, i, 0, 0))
     eng.run()
-    traces = {cls: [(t, c) for t, c2, c in port.trace if c2 == cls]
+    transmissions = [(label, grid.us(s), grid.us(e))
+                     for label, s, e in transmissions]
+    traces = {cls: [(grid.us(t), grid.bits(c))
+                    for t, c2, c in port.trace if c2 == cls]
               for cls in range(len(slopes))}
     return transmissions, traces
 
@@ -417,62 +492,67 @@ def simulate_cqf(tc: TestCase, cfg: SimConfig) -> SimReport:
     A frame reaching a port during cycle k is transmitted during cycle k+1;
     injections exactly on a boundary use the cycle they open.  Cycle indices
     then advance one hop per switch.  Raises CapacityError when a cycle is
-    asked to carry more serialization time than T.
+    asked to carry more serialization time than T, or when a frame reaches
+    a switch after the cycle that must forward it has opened.
     """
     tc.require(CQF)
     if not tc.flows:
         return _empty_report(tc, cfg)
     T = tc.constants.cycle_T
-    rng = random.Random(cfg.seed)
     if cfg.release_policy == RELEASE_JITTERED:
         for f in tc.flows:
             if (f.period / T).denominator != 1:
                 raise ValidationError(
                     f"flow {f.id}: jittered release needs period divisible by T")
-    C = tc.constants.link_rate
-    prop = tc.constants.propagation
-    switching = tc.constants.switching
-    routes = {r.flow_id: r for r in tc.routes}
-    bits = {f.id: frame_bits(f, tc.constants) for f in tc.flows}
-    port_keys = sorted({p for r in tc.routes for p in r.ports})
-    index = {k: i for i, k in enumerate(port_keys)}
+    phases = _phases(tc, cfg, random.Random(cfg.seed), cycle=T)
+    consts = tc.constants
+    tx = {f.id: frame_bits(f, consts) / consts.link_rate for f in tc.flows}
+    grid = _Grid(_grid_durations(tc, cfg, phases, tx) + [T])
+    T_t = grid.ticks(T)
+    tx_t = {fid: grid.ticks(d) for fid, d in tx.items()}
+    hop_t = grid.ticks(consts.propagation + consts.switching)
+    prop_t = grid.ticks(consts.propagation)
+    port_keys, first, nxt = _port_tables(tc)
 
-    load: dict = {}
-    busy_until: dict = {}
+    load: dict = {}                       # (port index, cycle) -> ticks
     heap = []
     deliveries = []
     release_of = {}
-    for r, f, seq in _release_schedule(tc, cfg, rng, cycle=T):
+    for r, f, seq in _releases(tc, cfg, grid, phases):
         release_of[(f.id, seq)] = r
-        heapq.heappush(heap, (r, _RANK_ARRIVE, index[routes[f.id].ports[0]],
-                              0, f.id, seq, 0))
+        heapq.heappush(heap, (r, _RANK_ARRIVE, first[f.id], 0, f.id, seq, 0))
 
     while heap:
         t, rank, pidx, cyc_hint, flow, seq, hop = heapq.heappop(heap)
-        route = routes[flow]
-        port = route.ports[hop]
-        cycle = math.ceil(t / T) if hop == 0 else cyc_hint
-        tx = bits[flow] / C
-        key = (port, cycle)
-        total = load.get(key, Fraction(0)) + tx
-        if total > T:
-            a, b = port
-            raise CapacityError(
-                f"port {a}->{b} cycle {cycle}: {float(total)}us of traffic "
-                f"in a {float(T)}us cycle")
-        load[key] = total
-        start = max(cycle * T, busy_until.get(key, cycle * T))
-        end = start + tx
-        busy_until[key] = end
-        nxt = route.hops[hop + 1]
-        if tc.topology.is_switch(nxt):
-            heapq.heappush(heap, (end + prop + switching, _RANK_ARRIVE,
-                                  index[(nxt, route.hops[hop + 2])],
-                                  cycle + 1, flow, seq, hop + 1))
+        if hop == 0:
+            cycle = -(-t // T_t)
         else:
-            deliveries.append((end + prop, flow, seq))
+            cycle = cyc_hint
+            if t > cycle * T_t:
+                a, b = port_keys[pidx]
+                raise CapacityError(
+                    f"port {a}->{b} cycle {cycle}: a frame of flow {flow} "
+                    f"arrives at {float(grid.us(t))}us, after the cycle "
+                    f"opened at {float(grid.us(cycle * T_t))}us")
+        key = (pidx, cycle)
+        total = load.get(key, 0) + tx_t[flow]
+        if total > T_t:
+            a, b = port_keys[pidx]
+            raise CapacityError(
+                f"port {a}->{b} cycle {cycle}: {float(grid.us(total))}us "
+                f"of traffic in a {float(T)}us cycle")
+        load[key] = total
+        # every frame of this cycle arrived by its start: back to back
+        end = cycle * T_t + total
+        nxt_pidx = nxt[flow][hop]
+        if nxt_pidx is None:
+            deliveries.append((end + prop_t, flow, seq))
+        else:
+            heapq.heappush(heap, (end + hop_t, _RANK_ARRIVE, nxt_pidx,
+                                  cycle + 1, flow, seq, hop + 1))
 
-    max_delay, counts = _fold_deliveries(tc, cfg, deliveries, release_of)
+    max_delay, counts = _fold_deliveries(tc, cfg, grid, deliveries,
+                                         release_of)
     return SimReport(tc.name, CQF, cfg.seed, cfg.horizon, cfg.release_policy,
                      max_delay, counts, None)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ValidationError
+from .errors import ParseError, ToolkitError, ValidationError
 from .netmodel import (
     ES,
     MTU_BYTES,
@@ -201,21 +201,37 @@ def manifest_to_json(entries: Sequence[dict]) -> str:
                       indent=2, sort_keys=True) + "\n"
 
 
-def parse_manifest(text: str) -> list[dict]:
-    doc = json.loads(text)
+def parse_manifest(text: str, source: str = "manifest") -> list[dict]:
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ParseError(f"{source}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "testcases" not in doc:
-        raise ValidationError("manifest needs a testcases list")
+        raise ValidationError(f"{source}: manifest needs a testcases list")
     return doc["testcases"]
 
 
 def testcase_from_entry(entry: dict) -> TestCase:
-    spec_fields = dict(entry["spec"])
-    spec_fields["period_choices"] = tuple(spec_fields["period_choices"])
-    spec_fields["payload_range"] = tuple(spec_fields["payload_range"])
-    spec_fields["deadline_range"] = tuple(spec_fields["deadline_range"])
-    spec = GenSpec(**spec_fields)
-    mech, constants = constants_from_json(json.dumps(
-        {"mechanism": entry["mechanism"], "constants": entry["constants"]}))
+    """Build one manifest entry; a malformed entry raises ParseError naming
+    the entry and the key."""
+    if not isinstance(entry, dict):
+        raise ParseError(f"manifest entry must be an object, got {entry!r}")
+    where = f"manifest entry {entry.get('name', '?')!r}"
+    for key in ("name", "mechanism", "constants", "spec"):
+        if key not in entry:
+            raise ParseError(f"{where}: missing key {key!r}")
+    try:
+        spec_fields = dict(entry["spec"])
+        for key in ("period_choices", "payload_range", "deadline_range"):
+            spec_fields[key] = tuple(spec_fields[key])
+        spec = GenSpec(**spec_fields)
+        mech, constants = constants_from_json(json.dumps(
+            {"mechanism": entry["mechanism"],
+             "constants": entry["constants"]}))
+    except KeyError as exc:
+        raise ParseError(f"{where}: spec is missing key {exc}") from exc
+    except (TypeError, ValueError, ToolkitError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
     return build_testcase(entry["name"], spec, mech, constants)
 
 

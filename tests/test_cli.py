@@ -261,6 +261,42 @@ def test_report_requires_calibration_section(runner, tmp_path):
     assert res.exit_code == 1
 
 
+def assert_clean_domain_error(res, *fragments):
+    assert res.exit_code == 1
+    assert res.stderr.startswith("error: ")
+    for fragment in fragments:
+        assert fragment in res.stderr
+    assert "Traceback" not in res.stderr + res.stdout
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def test_gen_manifest_not_json_is_domain_error(runner, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("{not json")
+    res = runner.invoke(main, ["gen", "--manifest", str(manifest),
+                               "--out", str(tmp_path / "out")])
+    assert_clean_domain_error(res, str(manifest), "not valid JSON")
+
+
+def test_gen_manifest_entry_without_spec_is_domain_error(runner, tmp_path):
+    entry = testgen.default_manifest()[0]
+    del entry["spec"]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(testgen.manifest_to_json([entry]))
+    res = runner.invoke(main, ["gen", "--manifest", str(manifest),
+                               "--out", str(tmp_path / "out")])
+    assert_clean_domain_error(res, "manifest entry 'TC1'", "'spec'")
+
+
+def test_report_metrics_not_json_is_domain_error(runner, tmp_path):
+    metrics = tmp_path / "m.json"
+    metrics.write_text("[1, 2")
+    res = runner.invoke(main, ["report", "--metrics", str(metrics),
+                               "--reliability-csv", str(tmp_path / "r.csv")])
+    assert_clean_domain_error(res, str(metrics), "not valid JSON")
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_config_file_supplies_defaults(runner, tmp_path):
     tc_dir = chain_tc_dir(tmp_path)
     cfg = tmp_path / "cfg.json"

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tsnwcd import cqf
-from tsnwcd.errors import ValidationError
+from tsnwcd.errors import CapacityError, ValidationError
 from tsnwcd.minplus import frac
 from tsnwcd.netmodel import (
     CBS,
@@ -42,7 +42,7 @@ def chain_tc(n_switches, flow_specs, name="tc", mechanism=CQF, **const_kw):
 
 
 def test_wcd_three_switch_chain_hand_value():
-    tc = chain_tc(3, [(2500, 965)], cycle_T=F(50))
+    tc = chain_tc(3, [(2500, 100)], cycle_T=F(50))
     report = cqf.solve(tc)
     # 4 cycles of 50us, plus 4 propagation delays and one sync error
     assert report.per_flow[0]["wcd_us"] == F(205)
@@ -58,7 +58,7 @@ def test_wcd_zero_switch_direct_link():
 
 
 def test_wcd_identity_holds_in_report():
-    tc = chain_tc(2, [(1000, 300), (500, 64)], cycle_T=F(25))
+    tc = chain_tc(2, [(1000, 100), (500, 64)], cycle_T=F(25))
     report = cqf.solve(tc)
     assert report.T == tc.constants.cycle_T
     for fid, row in report.per_flow.items():
@@ -175,7 +175,7 @@ def test_solve_requires_cycle_T_in_constants():
 
 
 def test_report_json_layout():
-    tc = chain_tc(3, [(2500, 965)], name="chain3", cycle_T=F(50))
+    tc = chain_tc(3, [(2500, 100)], name="chain3", cycle_T=F(50))
     import json
     doc = json.loads(cqf.report_to_json(cqf.solve(tc)))
     assert doc == {
@@ -193,12 +193,13 @@ def test_report_json_layout():
 def test_capacity_flags_frame_longer_than_cycle():
     # 965 byte payload plus 42 bytes overhead is 8056 bits: 80.56us at
     # 100 bits/us, which cannot fit a 50us cycle on any port it crosses.
+    # A port into a switch must also leave propagation + switching (2us).
     tc = chain_tc(1, [(400, 965)], cycle_T=F(50))
     diags = cqf.cycle_capacity_check(tc)
     assert [(d.port, d.cycle_index) for d in diags] == [
         (("es1", "s1"), 0), (("s1", "es2"), 1)]
     assert all(d.load_us == frac("80.56") for d in diags)
-    assert all(d.limit_us == F(50) for d in diags)
+    assert [d.limit_us for d in diags] == [F(48), F(50)]
     assert "es1->s1" in str(diags[0])
 
 
@@ -244,3 +245,31 @@ def test_capacity_wraps_cycles_modulo_hypercycle():
 def test_capacity_empty_testcase():
     tc = chain_tc(1, [], cycle_T=F(50))
     assert cqf.cycle_capacity_check(tc) == []
+
+
+# cycle margin: a frame must reach the next switch before the cycle that
+# forwards it opens
+
+
+def test_capacity_margin_counts_propagation_and_switching():
+    # One 8.48us frame fits a 20us cycle, but with 15us propagation and 1us
+    # switching it reaches s1 after the next cycle has opened.
+    tc = chain_tc(2, [(1000, 64)], cycle_T=F(20), propagation=F(15))
+    diags = cqf.cycle_capacity_check(tc)
+    assert [(d.port, d.limit_us) for d in diags] == [
+        (("es1", "s1"), F(4)), (("s1", "s2"), F(4))]
+    with pytest.raises(CapacityError, match="es1->s1 cycle 0"):
+        cqf.solve(tc)
+
+
+def test_capacity_margin_second_frame_in_cycle():
+    # Two 8.48us frames go out back to back in cycle 0; with 3us
+    # propagation the second reaches s1 at 20.96us, inside cycle 1, which
+    # must already forward it.
+    tc = chain_tc(1, [(1000, 64), (1000, 64)], cycle_T=F(20),
+                  propagation=F(3))
+    diags = cqf.cycle_capacity_check(tc)
+    assert [(d.port, d.cycle_index, d.load_us, d.limit_us)
+            for d in diags] == [(("es1", "s1"), 0, frac("16.96"), F(16))]
+    with pytest.raises(CapacityError):
+        cqf.solve(tc)

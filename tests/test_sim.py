@@ -3,7 +3,11 @@
 The heavy lifting is hand-computed event traces: transmission orders,
 credit checkpoints, and exact end-to-end delays for small scenarios.
 """
+import hashlib
+import json
+from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +28,8 @@ from tsnwcd.netmodel import (
     Route,
     TestCase,
     Topology,
+    frame_bits,
+    load_testcase,
 )
 
 
@@ -77,6 +83,18 @@ def trace_slopes(trace):
     return out
 
 
+def physical_minimum(tc, fid):
+    """Cut-through CBS serializes once, store-and-forward CQF once per
+    link; every link adds propagation, every switch switching, and the
+    sync error counts once."""
+    c = tc.constants
+    route = tc.route_for(fid)
+    tx = frame_bits(tc.flow(fid), c) / c.link_rate
+    sends = 1 if tc.mechanism == CBS else route.link_count
+    return (sends * tx + c.propagation * route.link_count
+            + c.switching * route.switch_count + c.sync_error)
+
+
 # single-port harness: the two-AVB-queue priority scenario
 
 
@@ -118,6 +136,16 @@ def test_port_back_to_back_recovery_gaps():
     tx, _ = sim.simulate_port(frames, 100, [(75, -25)])
     starts = [s for _, s, e in tx]
     assert starts == [F(0), F(40, 3), F(80, 3)]
+
+
+def test_port_recovery_off_the_transmission_grid():
+    # Slopes (70, -30): each 10us transmission ends at credit -300, which
+    # takes 30/7 us to recover, so the starts fall on sevenths of a us.
+    frames = [(lbl, 0, 1000, 0) for lbl in "abc"]
+    tx, traces = sim.simulate_port(frames, 100, [(70, -30)])
+    assert [s for _, s, _ in tx] == [F(0), F(100, 7), F(200, 7)]
+    assert trace_value(traces[0], F(100, 7)) == 0
+    assert trace_slopes(traces[0]) <= {F(70), F(-30), F(0)}
 
 
 def test_port_single_dip_and_recovery_trace():
@@ -186,6 +214,29 @@ def test_cbs_credit_trace_bounds_and_reset():
     assert jump_at, "expected a reset-to-zero discontinuity"
     assert trace_slopes(trace) <= {F(75), F(-25), F(0)}
     assert times == sorted(times)
+
+
+def test_cbs_recoveries_land_on_zero_with_seventh_slopes():
+    # idleSlope 70, sendSlope -30: a recovery lasts 3/7 of the transmission
+    # before it.  One class and no best effort, so a rising credit stops
+    # only where it reaches exactly zero.
+    tc = star_tc([("h1", "h3", 2500, 965), ("h2", "h3", 1000, 300),
+                  ("h4", "h3", 5000, 64)], idle_slope_fraction=F(7, 10))
+    bound = cbs.tfa_solve(tc)
+    recoveries = 0
+    for seed in (1, 2, 3):
+        cfg = sim.SimConfig(horizon=F(50000), seed=seed,
+                            release_policy=sim.RELEASE_JITTERED)
+        trace = sim.credit_trace(tc, cfg, ("s1", "h3"))
+        for (t1, c1), (t2, c2) in zip(trace, trace[1:]):
+            if c1 < 0 and c2 > c1:
+                recoveries += 1
+                assert c2 == 0
+                assert (c2 - c1) / (t2 - t1) == 70
+        report = sim.simulate_cbs(tc, cfg)
+        for fid, delay in report.per_flow_max_delay.items():
+            assert physical_minimum(tc, fid) <= delay <= bound.e2e_wcd[fid]
+    assert recoveries > 10
 
 
 def test_cbs_be_saturation_still_dominated():
@@ -279,6 +330,25 @@ def test_cqf_overfull_cycle_raises():
         sim.simulate_cqf(tc, sim.SimConfig(horizon=F(10000)))
 
 
+def test_cqf_frame_arriving_after_its_cycle_opened_raises():
+    # 15us propagation + 1us switching after an 8.48us transmission: the
+    # frame reaches s1 at 24.48us, after cycle 1 (which must forward it)
+    # opened at 20us.  Forwarding it anyway reported 64.48us, below the
+    # 73.44us that three transmissions and three links take.
+    tc = chain_tc(2, [(1000, 64)], cycle_T=F(20), propagation=F(15))
+    with pytest.raises(CapacityError, match="s1->s2 cycle 1"):
+        sim.simulate_cqf(tc, sim.SimConfig(horizon=F(10000)))
+
+
+def test_cqf_second_frame_arriving_late_raises():
+    # The second of two back-to-back 8.48us frames reaches s1 at 20.96us,
+    # inside cycle 1, which must already forward it.
+    tc = chain_tc(1, [(1000, 64), (1000, 64)], cycle_T=F(20),
+                  propagation=F(3))
+    with pytest.raises(CapacityError, match="arrives at 20.96us"):
+        sim.simulate_cqf(tc, sim.SimConfig(horizon=F(10000)))
+
+
 def test_cqf_zero_flows_empty_report():
     tc = chain_tc(1, [(1000, 100)], cycle_T=F(50))
     tc = TestCase(tc.name, tc.topology, (), (), CQF, tc.constants)
@@ -327,7 +397,7 @@ def test_cbs_dominance_random(seed, payload, period):
         horizon=F(20 * 5000), seed=seed,
         release_policy=sim.RELEASE_JITTERED))
     for fid, delay in report.per_flow_max_delay.items():
-        assert delay <= bound.e2e_wcd[fid]
+        assert physical_minimum(tc, fid) <= delay <= bound.e2e_wcd[fid]
 
 
 @settings(max_examples=8, deadline=None)
@@ -338,14 +408,13 @@ def test_cqf_dominance_random(seed, payload):
     report = sim.simulate_cqf(tc, sim.SimConfig(
         horizon=F(10000), seed=seed, release_policy=sim.RELEASE_JITTERED))
     for fid, delay in report.per_flow_max_delay.items():
-        assert delay <= wcd[fid]
+        assert physical_minimum(tc, fid) <= delay <= wcd[fid]
 
 
 # report serialization
 
 
 def test_sim_report_json_layout():
-    import json
     tc = star_tc([("h1", "h2", 2500, 965)], name="solo")
     report = sim.simulate_cbs(tc, sim.SimConfig(horizon=F(25000)))
     doc = json.loads(sim.report_to_json(report))
@@ -362,3 +431,52 @@ def test_sim_report_json_layout():
 def test_trace_csv_format():
     text = sim.trace_to_csv([(F(0), F(0)), (F(10), F(-250))])
     assert text == "t_us,credit_bits\n0.0,0.0\n10.0,-250.0\n"
+
+
+# pinned bytes: the corpus reports and three credit traces, recorded once
+# and compared on every run; regenerate them only on purpose, with
+# `PYTHONPATH=src python tests/test_sim.py`
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+DIGESTS_PATH = Path(__file__).resolve().parent / "data" / "sim_digests.json"
+TRACE_CASES = (("TC1", False), ("TC11", True), ("TC21", False))
+
+
+def _busiest_port(tc):
+    use = Counter(p for r in tc.routes for p in r.ports)
+    return min(use, key=lambda p: (-use[p], p))
+
+
+def sim_digests():
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    out = {"reports": {}, "traces": {}}
+    for i in range(1, 31):
+        tc = load_testcase(CORPUS_DIR / f"TC{i}")
+        run = sim.simulate_cbs if tc.mechanism == CBS else sim.simulate_cqf
+        horizon = 20 * max(f.period for f in tc.flows)
+        for policy in (sim.RELEASE_SYNCHRONIZED, sim.RELEASE_JITTERED):
+            cfg = sim.SimConfig(horizon=horizon, seed=3,
+                                release_policy=policy)
+            out["reports"][f"{tc.name}/{policy}"] = sha(
+                sim.report_to_json(run(tc, cfg)))
+    for name, saturate in TRACE_CASES:
+        tc = load_testcase(CORPUS_DIR / name)
+        cfg = sim.SimConfig(horizon=20 * max(f.period for f in tc.flows),
+                            seed=3, release_policy=sim.RELEASE_JITTERED,
+                            be_saturate=saturate)
+        trace = sim.credit_trace(tc, cfg, _busiest_port(tc))
+        out["traces"][name] = sha(sim.trace_to_csv(trace))
+    return out
+
+
+def test_simulator_bytes_match_pinned_digests():
+    pinned = json.loads(DIGESTS_PATH.read_text())
+    assert sim_digests() == pinned
+
+
+if __name__ == "__main__":
+    DIGESTS_PATH.parent.mkdir(exist_ok=True)
+    DIGESTS_PATH.write_text(json.dumps(sim_digests(), indent=2,
+                                       sort_keys=True) + "\n")
