@@ -1,16 +1,22 @@
 """Worst-case delay analysis for Credit-Based Shaper (IEEE 802.1Qav) flows.
 
-Per egress port the Class-A aggregate arrival curve is bounded by summing,
-over predecessor ports, the minimum of the propagated per-flow token buckets,
-the physical link's serialization envelope, and (behind switch egresses) the
-CBS shaping envelope.  The port offers a rate-latency service derived from
-the credit bounds, so each port's delay bound has a closed form over the
-aggregate's segment starts.  Every flow's envelope entering a port is shifted
-by the delay bounds of the ports upstream of it on its path.  When no port's
-delay feeds back into itself, one pass over the ports in topological order
-gives the exact bounds; only cyclic port dependencies need fixed-point sweeps.
-The end-to-end bound adds the constant propagation/switching/sync terms to
-the per-port queueing bounds.
+Per egress port the Class-A aggregate arrival curve is the sum, over
+predecessor ports, of the minimum of the predecessor's flows' propagated
+token buckets, the physical link's serialization line and (behind switch
+egresses) the CBS shaping line, plus the buckets of the flows the port
+sources itself.  A flow's bucket entering its k-th port is (b + r*D, r),
+with D the sum of the delay bounds of the ports before it, so between
+evaluations only the bursts move.  Each group is then the lower envelope of
+at most three lines and the aggregate is concave: tfa_solve evaluates it as
+one sorted (start, value, slope) breakpoint list straight from (burst, rate)
+pairs, with no general min-plus curve algebra, and builds each port's
+reported Curve once, from its last evaluation.  The port offers a
+rate-latency service derived from the credit bounds, so each port's delay
+bound has a closed form over the aggregate's segment starts.  When no
+port's delay feeds back into itself, one pass over the ports in
+topological order gives the exact bounds; only cyclic port dependencies
+need fixed-point sweeps.  The end-to-end bound adds the constant
+propagation/switching/sync terms to the per-port queueing bounds.
 
 No time-triggered traffic exists in these test cases, so the TAS terms of
 the underlying model are identically zero: the service latency reduces to
@@ -23,19 +29,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ConvergenceError, InstabilityError, ValidationError
-from .minplus import (
-    Curve,
-    RateLatency,
-    TokenBucket,
-    as_curve,
-    frac,
-    min_of,
-    shift_delay,
-    sum_of,
-)
+from .minplus import Curve, RateLatency, Seg, TokenBucket, frac
 from .netmodel import (
     CBS,
     MTU_BYTES,
@@ -105,48 +102,82 @@ def source_arrival(flow: Flow, constants: NetworkConstants) -> TokenBucket:
     return TokenBucket(l_f, l_f / flow.period)
 
 
-def link_shaping(C: Fraction, l_max_on_link: Fraction) -> Curve:
+def link_shaping(C: Fraction, l_max_on_link: Fraction) -> TokenBucket:
     """Serialization cap of the physical predecessor link: C*t + l_max."""
     l = frac(l_max_on_link)
     if l <= 0:
         raise ValidationError("l_max_on_link must be > 0")
-    return TokenBucket(l, frac(C)).curve()
+    return TokenBucket(l, frac(C))
 
 
 def cbs_shaping(cfg_prev_port: CbsClassConfig, C: Fraction,
-                l_max_on_link: Fraction) -> Curve:
+                l_max_on_link: Fraction) -> TokenBucket:
     """Cap on what a predecessor CBS port can have emitted:
     idleSlope*t + (c_max - c_min) + l_max."""
     c_min, c_max = credit_bounds(cfg_prev_port, frac(C))
     burst = (c_max - c_min) + frac(l_max_on_link)
-    return TokenBucket(burst, cfg_prev_port.idle_slope).curve()
+    return TokenBucket(burst, cfg_prev_port.idle_slope)
 
 
-@dataclass(frozen=True)
-class SourceGroup:
-    """Traffic entering a port from one predecessor (or sourced locally when
-    both shaping curves are None)."""
-    arrivals: tuple
-    link_shaping: Optional[Curve] = None
-    cbs_shaping: Optional[Curve] = None
+Line = tuple[Fraction, Fraction]     # (burst, rate): burst + rate*t for t > 0
+# a concave curve on t > 0: its value at 0+, its first slope and its slope
+# changes (t, change) in time order
+Envelope = tuple[Fraction, Fraction, list[tuple[Fraction, Fraction]]]
 
 
-def aggregate_arrival(groups: Sequence[SourceGroup]) -> Curve:
-    """Class aggregate at a port: sum over predecessors of the per-group
-    minimum of summed flow envelopes and the applicable shaping caps."""
-    total = Curve.zero()
-    for g in groups:
-        if not g.arrivals:
-            continue
-        acc = as_curve(g.arrivals[0])
-        for arr in g.arrivals[1:]:
-            acc = sum_of(acc, arr)
-        if g.link_shaping is not None:
-            acc = min_of(acc, g.link_shaping)
-        if g.cbs_shaping is not None:
-            acc = min_of(acc, g.cbs_shaping)
-        total = sum_of(total, acc)
-    return total
+def group_envelope(lines: Sequence[Line]) -> Envelope:
+    """Lower envelope of lines on t > 0: one group's share of a port
+    aggregate, i.e. a predecessor's summed flow bucket and its shaping
+    caps, or the bucket of the flows the port sources itself.
+
+    The envelope starts on the lowest line (the shallowest of equals) and
+    moves, at each crossing, to the line that crosses first; only
+    shallower lines can cross, so the slope strictly falls at each change.
+    Where three lines meet, two changes may share one time;
+    aggregate_segments merges them.
+    """
+    b, r = min(lines)
+    value, slope = b, r
+    changes: list[tuple[Fraction, Fraction]] = []
+    while True:
+        nxt = None
+        for bi, ri in lines:
+            if ri < r:
+                x = (bi - b) / (r - ri)
+                if nxt is None or x < nxt[0]:
+                    nxt = (x, ri, bi)
+        if nxt is None:
+            return value, slope, changes
+        x, ri, b = nxt
+        changes.append((x, ri - r))
+        r = ri
+
+
+def aggregate_segments(envelopes: Iterable[Envelope]) -> list[Seg]:
+    """Class aggregate at a port, the sum of its groups' envelopes, as
+    canonical (start, value, slope) pieces.
+
+    Each envelope is concave with at most one slope change per line, so
+    the sum is concave too: its value at 0+ and first slope are the groups'
+    sums, and it changes slope exactly where some group does.  The pieces
+    are those of Curve(...) of the same function, so building a Curve from
+    them moves no segment.
+    """
+    value = slope = Fraction(0)
+    changes: list[tuple[Fraction, Fraction]] = []
+    for v, r, group_changes in envelopes:
+        value += v
+        slope += r
+        changes += group_changes
+    changes.sort()
+    segments = [Seg(Fraction(0), value, slope)]
+    for x, dr in changes:
+        start, value, slope = segments[-1]
+        if x == start:              # changes at one time merge
+            segments[-1] = Seg(x, value, slope + dr)
+        else:
+            segments.append(Seg(x, value + slope * (x - start), slope + dr))
+    return segments
 
 
 @dataclass
@@ -173,9 +204,11 @@ def default_lower_frame_bits(constants: NetworkConstants) -> Fraction:
     return Fraction((MTU_BYTES + constants.frame_overhead) * 8)
 
 
-def rate_latency_delay(alpha: Curve, service: RateLatency) -> Fraction:
-    """Delay bound of arrival curve alpha at a rate-latency server (rate R,
-    latency T), in closed form: T + max over alpha's segment starts s of
+def rate_latency_delay(segments: Sequence[Seg], service: RateLatency
+                       ) -> Fraction:
+    """Delay bound of an arrival curve, given as its canonical segments
+    (Curve.segments or aggregate_segments), at a rate-latency server (rate
+    R, latency T), in closed form: T + max over the segment starts s of
     (alpha(s+)/R - s), and never below 0.
 
     Between segment starts alpha(t)/R - t is linear and alpha jumps only
@@ -184,11 +217,11 @@ def rate_latency_delay(alpha: Curve, service: RateLatency) -> Fraction:
     result equals minplus.h_dev(alpha, service.curve()).
     """
     R = service.rate
-    if alpha.final_slope > R:
+    if segments[-1].slope > R:
         raise InstabilityError(
-            f"arrival rate {alpha.final_slope} exceeds service rate {R}")
+            f"arrival rate {segments[-1].slope} exceeds service rate {R}")
     # max of alpha(s+) - R*s, divided by R once at the end
-    best = max((seg.value - R * seg.start for seg in alpha.segments
+    best = max((seg.value - R * seg.start for seg in segments
                 if seg.value or seg.slope), default=None)
     if best is None:
         return Fraction(0)
@@ -221,6 +254,8 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     cyclic port dependencies the delays start at zero and are recomputed
     jointly each sweep from the previous sweep's values, rounded up to
     CYCLIC_GRID; they grow monotonically until no change reaches TOLERANCE.
+    A sweep recomputes only the groups whose member bursts moved; the
+    others keep their envelopes, which are then still exact.
     Raises InstabilityError naming every port whose aggregate rate reaches
     the idle slope, ConvergenceError when the sweep cap is hit.
     """
@@ -233,39 +268,53 @@ def tfa_solve(tc: TestCase) -> CbsReport:
 
     flow_ports: dict[int, tuple[Port, ...]] = {
         f.id: tc.route_for(f.id).ports for f in tc.flows}
-    port_flows: dict[Port, list[int]] = {}
+    # (flow id, hop index) of every flow through each port, by flow id
+    hops: dict[Port, list[tuple[int, int]]] = {}
     for f in sorted(tc.flows, key=lambda f: f.id):
-        for p in flow_ports[f.id]:
-            port_flows.setdefault(p, []).append(f.id)
-    ports = sorted(port_flows)
+        for k, p in enumerate(flow_ports[f.id]):
+            hops.setdefault(p, []).append((f.id, k))
+    ports = sorted(hops)
 
     if not ports:
         return CbsReport(tc.name, {}, {}, {}, 1, True)
 
-    source_tb = {f.id: source_arrival(f, consts) for f in tc.flows}
-    bits = {f.id: frame_bits(f, consts) for f in tc.flows}
+    bucket = {f.id: source_arrival(f, consts) for f in tc.flows}
     cfg = {
         p: CbsClassConfig(
             1, idsl, sdsl,
-            l_max_class=max(bits[fid] for fid in port_flows[p]),
+            l_max_class=max(bucket[fid].burst for fid, _ in hops[p]),
             l_max_lower=l_lower)
         for p in ports
     }
     service = {p: cbs_service_curve(cfg[p], C) for p in ports}
+    layout = {p: _port_layout(tc, p, hops[p], flow_ports, bucket, cfg, C)
+              for p in ports}
     delays: dict[Port, Fraction] = {p: Fraction(0) for p in ports}
-    arrivals: dict[Port, Curve] = {}
+    # burst[fid][k]: the flow's bucket burst entering its k-th port,
+    # b + r*D with D the summed delays of the ports before it
+    burst = {fid: [bucket[fid].burst] * len(ports_f)
+             for fid, ports_f in flow_ports.items()}
+    # per port: each group's envelope, None until it is computed and again
+    # once a member's burst moves; then the port's segments and delay
+    # (None when unstable) from its last evaluation
+    envelopes = {p: [None] * len(layout[p]) for p in ports}
+    result: dict[Port, tuple[list[Seg], Optional[Fraction]]] = {}
 
-    def port_delay(p: Port, delays: dict[Port, Fraction]
-                   ) -> Optional[Fraction]:
-        """Delay bound of p given the upstream delays; None when p is
-        unstable."""
-        groups = _port_groups(tc, p, port_flows[p], flow_ports, source_tb,
-                              bits, cfg, delays, C)
-        alpha = aggregate_arrival(groups)
-        arrivals[p] = alpha
-        if alpha.final_slope >= idsl:
-            return None
-        return rate_latency_delay(alpha, service[p])
+    def port_delay(p: Port) -> Optional[Fraction]:
+        """Delay bound of p from the current bursts, recomputing only the
+        groups whose bursts moved since p was last evaluated; None when p
+        is unstable."""
+        envs = envelopes[p]
+        stale = [i for i, env in enumerate(envs) if env is None]
+        if stale:
+            for i in stale:
+                members, rate, caps = layout[p][i]
+                b = sum(burst[fid][k] for fid, k in members)
+                envs[i] = group_envelope(((b, rate), *caps))
+            segs = aggregate_segments(envs)
+            result[p] = (segs, None if segs[-1].slope >= idsl
+                         else rate_latency_delay(segs, service[p]))
+        return result[p][1]
 
     order = _topological_order(flow_ports)
     if order is not None:
@@ -273,23 +322,53 @@ def tfa_solve(tc: TestCase) -> CbsReport:
         # and every unstable port is named
         unstable = []
         for p in order:
-            d = port_delay(p, delays)
+            d = port_delay(p)
             if d is None:
                 unstable.append(p)
             else:
                 delays[p] = d
+            # every port after p on a flow's path comes later in the order
+            for fid, k in hops[p]:
+                row = burst[fid]
+                if k + 1 < len(row):
+                    row[k + 1] = row[k] + bucket[fid].rate * delays[p]
         _raise_unstable(tc, sorted(unstable))
         iterations = 1
         converged = True
     else:
+        # group index of each (flow, hop) at its port, and the delays the
+        # bursts were last moved to
+        group_at = {fid: [0] * len(ports_f)
+                    for fid, ports_f in flow_ports.items()}
+        for p in ports:
+            for i, (members, _, _) in enumerate(layout[p]):
+                for fid, k in members:
+                    group_at[fid][k] = i
+        seen = dict(delays)
+
+        def advance(delays: dict[Port, Fraction]) -> None:
+            """Move every burst to the given upstream delays; each group
+            with a member whose burst moves goes stale."""
+            moved = {q for q in ports if delays[q] != seen[q]}
+            for fid, ports_f in flow_ports.items():
+                row, rate = burst[fid], bucket[fid].rate
+                moving = False
+                for k in range(1, len(row)):
+                    moving = moving or ports_f[k - 1] in moved
+                    if moving:
+                        row[k] = row[k - 1] + rate * delays[ports_f[k - 1]]
+                        envelopes[ports_f[k]][group_at[fid][k]] = None
+            seen.update(delays)
+
         iterations = 0
         converged = False
         while iterations < MAX_ITERATIONS:
             iterations += 1
+            advance(delays)
             new_delays: dict[Port, Fraction] = {}
             unstable = []
             for p in ports:
-                d = port_delay(p, delays)
+                d = port_delay(p)
                 if d is None:
                     unstable.append(p)
                 else:
@@ -306,8 +385,8 @@ def tfa_solve(tc: TestCase) -> CbsReport:
                 f"{tc.name}: no fixed point after {MAX_ITERATIONS} sweeps")
 
     per_port = {
-        p: PortAnalysis(p, arrivals[p], service[p].curve(), delays[p],
-                        tuple(port_flows[p]))
+        p: PortAnalysis(p, Curve(result[p][0]), service[p].curve(),
+                        delays[p], tuple(fid for fid, _ in hops[p]))
         for p in ports
     }
     per_flow_hops = {
@@ -334,35 +413,28 @@ def _raise_unstable(tc: TestCase, unstable: Sequence[Port]) -> None:
             f"port(s) {names}")
 
 
-def _port_groups(tc, port, fids, flow_ports, source_tb, bits, cfg, delays, C):
-    """Build the per-predecessor source groups feeding one port, with each
-    flow's envelope shifted by the sum of its upstream port delays."""
-    local: list[Curve] = []
-    by_pred: dict[str, list[int]] = {}
-    shifted: dict[int, Curve] = {}
-    for fid in fids:
-        ports_f = flow_ports[fid]
-        k = ports_f.index(port)
-        upstream = sum((delays[q] for q in ports_f[:k]), Fraction(0))
-        shifted[fid] = shift_delay(source_tb[fid], upstream)
-        if k == 0:
-            local.append(shifted[fid])
-        else:
-            by_pred.setdefault(ports_f[k - 1][0], []).append(fid)
-    groups: list[SourceGroup] = []
-    if local:
-        groups.append(SourceGroup(tuple(local)))
+def _port_layout(tc, port, hops_p, flow_ports, bucket, cfg, C):
+    """The groups feeding one port, fixed for a solve, as (members, summed
+    rate, caps): members are (flow id, hop index) pairs and caps (burst,
+    rate) lines.  The flows the port sources come uncapped; each
+    predecessor's flows are capped by the link line and, behind a switch,
+    by the CBS shaping line."""
+    local = [(fid, k) for fid, k in hops_p if k == 0]
+    by_pred: dict[str, list[tuple[int, int]]] = {}
+    for fid, k in hops_p:
+        if k:
+            by_pred.setdefault(flow_ports[fid][k - 1][0], []).append((fid, k))
+    groups = [(local, [])] if local else []
     for pred in sorted(by_pred):
         members = by_pred[pred]
-        l_link = max(bits[fid] for fid in members)
-        link_cap = link_shaping(C, l_link)
-        cbs_cap = None
+        l_link = max(bucket[fid].burst for fid, _ in members)
+        caps = [link_shaping(C, l_link)]
         if tc.topology.is_switch(pred):
-            prev_port = (pred, port[0])
-            cbs_cap = cbs_shaping(cfg[prev_port], C, l_link)
-        groups.append(SourceGroup(
-            tuple(shifted[fid] for fid in members), link_cap, cbs_cap))
-    return groups
+            caps.append(cbs_shaping(cfg[(pred, port[0])], C, l_link))
+        groups.append((members, caps))
+    return [(tuple(members), sum(bucket[fid].rate for fid, _ in members),
+             tuple((cap.burst, cap.rate) for cap in caps))
+            for members, caps in groups]
 
 
 def report_to_json(report: CbsReport) -> str:

@@ -55,12 +55,26 @@ def _setting(ctx, command, key, flag_value, default):
     """flag > config file > built-in default"""
     if flag_value is not None:
         return flag_value
-    return ctx.obj.get(command, {}).get(key, default) if ctx.obj else default
+    section = ctx.obj.get(command, {}) if ctx.obj else {}
+    if not isinstance(section, dict):
+        raise click.UsageError(
+            f"config section {command!r} must be a JSON object")
+    return section.get(key, default)
+
+
+def _int_setting(ctx, command, key, flag_value, default):
+    """_setting for an integer flag: a config value must be a JSON int,
+    neither a bool nor a float, so nothing is truncated or coerced."""
+    value = _setting(ctx, command, key, flag_value, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise click.UsageError(
+            f"config {command}.{key} must be an integer, got {value!r}")
+    return value
 
 
 def _jobs(ctx, command, flag_value):
-    jobs = int(_setting(ctx, command, "jobs", flag_value,
-                        os.cpu_count() or 1))
+    jobs = _int_setting(ctx, command, "jobs", flag_value,
+                        os.cpu_count() or 1)
     if jobs < 1:
         raise click.UsageError("--jobs must be >= 1")
     return jobs
@@ -167,7 +181,7 @@ def sim_cmd(ctx, tc_dir, seed, horizon, release_policy, out_path):
     """Replay one test case through the event-driven shaper simulator."""
     def body():
         tc = _load(tc_dir)
-        seed_v = int(_setting(ctx, "sim", "seed", seed, 0))
+        seed_v = _int_setting(ctx, "sim", "seed", seed, 0)
         policy = _setting(ctx, "sim", "release", release_policy,
                           sim.RELEASE_SYNCHRONIZED)
         horizon_v = _setting(ctx, "sim", "horizon", horizon, None)
@@ -247,8 +261,8 @@ def score(truth_dir, pred_dir, out_path):
 def score_mcqa(ctx, items_path, runs_path, bins, out_path):
     """Score multiple-choice answers: accuracy, consistency, calibration."""
     def body():
-        bin_count = int(_setting(ctx, "score-mcqa", "bins", bins,
-                                 evalharness.DEFAULT_BIN_COUNT))
+        bin_count = _int_setting(ctx, "score-mcqa", "bins", bins,
+                                 evalharness.DEFAULT_BIN_COUNT)
         items = evalharness.mcq_items_from_json(
             Path(items_path).read_text())
         records = evalharness.run_records_from_jsonl(

@@ -1,11 +1,18 @@
-"""Independent brute-force oracles for the curve algebra tests.
+"""Reference implementations the tests compare the package against.
 
-Nothing in here touches the package's envelope machinery: curves are plain
-(start, value, slope) triples and every operation is a pointwise candidate
-search straight from the defining inf/sup formula.  Exact Fractions
-throughout, so agreement checks against the implementation can use ==.
+The curve-algebra oracles do not touch the package's envelope machinery:
+curves are plain (start, value, slope) triples and every operation is a
+pointwise candidate search straight from the defining inf/sup formula.  The
+CBS aggregate oracle builds a port's arrival curve with the general min-plus
+operations (themselves checked against the pointwise oracles), independently
+of the breakpoint-list evaluator in cbs.  Exact Fractions throughout, so
+agreement checks against the implementation can use ==.
 """
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional, Sequence
+
+from tsnwcd.minplus import Curve, CurveLike, as_curve, min_of, sum_of
 
 
 def pw_value(triples, t):
@@ -93,3 +100,30 @@ def needed_delay_at(alpha, beta, t):
             if nxt is None or u < nxt:
                 return max(Fraction(0), u - t)
     return None
+
+
+@dataclass(frozen=True)
+class SourceGroup:
+    """Traffic entering a port from one predecessor (or sourced locally when
+    both shaping curves are None)."""
+    arrivals: tuple
+    link_shaping: Optional[CurveLike] = None
+    cbs_shaping: Optional[CurveLike] = None
+
+
+def aggregate_arrival(groups: Sequence[SourceGroup]) -> Curve:
+    """Class aggregate at a port: sum over predecessors of the per-group
+    minimum of summed flow envelopes and the applicable shaping caps."""
+    total = Curve.zero()
+    for g in groups:
+        if not g.arrivals:
+            continue
+        acc = as_curve(g.arrivals[0])
+        for arr in g.arrivals[1:]:
+            acc = sum_of(acc, arr)
+        if g.link_shaping is not None:
+            acc = min_of(acc, g.link_shaping)
+        if g.cbs_shaping is not None:
+            acc = min_of(acc, g.cbs_shaping)
+        total = sum_of(total, acc)
+    return total

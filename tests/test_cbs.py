@@ -1,17 +1,22 @@
 """CBS analysis tests.
 
-Credit-bound and curve-construction hand values, the closed-form port delay
-against the general horizontal deviation, a fully hand-computed single-switch
-fixed point, the one-pass solution of feed-forward cases, the cyclic-route
-path, instability detection, and report serialization.
+Credit-bound and curve-construction hand values, the token-bucket port
+aggregate against the general min-plus oracle, the closed-form port delay
+against the general horizontal deviation, a fully hand-computed
+single-switch fixed point, the one-pass solution of feed-forward cases, the
+cyclic-route path, instability detection, report serialization and pinned
+report bytes.
 """
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tsnwcd import cbs, netmodel as nm, testgen
+import oracles
+from tsnwcd import cbs, minplus, netmodel as nm, testgen
 from tsnwcd.errors import InstabilityError, ValidationError
 from tsnwcd.minplus import (
     Curve,
@@ -95,37 +100,37 @@ def test_source_arrival_linearity():
 
 def test_link_shaping_form():
     got = cbs.link_shaping(C, AVB_FRAME)
-    assert got == TokenBucket(8056, 100).curve()
-    assert got.value_right(0) == AVB_FRAME
-    assert got.final_slope == C
+    assert got == TokenBucket(8056, 100)
+    assert got.burst == AVB_FRAME
+    assert got.rate == C
 
 
 def test_cbs_shaping_hand_value():
     got = cbs.cbs_shaping(single_class_cfg(), C, AVB_FRAME)
-    assert got == TokenBucket(19322, IDSL).curve()
+    assert got == TokenBucket(19322, IDSL)
 
 
 def test_cbs_shaping_without_credit_range():
     cfg = cbs.CbsClassConfig(1, IDSL, SDSL, F(1, 10**9), F(0))
     got = cbs.cbs_shaping(cfg, C, 500)
     # c_max = 0 and c_min almost 0: burst is essentially the link frame
-    assert got.final_slope == IDSL
-    assert 500 < got.value_right(0) < F(501)
+    assert got.rate == IDSL
+    assert 500 < got.burst < F(501)
 
 
 def test_aggregate_arrival_empty_and_single_flow():
-    assert cbs.aggregate_arrival([]) == Curve.zero()
+    assert oracles.aggregate_arrival([]) == Curve.zero()
     tb = TokenBucket(8056, F(8056, 2500)).curve()
-    group = cbs.SourceGroup((tb,), cbs.link_shaping(C, AVB_FRAME))
-    assert cbs.aggregate_arrival([group]) == tb
+    group = oracles.SourceGroup((tb,), cbs.link_shaping(C, AVB_FRAME))
+    assert oracles.aggregate_arrival([group]) == tb
 
 
 def test_aggregate_arrival_two_predecessors_sum():
     tb1 = TokenBucket(1000, 1).curve()
     tb2 = TokenBucket(2000, 2).curve()
-    cap = cbs.link_shaping(C, 500)
-    got = cbs.aggregate_arrival(
-        [cbs.SourceGroup((tb1,), cap), cbs.SourceGroup((tb2,), cap)])
+    cap = cbs.link_shaping(C, 500).curve()
+    got = oracles.aggregate_arrival(
+        [oracles.SourceGroup((tb1,), cap), oracles.SourceGroup((tb2,), cap)])
     for t in (F(0), F(1, 2), F(3), F(50)):
         want = (min(tb1.value(t), cap.value(t))
                 + min(tb2.value(t), cap.value(t)))
@@ -161,8 +166,8 @@ def cbs_aggregates(draw):
             cfg = cbs.CbsClassConfig(1, idsl, idsl - link_rate,
                                      draw(pos_amounts), draw(amounts))
             cbs_cap = cbs.cbs_shaping(cfg, link_rate, draw(pos_amounts))
-        groups.append(cbs.SourceGroup(arrivals, link_cap, cbs_cap))
-    return cbs.aggregate_arrival(groups)
+        groups.append(oracles.SourceGroup(arrivals, link_cap, cbs_cap))
+    return oracles.aggregate_arrival(groups)
 
 
 @given(cbs_aggregates(), pos_rates,
@@ -170,20 +175,123 @@ def cbs_aggregates(draw):
 @settings(deadline=None)
 def test_rate_latency_delay_equals_h_dev(alpha, extra_rate, latency):
     service = RateLatency(alpha.final_slope + extra_rate, latency)
-    assert (cbs.rate_latency_delay(alpha, service)
+    assert (cbs.rate_latency_delay(alpha.segments, service)
             == h_dev(alpha, service.curve()))
 
 
 def test_rate_latency_delay_edge_cases():
     service = RateLatency(2, 5)
     # nothing ever arrives: no delay, although the latency is positive
-    assert cbs.rate_latency_delay(Curve.zero(), service) == 0
+    assert cbs.rate_latency_delay(Curve.zero().segments, service) == 0
     # traffic that starts late and slowly never waits for the latency
     late = Curve([(0, 0, 0), (10, 0, 1)])
-    assert cbs.rate_latency_delay(late, service) == 0
+    assert cbs.rate_latency_delay(late.segments, service) == 0
     assert h_dev(late, service.curve()) == 0
     with pytest.raises(InstabilityError):
-        cbs.rate_latency_delay(TokenBucket(1, 3).curve(), service)
+        cbs.rate_latency_delay(TokenBucket(1, 3).curve().segments, service)
+
+
+# ======================================================================
+# token-bucket port aggregate against the general min-plus oracle
+
+def check_against_oracle(members_per_group, caps_per_group, extra_rate,
+                         latency):
+    """members: (bucket, upstream delay) pairs; caps: TokenBuckets.  The
+    breakpoint-list aggregate must equal the oracle's curve exactly, and
+    its delay at a server extra_rate above the aggregate rate the oracle's
+    horizontal deviation."""
+    oracle_groups, line_groups = [], []
+    for members, caps in zip(members_per_group, caps_per_group):
+        oracle_groups.append(oracles.SourceGroup(
+            tuple(shift_delay(tb, d) for tb, d in members), *caps))
+        bucket = (sum(tb.burst + tb.rate * d for tb, d in members),
+                  sum(tb.rate for tb, _ in members))
+        line_groups.append([bucket] + [(c.burst, c.rate) for c in caps])
+    oracle = oracles.aggregate_arrival(oracle_groups)
+    segments = cbs.aggregate_segments(
+        [cbs.group_envelope(lines) for lines in line_groups])
+    assert Curve(segments) == oracle
+    assert tuple(segments) == oracle.segments
+    service = RateLatency(oracle.final_slope + extra_rate, latency)
+    assert (cbs.rate_latency_delay(segments, service)
+            == h_dev(oracle, service.curve()))
+
+
+CAP_KINDS = ("free", "equal_rate", "never_crosses", "coincides")
+
+
+@st.composite
+def port_groups(draw):
+    """Per group: shifted member buckets and up to two caps, each cap free
+    or tied to the group's summed bucket (same rate, above it everywhere,
+    or the very same line)."""
+    members_per_group, caps_per_group = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        members = [(TokenBucket(draw(pos_amounts), draw(rates)),
+                    draw(st.fractions(0, 500, max_denominator=8)))
+                   for _ in range(draw(st.integers(1, 4)))]
+        burst = sum(tb.burst + tb.rate * d for tb, d in members)
+        rate = sum(tb.rate for tb, _ in members)
+        caps = []
+        for _ in range(draw(st.integers(0, 2))):
+            kind = draw(st.sampled_from(CAP_KINDS))
+            if kind == "free":
+                caps.append(TokenBucket(draw(pos_amounts), draw(pos_rates)))
+            elif kind == "equal_rate":
+                caps.append(TokenBucket(draw(pos_amounts), rate))
+            elif kind == "never_crosses":
+                caps.append(TokenBucket(burst + draw(amounts),
+                                        rate + draw(rates)))
+            else:
+                caps.append(TokenBucket(burst, rate))
+        members_per_group.append(members)
+        caps_per_group.append(caps)
+    return members_per_group, caps_per_group
+
+
+@given(port_groups(), pos_rates,
+       st.fractions(min_value=0, max_value=300, max_denominator=8))
+@settings(deadline=None)
+def test_aggregate_segments_equal_oracle(groups, extra_rate, latency):
+    check_against_oracle(*groups, extra_rate, latency)
+
+
+@pytest.mark.parametrize("members, caps", [
+    # local-only port: two sourced flows, no caps
+    ([[(TokenBucket(800, 2), 0), (TokenBucket(400, 1), 0)]], [[]]),
+    # cap with the bucket's rate, below it: the cap is the whole group
+    ([[(TokenBucket(800, 2), 10)]], [[TokenBucket(500, 2)]]),
+    # cap with the bucket's rate, above it: the bucket is the whole group
+    ([[(TokenBucket(800, 2), 10)]], [[TokenBucket(900, 2)]]),
+    # cap above the bucket and steeper: it never crosses
+    ([[(TokenBucket(800, 2), 0)]], [[TokenBucket(800, 3)]]),
+    # cap coinciding with the shifted bucket
+    ([[(TokenBucket(800, 2), 10)]], [[TokenBucket(820, 2)]]),
+    # link and CBS caps meeting the bucket at one point
+    ([[(TokenBucket(100, 1), 0)]], [[TokenBucket(0, 11), TokenBucket(50, 6)]]),
+    # two groups breaking at the same time, and a local group
+    ([[(TokenBucket(100, 1), 0)], [(TokenBucket(100, 1), 0)],
+      [(TokenBucket(7, F(1, 3)), 0)]],
+     [[TokenBucket(10, 10)], [TokenBucket(10, 10)], []]),
+])
+def test_aggregate_segments_ties(members, caps):
+    check_against_oracle(members, caps, F(1, 2), F(9252, 75))
+
+
+def test_tfa_uses_no_general_curve_algebra(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("general curve algebra called")
+
+    for name in ("sum_of", "min_of", "shift_delay", "_envelope"):
+        monkeypatch.setattr(minplus, name, forbidden)
+    # one feed-forward pass on the mesh, cyclic sweeps on the ring
+    for kind, seed in (("medium_mesh", 1), ("ring", 2)):
+        spec = testgen.GenSpec(kind, 6, 3, 40, payload_range=(64, 700),
+                               seed=seed)
+        tc = testgen.build_testcase(kind, spec, nm.CBS, nm.NetworkConstants())
+        report = cbs.tfa_solve(tc)
+        assert report.converged
+        assert (report.iterations > 1) == (kind == "ring")
 
 
 # ======================================================================
@@ -309,7 +417,7 @@ def rebuilt_aggregate(tc, report, port):
             local.append(env)
         else:
             by_pred.setdefault(ports[k - 1][0], []).append((fid, env))
-    groups = [cbs.SourceGroup(tuple(local))] if local else []
+    groups = [oracles.SourceGroup(tuple(local))] if local else []
     for pred, members in by_pred.items():
         l_link = max(bits[fid] for fid, _ in members)
         cbs_cap = None
@@ -320,9 +428,10 @@ def rebuilt_aggregate(tc, report, port):
                 max(bits[fid] for fid in prev.contributing_flows),
                 cbs.default_lower_frame_bits(consts))
             cbs_cap = cbs.cbs_shaping(cfg, C, l_link)
-        groups.append(cbs.SourceGroup(tuple(env for _, env in members),
-                                      cbs.link_shaping(C, l_link), cbs_cap))
-    return cbs.aggregate_arrival(groups)
+        groups.append(oracles.SourceGroup(tuple(env for _, env in members),
+                                          cbs.link_shaping(C, l_link),
+                                          cbs_cap))
+    return oracles.aggregate_arrival(groups)
 
 
 def test_tfa_feed_forward_delays_are_the_exact_fixed_point():
@@ -402,3 +511,49 @@ def test_report_json_layout():
     assert [h["port"] for h in entry["per_hop"]] == ["h1->sw1", "sw1->h2"]
     total = sum(h["d_us"] for h in entry["per_hop"])
     assert entry["wcd_us"] == pytest.approx(total + 4.0)
+
+
+# ======================================================================
+# pinned bytes: TFA reports on generated meshes and cyclic rings, recorded
+# once and compared on every run; regenerate them only on purpose, with
+# `PYTHONPATH=src python tests/test_cbs.py`
+
+TFA_DIGESTS_PATH = Path(__file__).resolve().parent / "data" / "tfa_digests.json"
+# (name, kind, switches, hosts per switch, flows, GenSpec seed); every draw
+# is stable, the meshes have acyclic port graphs and the rings cyclic ones
+TFA_DIGEST_CASES = (
+    ("mesh_8x4_80_s1", "medium_mesh", 8, 4, 80, 1),
+    ("mesh_8x4_80_s2", "medium_mesh", 8, 4, 80, 2),
+    ("mesh_10x4_100_s1", "medium_mesh", 10, 4, 100, 1),
+    ("mesh_10x4_100_s3", "medium_mesh", 10, 4, 100, 3),
+    ("ring_6x3_60_s2", "ring", 6, 3, 60, 2),
+    ("ring_6x4_65_s1473067262", "ring", 6, 4, 65, 1473067262),
+    ("ring_8x3_65_s58824847", "ring", 8, 3, 65, 58824847),
+)
+
+
+def tfa_digests():
+    out = {}
+    for name, kind, switches, hosts, flows, seed in TFA_DIGEST_CASES:
+        spec = testgen.GenSpec(kind, switches, hosts, flows,
+                               payload_range=(64, 700), seed=seed)
+        tc = testgen.build_testcase(name, spec, nm.CBS, nm.NetworkConstants())
+        report = cbs.tfa_solve(tc)
+        out[name] = {
+            "report_sha256": hashlib.sha256(
+                cbs.report_to_json(report).encode()).hexdigest(),
+            "arrival_segments": sum(
+                len(pa.arrival.segments) for pa in report.per_port.values()),
+        }
+    return out
+
+
+def test_tfa_bytes_match_pinned_digests():
+    pinned = json.loads(TFA_DIGESTS_PATH.read_text())
+    assert tfa_digests() == pinned
+
+
+if __name__ == "__main__":
+    TFA_DIGESTS_PATH.parent.mkdir(exist_ok=True)
+    TFA_DIGESTS_PATH.write_text(json.dumps(tfa_digests(), indent=2,
+                                           sort_keys=True) + "\n")

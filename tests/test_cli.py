@@ -313,6 +313,43 @@ def test_config_file_supplies_defaults(runner, tmp_path):
     assert summary(res)["seed"] == 2
 
 
+@pytest.mark.parametrize("config, shown", [
+    ({"gen": {"jobs": "many"}}, "gen.jobs must be an integer, got 'many'"),
+    ({"gen": {"jobs": 2.5}}, "gen.jobs must be an integer, got 2.5"),
+    ({"gen": {"jobs": True}}, "gen.jobs must be an integer, got True"),
+    ({"gen": 3}, "config section 'gen' must be a JSON object"),
+])
+def test_gen_bad_config_value_is_usage_error(runner, tmp_path, config,
+                                             shown):
+    manifest = write_manifest(tmp_path, count=1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    res = runner.invoke(main, ["--config", str(cfg), "gen", "--manifest",
+                               str(manifest), "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2
+    assert shown in res.stderr
+    assert "Traceback" not in res.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_sim_and_score_mcqa_bad_config_value_is_usage_error(runner,
+                                                            tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sim": {"seed": 1.5},
+                               "score-mcqa": {"bins": "10"}}))
+    res = runner.invoke(main, ["--config", str(cfg), "sim",
+                               "--tc", str(chain_tc_dir(tmp_path)),
+                               "--out", str(tmp_path / "s.json")])
+    assert res.exit_code == 2
+    assert "sim.seed must be an integer, got 1.5" in res.stderr
+    items, runs = write_mcqa_inputs(tmp_path)
+    res = runner.invoke(main, ["--config", str(cfg), "score-mcqa",
+                               "--items", str(items), "--runs", str(runs),
+                               "--out", str(tmp_path / "m.json")])
+    assert res.exit_code == 2
+    assert "score-mcqa.bins must be an integer, got '10'" in res.stderr
+
+
 def test_verbose_logs_to_stderr_only(runner, tmp_path):
     manifest = write_manifest(tmp_path, count=2)
     res = runner.invoke(main, ["-v", "gen", "--manifest", str(manifest),
