@@ -7,16 +7,20 @@ egresses) the CBS shaping line, plus the buckets of the flows the port
 sources itself.  A flow's bucket entering its k-th port is (b + r*D, r),
 with D the sum of the delay bounds of the ports before it, so between
 evaluations only the bursts move.  Each group is then the lower envelope of
-at most three lines and the aggregate is concave: tfa_solve evaluates it as
-one sorted (start, value, slope) breakpoint list straight from (burst, rate)
-pairs, with no general min-plus curve algebra, and builds each port's
-reported Curve once, from its last evaluation.  The port offers a
-rate-latency service derived from the credit bounds, so each port's delay
-bound has a closed form over the aggregate's segment starts.  When no
-port's delay feeds back into itself, one pass over the ports in
-topological order gives the exact bounds; only cyclic port dependencies
-need fixed-point sweeps.  The end-to-end bound adds the constant
-propagation/switching/sync terms to the per-port queueing bounds.
+at most three lines and the aggregate is concave, a sorted (start, value,
+slope) breakpoint list built straight from (burst, rate) pairs, with no
+general min-plus curve algebra; each port's reported Curve is built once,
+from its last evaluation.  The port offers a rate-latency service derived
+from the credit bounds, so each port's delay bound has a closed form over
+the aggregate's segment starts.  When no port's delay feeds back into
+itself, one pass over the ports in topological order gives the exact
+bounds, read off each port's breakpoint list.  Only cyclic port
+dependencies need fixed-point sweeps; those evaluate every port many times
+and need only its delay, the aggregate's peak backlog above the service
+rate, found at the first slope change that brings the aggregate's slope
+down to that rate, with every burst and rate an int on one common scale.
+The end-to-end bound adds the constant propagation/switching/sync terms to
+the per-port queueing bounds.
 
 No time-triggered traffic exists in these test cases, so the TAS terms of
 the underlying model are identically zero: the service latency reduces to
@@ -29,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ConvergenceError, InstabilityError, ValidationError
 from .minplus import Curve, RateLatency, Seg, TokenBucket, frac
@@ -44,6 +48,7 @@ from .netmodel import (
 from .netmodel import json_num
 
 Port = tuple[str, str]
+Number = Union[int, Fraction]
 
 TOLERANCE = Fraction(1, 10**9)   # us
 MAX_ITERATIONS = 1000
@@ -119,10 +124,11 @@ def cbs_shaping(cfg_prev_port: CbsClassConfig, C: Fraction,
     return TokenBucket(burst, cfg_prev_port.idle_slope)
 
 
-Line = tuple[Fraction, Fraction]     # (burst, rate): burst + rate*t for t > 0
-# a concave curve on t > 0: its value at 0+, its first slope and its slope
-# changes (t, change) in time order
-Envelope = tuple[Fraction, Fraction, list[tuple[Fraction, Fraction]]]
+Line = tuple[Number, Number]     # (burst, rate): burst + rate*t for t > 0
+# a concave curve on t > 0, the lower envelope of its lines: those lines,
+# its first slope and its slope drops (num, den, drop) at the times
+# num/den, in time order
+Envelope = tuple[Sequence[Line], Number, list[tuple[Number, Number, Number]]]
 
 
 def group_envelope(lines: Sequence[Line]) -> Envelope:
@@ -134,22 +140,23 @@ def group_envelope(lines: Sequence[Line]) -> Envelope:
     moves, at each crossing, to the line that crosses first; only
     shallower lines can cross, so the slope strictly falls at each change.
     Where three lines meet, two changes may share one time;
-    aggregate_segments merges them.
+    aggregate_segments merges them.  Crossing times stay quotients, so the
+    lines may be given in Fractions or, on a common scale, in ints.
     """
     b, r = min(lines)
-    value, slope = b, r
-    changes: list[tuple[Fraction, Fraction]] = []
+    slope = r
+    drops: list[tuple[Number, Number, Number]] = []
     while True:
         nxt = None
         for bi, ri in lines:
             if ri < r:
-                x = (bi - b) / (r - ri)
-                if nxt is None or x < nxt[0]:
-                    nxt = (x, ri, bi)
+                num, den = bi - b, r - ri
+                if nxt is None or num * nxt[1] < nxt[0] * den:
+                    nxt = (num, den, bi, ri)
         if nxt is None:
-            return value, slope, changes
-        x, ri, b = nxt
-        changes.append((x, ri - r))
+            return lines, slope, drops
+        num, den, b, ri = nxt
+        drops.append((num, den, r - ri))
         r = ri
 
 
@@ -165,10 +172,10 @@ def aggregate_segments(envelopes: Iterable[Envelope]) -> list[Seg]:
     """
     value = slope = Fraction(0)
     changes: list[tuple[Fraction, Fraction]] = []
-    for v, r, group_changes in envelopes:
-        value += v
+    for lines, r, drops in envelopes:
+        value += min(lines)[0]
         slope += r
-        changes += group_changes
+        changes += [(Fraction(num, den), -drop) for num, den, drop in drops]
     changes.sort()
     segments = [Seg(Fraction(0), value, slope)]
     for x, dr in changes:
@@ -178,6 +185,36 @@ def aggregate_segments(envelopes: Iterable[Envelope]) -> list[Seg]:
         else:
             segments.append(Seg(x, value + slope * (x - start), slope + dr))
     return segments
+
+
+def max_backlog(envelopes: Sequence[Envelope], rate: Number) -> Fraction:
+    """max over t > 0 of alpha(t) - rate*t, alpha the sum of envelopes
+    whose lines all have positive bursts; in their units.
+
+    alpha is concave, so alpha(t) - rate*t rises until the first slope
+    change after which alpha's slope is at most rate, and falls from there
+    on: only the changes up to that point are visited, earliest first, and
+    alpha is evaluated there alone.  rate_latency_delay of the aggregate's
+    segments is latency + max_backlog / rate.  Raises InstabilityError
+    when alpha's final slope exceeds rate.
+    """
+    slope = sum(r for _, r, _ in envelopes)
+    pending = [drop for _, _, drops in envelopes for drop in drops]
+    num, den = 0, 1
+    while slope > rate:
+        if not pending:
+            raise InstabilityError(
+                f"arrival rate {slope} exceeds service rate {rate}")
+        first = 0
+        for i, (n, d, _) in enumerate(pending):
+            if n * pending[first][1] < pending[first][0] * d:
+                first = i
+        num, den, drop = pending.pop(first)
+        slope -= drop
+    # alpha(num/den) - rate*num/den, times den
+    excess = sum(min(b * den + r * num for b, r in lines)
+                 for lines, _, _ in envelopes) - rate * num
+    return Fraction(excess, den)
 
 
 @dataclass
@@ -289,103 +326,143 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     service = {p: cbs_service_curve(cfg[p], C) for p in ports}
     layout = {p: _port_layout(tc, p, hops[p], flow_ports, bucket, cfg, C)
               for p in ports}
-    delays: dict[Port, Fraction] = {p: Fraction(0) for p in ports}
-    # burst[fid][k]: the flow's bucket burst entering its k-th port,
-    # b + r*D with D the summed delays of the ports before it
-    burst = {fid: [bucket[fid].burst] * len(ports_f)
-             for fid, ports_f in flow_ports.items()}
-    # per port: each group's envelope, None until it is computed and again
-    # once a member's burst moves; then the port's segments and delay
-    # (None when unstable) from its last evaluation
-    envelopes = {p: [None] * len(layout[p]) for p in ports}
-    result: dict[Port, tuple[list[Seg], Optional[Fraction]]] = {}
-
-    def port_delay(p: Port) -> Optional[Fraction]:
-        """Delay bound of p from the current bursts, recomputing only the
-        groups whose bursts moved since p was last evaluated; None when p
-        is unstable."""
-        envs = envelopes[p]
-        stale = [i for i, env in enumerate(envs) if env is None]
-        if stale:
-            for i in stale:
-                members, rate, caps = layout[p][i]
-                b = sum(burst[fid][k] for fid, k in members)
-                envs[i] = group_envelope(((b, rate), *caps))
-            segs = aggregate_segments(envs)
-            result[p] = (segs, None if segs[-1].slope >= idsl
-                         else rate_latency_delay(segs, service[p]))
-        return result[p][1]
+    # a port's long-run aggregate rate, the sum of each group's shallowest
+    # line, does not depend on the delays
+    _raise_unstable(tc, [
+        p for p in ports
+        if sum(min([rate] + [r for _, r in caps])
+               for _, rate, caps in layout[p]) >= idsl])
 
     order = _topological_order(flow_ports)
+    # A flow's burst entering its k-th port is b + r*D, D the summed delays
+    # of the ports before it.  The feed-forward pass works in bits and us.
+    # The cyclic sweeps, whose delays lie on CYCLIC_GRID, work on one
+    # integer scale: bursts in units of 1/scale bits, rates in units of
+    # 1/rate_den bits/us, delays in CYCLIC_GRID units, so every burst and
+    # rate is an int and lines cross at quotients of ints.
     if order is not None:
-        # an unstable port keeps delay 0, so the rest of the pass still runs
-        # and every unstable port is named
-        unstable = []
+        unit = rate_den = scale = 1
+    else:
+        unit = CYCLIC_GRID
+        rate_den = math.lcm(idsl.denominator, C.denominator,
+                            *(b.rate.denominator for b in bucket.values()))
+        scale = unit.denominator * math.lcm(
+            rate_den, *(b.burst.denominator for b in bucket.values()),
+            *(cap_b.denominator for p in ports
+              for _, _, caps in layout[p] for cap_b, _ in caps))
+    lines_at = {
+        p: [(members, _scaled(rate, rate_den),
+             tuple((_scaled(b, scale), _scaled(r, rate_den))
+                   for b, r in caps))
+            for members, rate, caps in layout[p]]
+        for p in ports}
+    idsl_scaled = _scaled(idsl, rate_den)
+    backlog_den = scale * idsl           # scaled backlog -> delay in us
+    # a burst moves by weight * (upstream delay / unit)
+    weight = {fid: _scaled(b.rate, scale * unit)
+              for fid, b in bucket.items()}
+    burst = {fid: [_scaled(bucket[fid].burst, scale)] * len(ports_f)
+             for fid, ports_f in flow_ports.items()}
+    # per port: each group's envelope, None until it is computed and again
+    # once a member's burst moves
+    envelopes = {p: [None] * len(layout[p]) for p in ports}
+
+    def refresh(p: Port) -> bool:
+        """Recompute the groups of p whose bursts moved since p was last
+        evaluated; False when there were none."""
+        envs = envelopes[p]
+        stale = False
+        for i, env in enumerate(envs):
+            if env is None:
+                members, rate, caps = lines_at[p][i]
+                b = sum(burst[fid][k] for fid, k in members)
+                envs[i] = group_envelope(((b, rate), *caps))
+                stale = True
+        return stale
+
+    # each port's arrival curve in (start, value, slope) pieces, in bits
+    # and us, from its last evaluation
+    segments: dict[Port, list[Seg]] = {}
+    if order is not None:
+        # each port is evaluated once: its pieces are built anyway, and
+        # the delay is read off them
+        delays: dict[Port, Fraction] = {}
         for p in order:
-            d = port_delay(p)
-            if d is None:
-                unstable.append(p)
-            else:
-                delays[p] = d
+            refresh(p)
+            segments[p] = aggregate_segments(envelopes[p])
+            delays[p] = d = rate_latency_delay(segments[p], service[p])
             # every port after p on a flow's path comes later in the order
             for fid, k in hops[p]:
                 row = burst[fid]
                 if k + 1 < len(row):
-                    row[k + 1] = row[k] + bucket[fid].rate * delays[p]
-        _raise_unstable(tc, sorted(unstable))
+                    row[k + 1] = row[k] + weight[fid] * d
         iterations = 1
         converged = True
     else:
-        # group index of each (flow, hop) at its port, and the delays the
-        # bursts were last moved to
+        # the sweeps need only each port's delay, its latency plus the
+        # peak backlog over the idle slope; every line has a positive
+        # burst, so that is never below the latency
+        last: dict[Port, Fraction] = {}
+
+        def port_delay(p: Port) -> Fraction:
+            if refresh(p):
+                last[p] = (service[p].latency
+                           + max_backlog(envelopes[p], idsl_scaled)
+                           / backlog_den)
+            return last[p]
+
+        # group index of each (flow, hop) at its port, and the delays (in
+        # CYCLIC_GRID units) the bursts were last moved to
         group_at = {fid: [0] * len(ports_f)
                     for fid, ports_f in flow_ports.items()}
         for p in ports:
             for i, (members, _, _) in enumerate(layout[p]):
                 for fid, k in members:
                     group_at[fid][k] = i
-        seen = dict(delays)
+        ticks = {p: 0 for p in ports}
+        seen = dict(ticks)
 
-        def advance(delays: dict[Port, Fraction]) -> None:
+        def advance(ticks: dict[Port, int]) -> None:
             """Move every burst to the given upstream delays; each group
             with a member whose burst moves goes stale."""
-            moved = {q for q in ports if delays[q] != seen[q]}
+            moved = {q for q in ports if ticks[q] != seen[q]}
             for fid, ports_f in flow_ports.items():
-                row, rate = burst[fid], bucket[fid].rate
+                row, w = burst[fid], weight[fid]
                 moving = False
                 for k in range(1, len(row)):
                     moving = moving or ports_f[k - 1] in moved
                     if moving:
-                        row[k] = row[k - 1] + rate * delays[ports_f[k - 1]]
+                        row[k] = row[k - 1] + w * ticks[ports_f[k - 1]]
                         envelopes[ports_f[k]][group_at[fid][k]] = None
-            seen.update(delays)
+            seen.update(ticks)
 
+        tolerance = TOLERANCE / CYCLIC_GRID
         iterations = 0
         converged = False
         while iterations < MAX_ITERATIONS:
             iterations += 1
-            advance(delays)
-            new_delays: dict[Port, Fraction] = {}
-            unstable = []
-            for p in ports:
-                d = port_delay(p)
-                if d is None:
-                    unstable.append(p)
-                else:
-                    new_delays[p] = math.ceil(d / CYCLIC_GRID) * CYCLIC_GRID
-            _raise_unstable(tc, unstable)
-            done = all(abs(new_delays[p] - delays[p]) < TOLERANCE
+            advance(ticks)
+            new_ticks = {p: math.ceil(port_delay(p) / CYCLIC_GRID)
+                         for p in ports}
+            done = all(abs(new_ticks[p] - ticks[p]) < tolerance
                        for p in ports)
-            delays = new_delays
+            ticks = new_ticks
             if done:
                 converged = True
                 break
         if not converged:
             raise ConvergenceError(
                 f"{tc.name}: no fixed point after {MAX_ITERATIONS} sweeps")
+        delays = {p: ticks[p] * CYCLIC_GRID for p in ports}
+        # the last sweep left every group fresh: back to bits and us
+        for p in ports:
+            segments[p] = aggregate_segments(
+                group_envelope(((Fraction(lines[0][0], scale), rate), *caps))
+                for (lines, _, _), (_, rate, caps)
+                in zip(envelopes[p], layout[p]))
 
     per_port = {
-        p: PortAnalysis(p, Curve(result[p][0]), service[p].curve(),
+        p: PortAnalysis(p, Curve(segments[p]), service[p].curve(),
                         delays[p], tuple(fid for fid, _ in hops[p]))
         for p in ports
     }
@@ -403,6 +480,12 @@ def tfa_solve(tc: TestCase) -> CbsReport:
                     + consts.sync_error)
     return CbsReport(tc.name, per_port, per_flow_hops, e2e,
                      iterations, converged)
+
+
+def _scaled(x: Fraction, by: Number) -> Number:
+    """x * by, as an int when that is whole."""
+    x *= by
+    return x.numerator if x.denominator == 1 else x
 
 
 def _raise_unstable(tc: TestCase, unstable: Sequence[Port]) -> None:

@@ -9,6 +9,7 @@ report bytes.
 """
 import hashlib
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -213,8 +214,33 @@ def check_against_oracle(members_per_group, caps_per_group, extra_rate,
     assert Curve(segments) == oracle
     assert tuple(segments) == oracle.segments
     service = RateLatency(oracle.final_slope + extra_rate, latency)
-    assert (cbs.rate_latency_delay(segments, service)
-            == h_dev(oracle, service.curve()))
+    delay = h_dev(oracle, service.curve())
+    assert cbs.rate_latency_delay(segments, service) == delay
+    # the peak backlog alone gives the same delay, in Fractions and with
+    # every burst and rate an int on a common scale
+    envelopes = [cbs.group_envelope(lines) for lines in line_groups]
+    backlog = cbs.max_backlog(envelopes, service.rate)
+    assert service.latency + backlog / service.rate == delay
+    lines = [line for group in line_groups for line in group]
+    scale = math.lcm(*(F(b).denominator for b, _ in lines))
+    rate_den = math.lcm(service.rate.denominator,
+                        *(F(r).denominator for _, r in lines))
+    scaled = [cbs.group_envelope([(int(b * scale), int(r * rate_den))
+                                  for b, r in group])
+              for group in line_groups]
+    assert (cbs.max_backlog(scaled, int(service.rate * rate_den))
+            == backlog * scale)
+
+
+def test_max_backlog_hand_values():
+    # bucket 10 + t under a cap 4 + 2t: the aggregate bends at t = 6, 16
+    envelope = cbs.group_envelope([(10, 1), (4, 2)])
+    assert envelope[1:] == (2, [(6, 1, 1)])
+    assert cbs.max_backlog([envelope], 3) == 4          # peak at 0+
+    assert cbs.max_backlog([envelope], F(3, 2)) == 16 - 9
+    assert cbs.max_backlog([envelope], 1) == 16 - 6
+    with pytest.raises(InstabilityError):
+        cbs.max_backlog([envelope], F(1, 2))
 
 
 CAP_KINDS = ("free", "equal_rate", "never_crosses", "coincides")
