@@ -31,6 +31,7 @@ from tsnwcd.netmodel import (
     frame_bits,
     load_testcase,
 )
+from tsnwcd.testgen import RING, GenSpec, build_testcase
 
 
 def star_tc(flow_specs, name="star", mechanism=CBS, hosts=None, **const_kw):
@@ -433,13 +434,16 @@ def test_trace_csv_format():
     assert text == "t_us,credit_bits\n0.0,0.0\n10.0,-250.0\n"
 
 
-# pinned bytes: the corpus reports and three credit traces, recorded once
+# pinned bytes: the corpus reports, the saturated CBS corpus reports, three
+# credit traces and two saturated rings traced on every port, recorded once
 # and compared on every run; regenerate them only on purpose, with
 # `PYTHONPATH=src python tests/test_sim.py`
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 DIGESTS_PATH = Path(__file__).resolve().parent / "data" / "sim_digests.json"
 TRACE_CASES = (("TC1", False), ("TC11", True), ("TC21", False))
+RING_SPECS = (GenSpec(RING, 6, 3, 40, payload_range=(64, 700), seed=1),
+              GenSpec(RING, 5, 3, 30, payload_range=(64, 700), seed=3))
 
 
 def _busiest_port(tc):
@@ -468,6 +472,26 @@ def sim_digests():
                             be_saturate=saturate)
         trace = sim.credit_trace(tc, cfg, _busiest_port(tc))
         out["traces"][name] = sha(sim.trace_to_csv(trace))
+    for i in range(1, 31):
+        tc = load_testcase(CORPUS_DIR / f"TC{i}")
+        if tc.mechanism == CBS:
+            cfg = sim.SimConfig(horizon=20 * max(f.period for f in tc.flows),
+                                seed=3, release_policy=sim.RELEASE_JITTERED,
+                                be_saturate=True)
+            out["reports"][f"{tc.name}/jittered/saturated"] = sha(
+                sim.report_to_json(sim.simulate_cbs(tc, cfg)))
+    for spec in RING_SPECS:
+        tc = build_testcase(f"ring{spec.switch_count}x{spec.hosts_per_switch}"
+                            f"s{spec.seed}", spec, CBS, NetworkConstants())
+        ports = sorted({p for r in tc.routes for p in r.ports})
+        cfg = sim.SimConfig(horizon=10 * max(f.period for f in tc.flows),
+                            seed=3, release_policy=sim.RELEASE_JITTERED,
+                            be_saturate=True, trace_ports=ports)
+        report = sim.simulate_cbs(tc, cfg)
+        out["reports"][f"{tc.name}/jittered/saturated"] = sha(
+            sim.report_to_json(report))
+        out["traces"][f"{tc.name}/all_ports"] = sha("".join(
+            f"{t},{a},{b},{c}\n" for t, (a, b), c in report.credit_trace))
     return out
 
 
