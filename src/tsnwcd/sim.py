@@ -13,6 +13,16 @@ event queue breaks ties deterministically (arrivals, then transmission
 completions, then credit wakeups; among flows by ascending id), and for a
 fixed (test case, config, seed) the report is bit-identical across runs.
 
+The CBS event loop schedules only events that can change what happens
+next.  A port saturated with best effort sends one run of back-to-back MTU
+frames, not an event per frame: the run keeps its start tick, its frames end
+at start + k * be_tx, and it has at most one pending end event, pushed only
+while a class frame waits, at the first of those boundaries at which a
+waiting queue is eligible or at the first at or past the horizon.  A credit
+recovering with an empty queue schedules no wakeup: the next update of the
+queue pegs it at zero at the exact tick it got there, and traced ports are
+settled once after the loop.
+
 Conventions shared with the analytical modules: cut-through forwarding
 enqueues a frame at the next switch one propagation plus one switching
 delay after upstream transmission starts (CQF is store-and-forward: one
@@ -155,6 +165,8 @@ class _CbsPort:
         self.be_tx = be_tx                # synthetic saturating frame, or None
         self.traced = traced
         self.busy = None                  # (cls, flow, seq, hop) or (None,) for BE
+        self.run = None                   # saturating run: (start, stop) ticks
+        self.be_end = None                # pending BE end event: (t, serial)
         self.trace = []                   # (t, cls, credit)
 
     def _emit(self, t, cls):
@@ -191,10 +203,18 @@ class _CbsPort:
         if not self._transmitting(cls):
             self._set_slope(t, cls, self.queues[cls].idle)
 
+    def settle(self):
+        """Peg every credit still recovering towards zero where it gets
+        there; the event loop leaves that to the next touch of the queue."""
+        for cls, q in enumerate(self.queues):
+            if q.slope > 0 and q.credit < 0:
+                self._update(q.t0 + _exact_div(-q.credit, q.slope), cls)
+
 
 class _CbsEngine:
     """Shared event loop; on_start wires transmissions into the network and
-    returns the transmission duration."""
+    returns the transmission duration.  A saturating run that passed the
+    horizon with nothing waiting ended at its stop; the port is idle."""
 
     def __init__(self, ports, on_start: Callable, horizon=None,
                  on_be_start: Optional[Callable] = None):
@@ -213,32 +233,39 @@ class _CbsEngine:
     def run(self):
         # all events at one instant settle before any port picks its next
         # frame: arrivals, then completions, then wakeups
-        while self.heap:
-            t = self.heap[0][0]
-            touched = set()
-            while self.heap and self.heap[0][0] == t:
-                _, rank, pidx, cls, flow, seq, hop = heapq.heappop(self.heap)
+        heap, ports = self.heap, self.ports
+        while heap:
+            t = heap[0][0]
+            touched = []
+            while heap and heap[0][0] == t:
+                _, rank, pidx, cls, flow, seq, hop = heapq.heappop(heap)
                 if pidx == _DELIVERY_PORT:
                     self.deliveries.append((t, flow, seq))
                     continue
-                port = self.ports[pidx]
-                touched.add(pidx)
+                port = ports[pidx]
                 if rank == _RANK_ARRIVE:
                     if cls == _BE_CLS:
                         port.be_fifo.append(self.be_payload[(flow, seq)])
                     else:
                         port.enqueue(t, cls, (flow, seq, hop))
                 elif rank == _RANK_TX_END:
+                    if flow == _NO_FLOW and port.be_end != (t, -seq):
+                        continue              # superseded run end
                     self._tx_end(port, t)
                 else:
                     port._update(t, cls)
-            for pidx in sorted(touched):
-                self._kick(self.ports[pidx], t)
+                if pidx not in touched:
+                    touched.append(pidx)
+            if len(touched) > 1:
+                touched.sort()
+            for pidx in touched:
+                self._kick(ports[pidx], t)
 
     def _tx_end(self, port, t):
         cls = port.busy[0]
         port.busy = None
         if cls is None:
+            port.run = port.be_end = None
             return                        # best-effort frame, no credit
         q = port.queues[cls]
         port._update(t, cls)
@@ -250,13 +277,44 @@ class _CbsEngine:
             port._set_slope(t, cls, 0)
             port._emit(t, cls)
         elif q.credit < 0:
+            # recovers with nothing waiting: _update pegs it at zero lazily
             port._set_slope(t, cls, q.idle)
-            self.push((t + _exact_div(-q.credit, q.idle), _RANK_WAKE,
-                       port.idx, cls, _NO_FLOW, -1, 0))
         else:
             port._set_slope(t, cls, 0)
 
+    def _end_be_at(self, port, t):
+        self._serial += 1
+        port.be_end = (t, self._serial)
+        self.push((t, _RANK_TX_END, port.idx, 0, _NO_FLOW, -self._serial, 0))
+
+    def _run_ends(self, port, t):
+        """Whether the saturating run ends at t, a frame boundary at which a
+        waiting queue is eligible or the run's stop.  Otherwise schedules
+        its end at the first such boundary, if a class frame waits."""
+        start, stop = port.run
+        if t >= stop:
+            return True
+        ready = None
+        for q in port.queues:
+            if q.fifo:
+                at = t if q.credit >= 0 else q.t0 - q.credit // q.idle
+                ready = at if ready is None else min(ready, at)
+        if ready is None:
+            return False
+        be = port.be_tx
+        frames = max(1, -((start - max(ready, t)) // be))
+        end = min(start + frames * be, stop)
+        if end == t:
+            return True
+        if port.be_end is None or end < port.be_end[0]:
+            self._end_be_at(port, end)
+        return False
+
     def _kick(self, port, t):
+        if port.run is not None:
+            if not self._run_ends(port, t):
+                return
+            port.busy = port.run = port.be_end = None
         if port.busy is not None:
             return
         for cls, q in enumerate(port.queues):
@@ -266,19 +324,20 @@ class _CbsEngine:
             if q.credit >= 0:
                 self._start(port, t, cls, q.fifo.popleft())
                 return
-        saturating = (port.be_tx is not None
-                      and (self.horizon is None or t < self.horizon))
-        if port.be_fifo or saturating:
-            if port.be_fifo:
-                duration, tag = port.be_fifo.popleft()
-            else:
-                duration, tag = port.be_tx, None
+        if port.be_fifo:
+            duration, tag = port.be_fifo.popleft()
             port.busy = (None,)
-            self._serial += 1
-            self.push((t + duration, _RANK_TX_END, port.idx, 0,
-                       _NO_FLOW, -self._serial, 0))
+            self._end_be_at(port, t + duration)
             if self.on_be_start is not None:
                 self.on_be_start(port, t, tag, duration)
+            return
+        if port.be_tx is not None and t < self.horizon:
+            # the run's frames end at t + k * be_tx; it stops at the first
+            # such boundary at or past the horizon
+            be = port.be_tx
+            port.busy = (None,)
+            port.run = (t, t - (t - self.horizon) // be * be)
+            self._run_ends(port, t)
             return
         # idle: every waiting queue must be credit-blocked (work conservation)
         for cls, q in enumerate(port.queues):
@@ -303,6 +362,14 @@ def _phases(tc, cfg, rng, cycle=None):
     if cfg.horizon < 10 * max_period:
         raise ValidationError(
             "horizon must be at least 10 times the longest flow period")
+    period = {f.id: f.period for f in tc.flows}
+    for fid, phase in (cfg.phases or {}).items():
+        if fid not in period:
+            raise ValidationError(f"phases: no flow {fid!r}")
+        if not 0 <= phase < period[fid]:
+            raise ValidationError(
+                f"flow {fid}: release offset {float(phase)}us outside "
+                f"[0, {float(period[fid])}us)")
     phases = {}
     for f in sorted(tc.flows, key=lambda f: f.id):
         if cfg.phases is not None and f.id in cfg.phases:
@@ -375,6 +442,11 @@ def _fold_deliveries(tc, cfg, grid, deliveries, release_of):
 def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
     """Event-driven credit-based shaper run; reports max delay per flow."""
     tc.require(CBS)
+    used = {p for r in tc.routes for p in r.ports}
+    for port in cfg.trace_ports:
+        if port not in used:
+            raise ValidationError(
+                f"trace port {'->'.join(map(str, port))}: no route uses it")
     if not tc.flows:
         return _empty_report(tc, cfg)
     phases = _phases(tc, cfg, random.Random(cfg.seed))
@@ -424,6 +496,9 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
                                          release_of)
     trace = None
     if cfg.trace_ports:
+        for p in ports:
+            if p.traced:
+                p.settle()
         raw = [(t, p.key, c) for p in ports for t, _cls, c in p.trace]
         raw.sort(key=lambda e: (e[0], e[1]))
         trace = [(grid.us(t), key, grid.bits(c)) for t, key, c in raw]
@@ -476,6 +551,7 @@ def simulate_port(frames, rate, slopes):
             meta[i] = (label, duration)
             eng.push((release, _RANK_ARRIVE, 0, cls, i, 0, 0))
     eng.run()
+    port.settle()
     transmissions = [(label, grid.us(s), grid.us(e))
                      for label, s, e in transmissions]
     traces = {cls: [(grid.us(t), grid.bits(c))

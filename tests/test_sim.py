@@ -4,6 +4,7 @@ The heavy lifting is hand-computed event traces: transmission orders,
 credit checkpoints, and exact end-to-end delays for small scenarios.
 """
 import hashlib
+import heapq
 import json
 from collections import Counter
 from fractions import Fraction as F
@@ -291,6 +292,76 @@ def test_config_validation():
     tc = star_tc([("h1", "h2", 2500, 965)])
     with pytest.raises(ValidationError):
         sim.simulate_cbs(tc, sim.SimConfig(horizon=F(24999)))
+
+
+def test_phases_must_name_a_flow_and_lie_within_its_period():
+    tc = star_tc([("h1", "h2", 2500, 965)])
+    for phases in ({0: 2500}, {0: 10 ** 6}, {0: -1}, {999: 3}):
+        with pytest.raises(ValidationError):
+            sim.simulate_cbs(tc, sim.SimConfig(horizon=F(25000),
+                                               phases=phases))
+    report = sim.simulate_cbs(tc, sim.SimConfig(horizon=F(25000),
+                                                phases={0: 2499}))
+    assert report.per_flow_frame_count[0] == 8
+    cqf_tc = chain_tc(1, [(1000, 100)], cycle_T=F(50))
+    with pytest.raises(ValidationError):
+        sim.simulate_cqf(cqf_tc, sim.SimConfig(horizon=F(10000),
+                                               phases={0: 1000}))
+
+
+def test_trace_port_must_carry_a_route():
+    tc = star_tc([("h1", "h2", 2500, 965)])
+    cfg = sim.SimConfig(horizon=F(25000), trace_ports=(("h2", "s1"),))
+    with pytest.raises(ValidationError, match="h2->s1"):
+        sim.simulate_cbs(tc, cfg)
+    with pytest.raises(ValidationError):
+        sim.credit_trace(tc, sim.SimConfig(horizon=F(25000)), ("s1", "h1"))
+
+
+# event counts: a stand-in for the simulator's heapq records every push
+
+
+class CountingHeap:
+    def __init__(self):
+        self.pushed = []
+
+    def heappush(self, heap, item):
+        self.pushed.append(item)
+        heapq.heappush(heap, item)
+
+    def __getattr__(self, name):
+        return getattr(heapq, name)
+
+
+@pytest.mark.parametrize("horizon", [25000, 250000])
+def test_saturated_run_pushes_scale_with_frames_not_blockers(
+        monkeypatch, horizon):
+    # At 123.36us per MTU blocker the longer horizon holds about 4000
+    # blockers across the two ports; none of them is an event of its own.
+    tc = star_tc([("h1", "h2", 2500, 965)])
+    heap = CountingHeap()
+    monkeypatch.setattr(sim, "heapq", heap)
+    report = sim.simulate_cbs(tc, sim.SimConfig(horizon=F(horizon),
+                                                be_saturate=True))
+    frames, hops, ports = report.per_flow_frame_count[0], 2, 2
+    assert frames == horizon // 2500 - 1
+    assert len(heap.pushed) <= 4 * (frames * hops + ports)
+
+
+def test_unblocked_recovery_pushes_no_wakeup(monkeypatch):
+    # One flow, one frame per period: every credit dip recovers long before
+    # the next frame, so no frame waits on negative credit.
+    tc = star_tc([("h1", "h2", 2500, 965)])
+    heap = CountingHeap()
+    monkeypatch.setattr(sim, "heapq", heap)
+    trace = sim.credit_trace(tc, sim.SimConfig(horizon=F(25000)),
+                             ("h1", "s1"))
+    assert heap.pushed
+    assert not [e for e in heap.pushed if e[1] == sim._RANK_WAKE]
+    # the last frame leaves at 20000us; its -2014 bit dip still ends in the
+    # peg at zero, at the exact tick the credit gets there at slope 75
+    end = frac("20080.56")
+    assert trace[-2:] == [(end, F(-2014)), (end + F(2014, 75), F(0))]
 
 
 # network CQF simulation
