@@ -213,8 +213,7 @@ class _CbsPort:
 
 class _CbsEngine:
     """Shared event loop; on_start wires transmissions into the network and
-    returns the transmission duration.  A saturating run that passed the
-    horizon with nothing waiting ended at its stop; the port is idle."""
+    returns the transmission duration."""
 
     def __init__(self, ports, on_start: Callable, horizon=None,
                  on_be_start: Optional[Callable] = None):

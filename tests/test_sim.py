@@ -364,6 +364,25 @@ def test_unblocked_recovery_pushes_no_wakeup(monkeypatch):
     assert trace[-2:] == [(end, F(-2014)), (end + F(2014, 75), F(0))]
 
 
+def test_saturating_run_ends_for_the_earliest_eligible_queue():
+    # Two credit queues (idle 1, send -3 units per tick) behind a saturating
+    # source of 10-tick frames.  A leaves queue 0 at credit -12, so B waits
+    # for tick 16; C reaches queue 1 at 7, eligible at once.  The blocker
+    # running at 7 ends at 14, so C goes then, ahead of B.
+    port = sim._CbsPort(0, ("p", "q"), [(1, -3), (1, -3)], 10, True)
+    starts = []
+
+    def on_start(p, t, cls, item):
+        starts.append((item[0], t))
+        return 4
+
+    eng = sim._CbsEngine([port], on_start, horizon=1000)
+    for label, cls, t in (("A", 0, 0), ("B", 0, 5), ("C", 1, 7)):
+        eng.push((t, sim._RANK_ARRIVE, 0, cls, label, 0, 0))
+    eng.run()
+    assert starts == [("A", 0), ("C", 14), ("B", 18)]
+
+
 # network CQF simulation
 
 
