@@ -519,6 +519,26 @@ def test_tfa_ring_converges_on_rounding_grid():
         assert pa.delay_bound >= h_dev(pa.arrival, pa.service)
 
 
+@pytest.mark.parametrize("kind,seed", [("medium_mesh", 1), ("ring", 2)])
+def test_tfa_service_is_the_per_port_cbs_service(kind, seed):
+    # every port's service is the one its own class config gives; none of
+    # its terms depends on the port
+    spec = testgen.GenSpec(kind, 6, 3, 60, payload_range=(64, 700),
+                           seed=seed)
+    tc = testgen.build_testcase("svc", spec, nm.CBS, nm.NetworkConstants())
+    consts = tc.constants
+    C = consts.link_rate
+    idsl = consts.idle_slope_fraction * C
+    report = cbs.tfa_solve(tc)
+    assert report.per_port
+    for pa in report.per_port.values():
+        l_max_class = max(nm.frame_bits(tc.flow(fid), consts)
+                          for fid in pa.contributing_flows)
+        cfg = cbs.CbsClassConfig(1, idsl, idsl - C, l_max_class,
+                                 cbs.default_lower_frame_bits(consts))
+        assert pa.service == cbs.cbs_service_curve(cfg, C).curve()
+
+
 # ======================================================================
 # report serialization
 
@@ -570,8 +590,21 @@ def tfa_digests():
                 cbs.report_to_json(report).encode()).hexdigest(),
             "arrival_segments": sum(
                 len(pa.arrival.segments) for pa in report.per_port.values()),
+            "exact_sha256": exact_sha256(report),
         }
     return out
+
+
+def exact_sha256(report):
+    """sha256 over the exact Fractions of a report: report bytes round
+    every delay to a float, which can hide a slip in a delay whose
+    denominator runs to hundreds of bits."""
+    ports = [(p, pa.delay_bound, pa.arrival.segments, pa.service.segments,
+              pa.contributing_flows)
+             for p, pa in sorted(report.per_port.items())]
+    text = repr((ports, sorted(report.e2e_wcd.items()),
+                 sorted(report.per_flow_hops.items())))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_tfa_bytes_match_pinned_digests():
