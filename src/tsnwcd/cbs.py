@@ -10,17 +10,18 @@ evaluations only the bursts move.  Each group is then the lower envelope of
 at most three lines and the aggregate is concave, a sorted (start, value,
 slope) breakpoint list built straight from (burst, rate) pairs, with no
 general min-plus curve algebra; each port's reported Curve is built once,
-from its last evaluation.  The port offers a rate-latency service derived
-from the credit bounds, so each port's delay bound has a closed form over
-the aggregate's segment starts.  When no port's delay feeds back into
-itself, one pass over the ports in topological order gives the exact
-bounds, read off each port's breakpoint list.  Only cyclic port
-dependencies need fixed-point sweeps; those evaluate every port many times
-and need only its delay, the aggregate's peak backlog above the service
-rate, found at the first slope change that brings the aggregate's slope
-down to that rate, with every burst and rate an int on one common scale.
-The end-to-end bound adds the constant propagation/switching/sync terms to
-the per-port queueing bounds.
+from its last evaluation.  No credit term depends on a delay, and only c_min
+on the port, through its largest class frame: a solve takes the credit
+bounds once per frame size, and one rate-latency service serves every port,
+so each port's delay bound has a closed form over the aggregate's segment
+starts.  When no port's delay feeds back into itself, one pass over the
+ports in topological order gives the exact bounds, read off each port's
+breakpoint list.  Only cyclic port dependencies need fixed-point sweeps;
+those evaluate every port many times and need only its delay, the
+aggregate's peak backlog above the service rate, found at the first slope
+change that brings the aggregate's slope down to that rate, with every
+burst and rate an int on one common scale.  The end-to-end bound adds the
+constant propagation/switching/sync terms to the per-port queueing bounds.
 
 No time-triggered traffic exists in these test cases, so the TAS terms of
 the underlying model are identically zero: the service latency reduces to
@@ -300,7 +301,6 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     consts = tc.constants
     C = consts.link_rate
     idsl = consts.idle_slope_fraction * C
-    sdsl = idsl - C
     l_lower = default_lower_frame_bits(consts)
 
     flow_ports: dict[int, tuple[Port, ...]] = {
@@ -316,22 +316,28 @@ def tfa_solve(tc: TestCase) -> CbsReport:
         return CbsReport(tc.name, {}, {}, {}, 1, True)
 
     bucket = {f.id: source_arrival(f, consts) for f in tc.flows}
-    cfg = {
-        p: CbsClassConfig(
-            1, idsl, sdsl,
-            l_max_class=max(bucket[fid].burst for fid, _ in hops[p]),
-            l_max_lower=l_lower)
-        for p in ports
-    }
-    service = {p: cbs_service_curve(cfg[p], C) for p in ports}
-    layout = {p: _port_layout(tc, p, hops[p], flow_ports, bucket, cfg, C)
-              for p in ports}
-    # a port's long-run aggregate rate, the sum of each group's shallowest
-    # line, does not depend on the delays
-    _raise_unstable(tc, [
-        p for p in ports
-        if sum(min([rate] + [r for _, r in caps])
-               for _, rate, caps in layout[p]) >= idsl])
+    # No credit term depends on a delay, and only c_min on the port, via its
+    # largest class frame: bounds are taken once per frame size, and every
+    # port shares one service, idleSlope after c_max / idleSlope.
+    l_max = {p: max(bucket[fid].burst for fid, _ in hops[p]) for p in ports}
+    range_of = {}
+    for l_class in set(l_max.values()):
+        cfg = CbsClassConfig(1, idsl, idsl - C, l_class, l_lower)
+        c_min, c_max = credit_bounds(cfg, C)
+        range_of[l_class] = c_max - c_min
+    credit_range = {p: range_of[l_max[p]] for p in ports}
+    service = cbs_service_curve(cfg, C)
+    service_curve = service.curve()
+    layout, long_run = {}, {}
+    for p in ports:
+        layout[p], long_run[p] = _port_layout(
+            tc, p, hops[p], flow_ports, bucket, credit_range, C, idsl)
+    unstable = [p for p in ports if long_run[p] >= idsl]
+    if unstable:
+        names = ", ".join(f"{a}->{b}" for a, b in unstable)
+        raise InstabilityError(
+            f"{tc.name}: aggregate rate reaches the idle slope at "
+            f"port(s) {names}")
 
     order = _topological_order(flow_ports)
     # A flow's burst entering its k-th port is b + r*D, D the summed delays
@@ -341,26 +347,26 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     # 1/rate_den bits/us, delays in CYCLIC_GRID units, so every burst and
     # rate is an int and lines cross at quotients of ints.
     if order is not None:
-        unit = rate_den = scale = 1
+        scale = 1
+        lines_at = layout
     else:
-        unit = CYCLIC_GRID
         rate_den = math.lcm(idsl.denominator, C.denominator,
                             *(b.rate.denominator for b in bucket.values()))
-        scale = unit.denominator * math.lcm(
+        scale = CYCLIC_GRID.denominator * math.lcm(
             rate_den, *(b.burst.denominator for b in bucket.values()),
             *(cap_b.denominator for p in ports
               for _, _, caps in layout[p] for cap_b, _ in caps))
-    lines_at = {
-        p: [(members, _scaled(rate, rate_den),
-             tuple((_scaled(b, scale), _scaled(r, rate_den))
-                   for b, r in caps))
-            for members, rate, caps in layout[p]]
-        for p in ports}
-    idsl_scaled = _scaled(idsl, rate_den)
-    backlog_den = scale * idsl           # scaled backlog -> delay in us
-    # a burst moves by weight * (upstream delay / unit)
-    weight = {fid: _scaled(b.rate, scale * unit)
-              for fid, b in bucket.items()}
+        lines_at = {
+            p: [(members, _scaled(rate, rate_den),
+                 tuple((_scaled(b, scale), _scaled(r, rate_den))
+                       for b, r in caps))
+                for members, rate, caps in layout[p]]
+            for p in ports}
+        idsl_scaled = _scaled(idsl, rate_den)
+        backlog_den = scale * idsl       # scaled backlog -> delay in us
+        # a burst moves by weight * (upstream delay / CYCLIC_GRID)
+        weight = {fid: _scaled(b.rate, scale * CYCLIC_GRID)
+                  for fid, b in bucket.items()}
     burst = {fid: [_scaled(bucket[fid].burst, scale)] * len(ports_f)
              for fid, ports_f in flow_ports.items()}
     # per port: each group's envelope, None until it is computed and again
@@ -390,12 +396,12 @@ def tfa_solve(tc: TestCase) -> CbsReport:
         for p in order:
             refresh(p)
             segments[p] = aggregate_segments(envelopes[p])
-            delays[p] = d = rate_latency_delay(segments[p], service[p])
+            delays[p] = d = rate_latency_delay(segments[p], service)
             # every port after p on a flow's path comes later in the order
             for fid, k in hops[p]:
                 row = burst[fid]
                 if k + 1 < len(row):
-                    row[k + 1] = row[k] + weight[fid] * d
+                    row[k + 1] = row[k] + bucket[fid].rate * d
         iterations = 1
         converged = True
     else:
@@ -406,7 +412,7 @@ def tfa_solve(tc: TestCase) -> CbsReport:
 
         def port_delay(p: Port) -> Fraction:
             if refresh(p):
-                last[p] = (service[p].latency
+                last[p] = (service.latency
                            + max_backlog(envelopes[p], idsl_scaled)
                            / backlog_den)
             return last[p]
@@ -462,7 +468,7 @@ def tfa_solve(tc: TestCase) -> CbsReport:
                 in zip(envelopes[p], layout[p]))
 
     per_port = {
-        p: PortAnalysis(p, Curve(segments[p]), service[p].curve(),
+        p: PortAnalysis(p, Curve(segments[p]), service_curve,
                         delays[p], tuple(fid for fid, _ in hops[p]))
         for p in ports
     }
@@ -473,11 +479,10 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     e2e = {}
     for fid in sorted(flow_ports):
         route = tc.route_for(fid)
-        queueing = sum((delays[p] for p in flow_ports[fid]), Fraction(0))
-        e2e[fid] = (queueing
-                    + consts.propagation * route.link_count
-                    + consts.switching * route.switch_count
-                    + consts.sync_error)
+        e2e[fid] = sum((delays[p] for p in flow_ports[fid]),
+                       consts.propagation * route.link_count
+                       + consts.switching * route.switch_count
+                       + consts.sync_error)
     return CbsReport(tc.name, per_port, per_flow_hops, e2e,
                      iterations, converged)
 
@@ -488,36 +493,31 @@ def _scaled(x: Fraction, by: Number) -> Number:
     return x.numerator if x.denominator == 1 else x
 
 
-def _raise_unstable(tc: TestCase, unstable: Sequence[Port]) -> None:
-    if unstable:
-        names = ", ".join(f"{a}->{b}" for a, b in unstable)
-        raise InstabilityError(
-            f"{tc.name}: aggregate rate reaches the idle slope at "
-            f"port(s) {names}")
-
-
-def _port_layout(tc, port, hops_p, flow_ports, bucket, cfg, C):
+def _port_layout(tc, port, hops_p, flow_ports, bucket, credit_range, C,
+                 idsl):
     """The groups feeding one port, fixed for a solve, as (members, summed
     rate, caps): members are (flow id, hop index) pairs and caps (burst,
     rate) lines.  The flows the port sources come uncapped; each
     predecessor's flows are capped by the link line and, behind a switch,
-    by the CBS shaping line."""
+    by the CBS shaping line.  Also the port's long-run aggregate rate, the
+    sum of each group's shallowest line, which no delay moves."""
     local = [(fid, k) for fid, k in hops_p if k == 0]
     by_pred: dict[str, list[tuple[int, int]]] = {}
     for fid, k in hops_p:
         if k:
             by_pred.setdefault(flow_ports[fid][k - 1][0], []).append((fid, k))
-    groups = [(local, [])] if local else []
+    groups = [(tuple(local), ())] if local else []
     for pred in sorted(by_pred):
         members = by_pred[pred]
         l_link = max(bucket[fid].burst for fid, _ in members)
-        caps = [link_shaping(C, l_link)]
-        if tc.topology.is_switch(pred):
-            caps.append(cbs_shaping(cfg[(pred, port[0])], C, l_link))
-        groups.append((members, caps))
-    return [(tuple(members), sum(bucket[fid].rate for fid, _ in members),
-             tuple((cap.burst, cap.rate) for cap in caps))
-            for members, caps in groups]
+        caps: tuple[Line, ...] = ((l_link, C),)     # link_shaping
+        if tc.topology.is_switch(pred):             # cbs_shaping
+            caps += ((credit_range[(pred, port[0])] + l_link, idsl),)
+        groups.append((tuple(members), caps))
+    layout = [(members, sum(bucket[fid].rate for fid, _ in members), caps)
+              for members, caps in groups]
+    return layout, sum(min([rate] + [r for _, r in caps])
+                       for _, rate, caps in layout)
 
 
 def report_to_json(report: CbsReport) -> str:
