@@ -32,7 +32,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -506,17 +505,6 @@ def _norm_answer(ans) -> Optional[int]:
         if s.isdigit():
             return int(s)
     return None
-
-
-def shuffle_options(item: McqItem, seed: int) -> McqItem:
-    """Permute answer options with a seeded RNG, tracking the correct one."""
-    order = list(range(len(item.options)))
-    Random(seed).shuffle(order)
-    return McqItem(
-        id=item.id,
-        question=item.question,
-        options=tuple(item.options[i] for i in order),
-        correct_label=order.index(item.correct_label))
 
 
 def score_mcqa(items: Sequence[McqItem],

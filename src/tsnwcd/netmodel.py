@@ -166,6 +166,8 @@ class Flow:
             raise ValidationError(f"flow {self.id}: src equals dst")
         if self.period <= 0:
             raise ValidationError(f"flow {self.id}: period must be > 0")
+        if self.deadline <= 0:
+            raise ValidationError(f"flow {self.id}: deadline must be > 0")
         if not 0 < self.payload_bytes <= MTU_BYTES:
             raise ValidationError(
                 f"flow {self.id}: payload must be in 1..{MTU_BYTES} bytes")

@@ -568,9 +568,15 @@ def simulate_cqf(tc: TestCase, cfg: SimConfig) -> SimReport:
     injections exactly on a boundary use the cycle they open.  Cycle indices
     then advance one hop per switch.  Raises CapacityError when a cycle is
     asked to carry more serialization time than T, or when a frame reaches
-    a switch after the cycle that must forward it has opened.
+    a switch after the cycle that must forward it has opened.  A CQF
+    port has no credit and no best-effort queue, so a config asking for
+    best-effort saturation or a credit trace raises ValidationError.
     """
     tc.require(CQF)
+    if cfg.be_saturate:
+        raise ValidationError("CQF simulation has no best-effort saturation")
+    if cfg.trace_ports:
+        raise ValidationError("CQF simulation has no credit trace")
     if not tc.flows:
         return _empty_report(tc, cfg)
     T = tc.constants.cycle_T

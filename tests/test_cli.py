@@ -126,6 +126,23 @@ def test_analyze_bad_config_number_is_domain_error(runner, tmp_path):
     assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
+@pytest.mark.parametrize("deadline", ["-5", "0"])
+def test_analyze_non_positive_deadline_is_domain_error(runner, tmp_path,
+                                                       deadline):
+    tc_dir = chain_tc_dir(tmp_path, mechanism="CBS")
+    flows = tc_dir / "case_flows.txt"
+    fields = flows.read_text().strip().split(",")
+    fields[4] = deadline
+    flows.write_text(",".join(fields) + "\n")
+    res = runner.invoke(main, ["analyze", "--tc", str(tc_dir),
+                               "--mechanism", "cbs",
+                               "--out", str(tmp_path / "x.json")])
+    assert res.exit_code == 1
+    assert res.stderr.startswith("error: ")
+    assert "deadline must be > 0" in res.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_usage_errors_exit_2(runner, tmp_path):
     res = runner.invoke(main, ["analyze", "--tc", str(tmp_path)])
     assert res.exit_code == 2

@@ -346,33 +346,6 @@ def test_run_record_bounds():
         ev.Run("A", confidence=frac("1.5"))
 
 
-# option shuffling
-
-
-def sample_item():
-    return ev.McqItem("q", "pick one", ("w", "x", "y", "z"), 1)
-
-
-def test_shuffle_preserves_correct_option():
-    item = sample_item()
-    for seed in range(60):
-        got = ev.shuffle_options(item, seed)
-        assert got.options[got.correct_label] == "x"
-        assert sorted(got.options) == sorted(item.options)
-        assert got == ev.shuffle_options(item, seed)
-
-
-def test_shuffle_identity_seed_exists():
-    item = sample_item()
-    assert any(ev.shuffle_options(item, s) == item for s in range(200))
-
-
-def test_shuffle_reaches_all_permutations():
-    item = sample_item()
-    seen = {ev.shuffle_options(item, s).options for s in range(1000)}
-    assert len(seen) == 24
-
-
 def test_mcq_item_invariants():
     with pytest.raises(ValidationError):
         ev.McqItem("q", "t", ("only",), 0)

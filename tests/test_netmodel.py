@@ -130,6 +130,9 @@ def test_flow_rejects_bad_fields():
         nm.Flow(0, "a", "b", 0, 10, 5)
     with pytest.raises(ValidationError):
         nm.Flow(-1, "a", "b", 10, 10, 5)
+    for deadline in (-5, 0):
+        with pytest.raises(ValidationError, match="deadline"):
+            nm.Flow(0, "a", "b", 100, deadline, 100)
 
 
 def test_constants_validation():
@@ -214,7 +217,7 @@ names = st.text(alphabet="abcdefgh123_", min_size=1, max_size=6)
 
 
 @given(st.lists(
-    st.tuples(names, names, st.integers(1, 10**6), st.integers(0, 10**6),
+    st.tuples(names, names, st.integers(1, 10**6), st.integers(1, 10**6),
               st.integers(1, 1500)),
     max_size=8))
 def test_flow_roundtrip(specs):

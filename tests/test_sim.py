@@ -465,6 +465,20 @@ def test_cqf_jittered_dominated_by_bound():
             assert delay <= wcd[fid]
 
 
+def test_cqf_rejects_be_saturation():
+    tc = chain_tc(2, [(1000, 100)], cycle_T=F(50))
+    with pytest.raises(ValidationError, match="saturation"):
+        sim.simulate_cqf(tc, sim.SimConfig(horizon=F(10000),
+                                           be_saturate=True))
+
+
+def test_cqf_rejects_trace_ports():
+    tc = chain_tc(2, [(1000, 100)], cycle_T=F(50))
+    with pytest.raises(ValidationError, match="credit trace"):
+        sim.simulate_cqf(tc, sim.SimConfig(horizon=F(10000),
+                                           trace_ports=(("s1", "s2"),)))
+
+
 def test_cqf_deterministic_for_fixed_seed():
     tc = chain_tc(2, [(1000, 100), (500, 64)], cycle_T=F(50))
     cfg = sim.SimConfig(horizon=F(10000), seed=9,
