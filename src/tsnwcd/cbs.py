@@ -326,7 +326,7 @@ def tfa_solve(tc: TestCase) -> CbsReport:
         c_min, c_max = credit_bounds(cfg, C)
         range_of[l_class] = c_max - c_min
     credit_range = {p: range_of[l_max[p]] for p in ports}
-    service = cbs_service_curve(cfg, C)
+    service = cbs_service_curve(cfg, C)      # the same for any frame size
     service_curve = service.curve()
     layout, long_run = {}, {}
     for p in ports:
