@@ -465,18 +465,14 @@ def test_cqf_jittered_dominated_by_bound():
             assert delay <= wcd[fid]
 
 
-def test_cqf_rejects_be_saturation():
+@pytest.mark.parametrize("option,match", [
+    ({"be_saturate": True}, "saturation"),
+    ({"trace_ports": (("s1", "s2"),)}, "credit trace"),
+])
+def test_cqf_rejects_cbs_only_options(option, match):
     tc = chain_tc(2, [(1000, 100)], cycle_T=F(50))
-    with pytest.raises(ValidationError, match="saturation"):
-        sim.simulate_cqf(tc, sim.SimConfig(horizon=F(10000),
-                                           be_saturate=True))
-
-
-def test_cqf_rejects_trace_ports():
-    tc = chain_tc(2, [(1000, 100)], cycle_T=F(50))
-    with pytest.raises(ValidationError, match="credit trace"):
-        sim.simulate_cqf(tc, sim.SimConfig(horizon=F(10000),
-                                           trace_ports=(("s1", "s2"),)))
+    with pytest.raises(ValidationError, match=match):
+        sim.simulate_cqf(tc, sim.SimConfig(horizon=F(10000), **option))
 
 
 def test_cqf_deterministic_for_fixed_seed():
