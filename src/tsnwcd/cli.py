@@ -98,8 +98,12 @@ def _solve_text(tc: netmodel.TestCase) -> str:
     return cqf.report_to_json(cqf.solve(tc))
 
 
-def _load(tc_dir: str) -> netmodel.TestCase:
-    return netmodel.load_testcase(tc_dir)
+def _read(reader, path):
+    """reader(text of the file at path); a ParseError names the file."""
+    try:
+        return reader(Path(path).read_text())
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 _MECH_CHOICE = click.Choice(["cbs", "cqf"], case_sensitive=False)
@@ -153,7 +157,7 @@ def gen(ctx, manifest, out_dir, truth_dir, jobs):
 def analyze(tc_dir, mechanism, out_path):
     """Compute worst-case delay bounds for one test-case bundle."""
     def body():
-        tc = _load(tc_dir)
+        tc = netmodel.load_testcase(tc_dir)
         tc.require(mechanism.upper())
         text = _solve_text(tc)
         Path(out_path).write_text(text)
@@ -180,7 +184,7 @@ def analyze(tc_dir, mechanism, out_path):
 def sim_cmd(ctx, tc_dir, seed, horizon, release_policy, out_path):
     """Replay one test case through the event-driven shaper simulator."""
     def body():
-        tc = _load(tc_dir)
+        tc = netmodel.load_testcase(tc_dir)
         seed_v = _int_setting(ctx, "sim", "seed", seed, 0)
         policy = _setting(ctx, "sim", "release", release_policy,
                           sim.RELEASE_SYNCHRONIZED)
@@ -209,7 +213,7 @@ def sim_cmd(ctx, tc_dir, seed, horizon, release_policy, out_path):
 def prompt(tc_dir, mechanism, out_path):
     """Render the open-ended question prompt for one test case."""
     def body():
-        tc = _load(tc_dir)
+        tc = netmodel.load_testcase(tc_dir)
         text = evalharness.build_open_prompt(tc, mechanism.upper())
         Path(out_path).write_text(text)
         return {"command": "prompt", "testcase": tc.name,
@@ -230,9 +234,9 @@ def score(truth_dir, pred_dir, out_path):
     def body():
         truths = {}
         for path in sorted(Path(truth_dir).glob("*_truth.json")):
-            name, flows = evalharness.truth_from_json(path.read_text())
+            name, flows = _read(evalharness.truth_from_json, path)
             truths[name] = flows
-        preds = [evalharness.prediction_from_json(p.read_text())
+        preds = [_read(evalharness.prediction_from_json, p)
                  for p in sorted(Path(pred_dir).glob("*.json"))]
         if not preds:
             raise ValidationError(f"no prediction files in {pred_dir}")
@@ -263,10 +267,8 @@ def score_mcqa(ctx, items_path, runs_path, bins, out_path):
     def body():
         bin_count = _int_setting(ctx, "score-mcqa", "bins", bins,
                                  evalharness.DEFAULT_BIN_COUNT)
-        items = evalharness.mcq_items_from_json(
-            Path(items_path).read_text())
-        records = evalharness.run_records_from_jsonl(
-            Path(runs_path).read_text())
+        items = _read(evalharness.mcq_items_from_json, items_path)
+        records = _read(evalharness.run_records_from_jsonl, runs_path)
         mcqa = evalharness.score_mcqa(items, records)
         try:
             calib = evalharness.calibration(items, records, bin_count)

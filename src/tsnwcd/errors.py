@@ -10,7 +10,7 @@ class ToolkitError(Exception):
 
 
 class ParseError(ToolkitError):
-    """Malformed test-case file. Carries the offending line number."""
+    """Malformed input file. Carries the offending line number, if any."""
 
     def __init__(self, message, line_no=None):
         if line_no is not None:
@@ -42,18 +42,3 @@ class CapacityError(ToolkitError):
 class HorizonError(ToolkitError):
     """Simulation horizon too short for the configured traffic."""
 
-
-class CompletionError(ToolkitError):
-    """Base class for chat-completion client failures."""
-
-
-class AuthError(CompletionError):
-    """Endpoint rejected the credential (HTTP 401/403)."""
-
-
-class CompletionTimeout(CompletionError):
-    """Request timed out after all retries."""
-
-
-class MalformedResponseError(CompletionError):
-    """Endpoint returned a payload without the expected structure."""

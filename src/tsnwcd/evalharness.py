@@ -1,15 +1,12 @@
 """Scoring harness for model-predicted worst-case delays and MCQA answers.
 
-Three independent pieces live here:
+Two independent pieces live here:
 
   * prompt assembly for open-ended delay questions (one fixed template per
-    shaping mechanism, with the topology / flow / route text injected),
+    shaping mechanism, with the topology / flow / route text injected), and
   * lenient ingestion of model output into PredictionSet records plus the
     open-ended and MCQA metric computations (MAE, MAPE, accuracy,
-    consistency, ECE, Brier, confidently-wrong rate), and
-  * a minimal chat-completions HTTP client with retry and bounded
-    concurrency, which needs the optional ``requests`` package (the
-    ``llm`` extra).
+    consistency, ECE, Brier, confidently-wrong rate).
 
 Metric arithmetic is exact (Fraction) end to end; floats appear only in
 JSON/CSV output and in standard deviations, which need a square root.
@@ -25,22 +22,14 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 import statistics
-import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import (
-    AuthError,
-    CompletionError,
-    CompletionTimeout,
-    MalformedResponseError,
-    ValidationError,
-)
+from .errors import ParseError, ValidationError
 from .minplus import frac
 from .netmodel import (
     CBS,
@@ -394,9 +383,10 @@ def _pstdev(values: Sequence[Fraction]) -> float:
 
 def truth_from_json(text: str) -> tuple[str, dict[int, Fraction]]:
     """Read (testcase name, flow id -> wcd) from an analysis report."""
-    doc = json.loads(text, parse_float=Fraction)
-    return doc["testcase"], {int(row["id"]): Fraction(row["wcd_us"])
-                             for row in doc["flows"]}
+    with _malformed("analysis report"):
+        doc = json.loads(text, parse_float=Fraction)
+        return doc["testcase"], {int(row["id"]): Fraction(row["wcd_us"])
+                                 for row in doc["flows"]}
 
 
 def score_open(preds: Iterable[PredictionSet],
@@ -507,19 +497,30 @@ def _norm_answer(ans) -> Optional[int]:
     return None
 
 
-def score_mcqa(items: Sequence[McqItem],
-               records: Sequence[RunRecord]) -> McqaScore:
-    """Accuracy (percent, averaged across run indices) and run consistency."""
+def _items_by_id(items: Sequence[McqItem],
+                 records: Sequence[RunRecord]) -> dict[str, McqItem]:
+    """Items by id, once item ids are unique and every record names a
+    distinct known item (a repeated record would weigh its item twice)."""
     by_id = {it.id: it for it in items}
     if len(by_id) != len(items):
         raise ValidationError("duplicate item ids")
+    answered = set()
     for r in records:
         if r.id not in by_id:
             raise ValidationError(f"record {r.id} references no known item")
+        if r.id in answered:
+            raise ValidationError(f"duplicate record for item {r.id}")
+        answered.add(r.id)
+    return by_id
 
+
+def score_mcqa(items: Sequence[McqItem],
+               records: Sequence[RunRecord]) -> McqaScore:
+    """Accuracy (percent, averaged across run indices) and run consistency."""
+    by_id = _items_by_id(items, records)
+    answered = {r.id for r in records}
     diagnostics = [f"item {it.id}: no record, excluded"
-                   for it in items
-                   if it.id not in {r.id for r in records}]
+                   for it in items if it.id not in answered]
     max_runs = max((len(r.runs) for r in records), default=0)
     per_run = []
     for run_idx in range(max_runs):
@@ -578,10 +579,7 @@ def calibration(items: Sequence[McqItem],
     """
     if bin_count < 1:
         raise ValidationError("bin_count must be >= 1")
-    by_id = {it.id: it for it in items}
-    for r in records:
-        if r.id not in by_id:
-            raise ValidationError(f"record {r.id} references no known item")
+    by_id = _items_by_id(items, records)
 
     samples = []       # (confidence, correct 0/1)
     diagnostics = []
@@ -719,34 +717,48 @@ def calibration_from_json(section: dict) -> CalibrationScore:
 # ---------------------------------------------------------------- file IO
 
 
+@contextmanager
+def _malformed(what: str, line_no: Optional[int] = None):
+    """Turn what a reader hits on a malformed document (bad JSON, a
+    missing key, a value of the wrong type, a number that is not a finite
+    rational) into a ParseError."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, AttributeError,
+            ArithmeticError) as exc:
+        raise ParseError(f"malformed {what}: {exc!r}", line_no) from exc
+
+
 def mcq_items_from_json(text: str) -> list[McqItem]:
     """Items from a JSON list of {id, question, options, correct}."""
-    doc = json.loads(text)
-    items = doc["items"] if isinstance(doc, dict) else doc
     out = []
-    for row in items:
-        out.append(McqItem(
-            id=str(row["id"]),
-            question=row["question"],
-            options=tuple(row["options"]),
-            correct_label=int(row["correct"])))
+    with _malformed("MCQ items"):
+        doc = json.loads(text)
+        items = doc["items"] if isinstance(doc, dict) else doc
+        for row in items:
+            out.append(McqItem(
+                id=str(row["id"]),
+                question=row["question"],
+                options=tuple(row["options"]),
+                correct_label=int(row["correct"])))
     return out
 
 
 def run_records_from_jsonl(text: str) -> list[RunRecord]:
     """Records from JSONL: one {id, runs: [...]} object per line."""
     out = []
-    for line in text.splitlines():
+    for line_no, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        doc = json.loads(line, parse_float=Fraction)
-        runs = tuple(
-            Run(answer=r.get("answer"),
-                confidence=r.get("confidence"),
-                latency_ms=r.get("latency_ms"),
-                raw_text=r.get("raw_text", ""))
-            for r in doc["runs"])
-        out.append(RunRecord(id=str(doc["id"]), runs=runs))
+        with _malformed("run record", line_no):
+            doc = json.loads(line, parse_float=Fraction)
+            runs = tuple(
+                Run(answer=r.get("answer"),
+                    confidence=r.get("confidence"),
+                    latency_ms=r.get("latency_ms"),
+                    raw_text=r.get("raw_text", ""))
+                for r in doc["runs"])
+            out.append(RunRecord(id=str(doc["id"]), runs=runs))
     return out
 
 
@@ -765,137 +777,12 @@ def prediction_to_json(ps: PredictionSet) -> str:
 
 
 def prediction_from_json(text: str) -> PredictionSet:
-    doc = json.loads(text, parse_float=Fraction)
-    flows = {
-        int(fid): FlowPrediction(Fraction(row["wcd_us"]),
-                                 None if row.get("confidence") is None
-                                 else Fraction(row["confidence"]))
-        for fid, row in doc["flows"].items()}
-    return PredictionSet(doc["testcase"], flows, doc["failure_mode"])
+    with _malformed("prediction"):
+        doc = json.loads(text, parse_float=Fraction)
+        flows = {
+            int(fid): FlowPrediction(Fraction(row["wcd_us"]),
+                                     None if row.get("confidence") is None
+                                     else Fraction(row["confidence"]))
+            for fid, row in doc["flows"].items()}
+        return PredictionSet(doc["testcase"], flows, doc["failure_mode"])
 
-
-# ------------------------------------------------------------- HTTP client
-
-
-@dataclass(frozen=True)
-class EndpointConfig:
-    """Where and how to reach a chat-completions endpoint."""
-
-    base_url: str
-    model: str
-    temperature: Optional[float] = None
-    timeout_s: float = 60.0
-    max_retries: int = 3
-    backoff_base_s: float = 0.5
-    credential_env: str = "TSNWCD_API_KEY"
-
-    def __post_init__(self):
-        if not self.base_url.startswith(("https://", "http://")):
-            raise ValidationError("base_url must be an http(s) URL")
-        if self.timeout_s <= 0:
-            raise ValidationError("timeout_s must be > 0")
-        if self.max_retries < 0:
-            raise ValidationError("max_retries must be >= 0")
-
-
-def endpoint_config_from_json(text: str) -> EndpointConfig:
-    doc = json.loads(text)
-    known = {f.name for f in EndpointConfig.__dataclass_fields__.values()}
-    extra = set(doc) - known
-    if extra:
-        raise ValidationError(f"unknown endpoint config keys: {sorted(extra)}")
-    return EndpointConfig(**doc)
-
-
-SYSTEM_TEXT = ("You are a precise engineering assistant. Answer exactly in "
-               "the format the task requests.")
-
-_TRANSIENT_STATUS = (408, 429)
-
-
-def fetch_completion(cfg: EndpointConfig, prompt: str,
-                     system_text: str = SYSTEM_TEXT) -> tuple[str, float]:
-    """POST one chat completion; returns (assistant text, latency ms).
-
-    Retries transient failures (timeouts, connection drops, HTTP 408/429/5xx)
-    with exponential backoff. Auth rejections and malformed payloads raise
-    immediately; a timeout that survives all retries raises
-    CompletionTimeout so callers can record the failure mode.
-    """
-    key = os.environ.get(cfg.credential_env)
-    if not key:
-        raise AuthError(
-            f"credential environment variable {cfg.credential_env} not set")
-    body = {
-        "model": cfg.model,
-        "messages": [
-            {"role": "system", "content": system_text},
-            {"role": "user", "content": prompt},
-        ],
-    }
-    if cfg.temperature is not None:
-        body["temperature"] = cfg.temperature
-    headers = {"Authorization": f"Bearer {key}",
-               "Content-Type": "application/json"}
-
-    import requests     # optional dependency: the "llm" extra
-
-    last_error: CompletionError = CompletionError("no attempt made")
-    for attempt in range(cfg.max_retries + 1):
-        if attempt:
-            time.sleep(cfg.backoff_base_s * 2 ** (attempt - 1))
-        start = time.monotonic()
-        try:
-            resp = requests.post(cfg.base_url, json=body, headers=headers,
-                                 timeout=cfg.timeout_s)
-        except requests.Timeout:
-            last_error = CompletionTimeout(
-                f"no response within {cfg.timeout_s}s")
-            continue
-        except requests.ConnectionError as exc:
-            last_error = CompletionError(f"connection failed: {exc}")
-            continue
-        latency_ms = (time.monotonic() - start) * 1000
-        if resp.status_code in (401, 403):
-            raise AuthError(f"endpoint rejected credential "
-                            f"(HTTP {resp.status_code})")
-        if resp.status_code in _TRANSIENT_STATUS or resp.status_code >= 500:
-            last_error = CompletionError(
-                f"transient HTTP {resp.status_code}")
-            continue
-        if resp.status_code != 200:
-            raise CompletionError(f"HTTP {resp.status_code}: {resp.text}")
-        try:
-            payload = resp.json()
-            text = payload["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError):
-            raise MalformedResponseError(
-                "response lacks choices[0].message.content")
-        if not isinstance(text, str):
-            raise MalformedResponseError("assistant content is not text")
-        return text, latency_ms
-    raise last_error
-
-
-def collect_predictions(cfg: EndpointConfig,
-                        testcases: Sequence[TestCase],
-                        concurrency: int = 4) -> dict[str, PredictionSet]:
-    """Prompt the endpoint for every test case with bounded concurrency.
-
-    A request that times out after all retries becomes a PredictionSet
-    with failure_mode timeout; other client errors propagate.
-    """
-    if concurrency < 1:
-        raise ValidationError("concurrency must be >= 1")
-
-    def one(tc: TestCase) -> PredictionSet:
-        prompt = build_open_prompt(tc, tc.mechanism)
-        try:
-            text, _ = fetch_completion(cfg, prompt)
-        except CompletionTimeout:
-            return PredictionSet(tc.name, {}, FAILURE_TIMEOUT)
-        return parse_prediction(text, tc)
-
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        results = list(pool.map(one, testcases))
-    return {ps.testcase: ps for ps in results}

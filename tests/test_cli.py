@@ -314,6 +314,36 @@ def test_report_metrics_not_json_is_domain_error(runner, tmp_path):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("command, name, text, fragment", [
+    ("score", "pred/TC2_pred.json", "{not json", "JSONDecodeError"),
+    ("score", "pred/TC2_pred.json",
+     '{"testcase": "TC2", "failure_mode": "ok"}', "KeyError('flows')"),
+    ("score", "pred/TC2_pred.json",
+     '{"testcase": "TC2", "failure_mode": "ok", "flows": []}',
+     "AttributeError"),
+    ("score", "truth/TC2_truth.json", "[1, 2", "JSONDecodeError"),
+    ("score-mcqa", "items.json",
+     '[{"id": "q0", "options": ["a", "b"], "correct": 0}]',
+     "KeyError('question')"),
+    ("score-mcqa", "runs.jsonl",
+     '{"id": "q0", "runs": [{"answer": "A"}]}\n{"id": "q1", "runs"\n',
+     "line 2"),
+], ids=["pred-not-json", "pred-without-flows", "pred-flows-not-object",
+        "truth-not-json", "item-without-question", "runs-line-not-json"])
+def test_score_malformed_file_is_domain_error(runner, tmp_path, command,
+                                              name, text, fragment):
+    truth_dir, pred_dir = write_fixture_score_dirs(tmp_path)
+    items, runs = write_mcqa_inputs(tmp_path)
+    (tmp_path / name).write_text(text)
+    out = tmp_path / "metrics.json"
+    args = (["score", "--truth-dir", str(truth_dir),
+             "--pred-dir", str(pred_dir)] if command == "score" else
+            ["score-mcqa", "--items", str(items), "--runs", str(runs)])
+    res = runner.invoke(main, args + ["--out", str(out)])
+    assert_clean_domain_error(res, str(tmp_path / name), fragment)
+    assert not out.exists()
+
+
 def test_config_file_supplies_defaults(runner, tmp_path):
     tc_dir = chain_tc_dir(tmp_path)
     cfg = tmp_path / "cfg.json"

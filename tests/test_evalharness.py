@@ -1,13 +1,11 @@
 """Scoring-harness tests: hand-checked metric fixtures, lenient parsing,
-calibration arithmetic, and a scripted HTTP stub for the client."""
+calibration arithmetic, the file readers, and the package's dependency
+set."""
 import json
 import os
-import socket
 import subprocess
 import sys
-import threading
 from fractions import Fraction as F
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -15,13 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from tsnwcd import evalharness as ev
 from tsnwcd import cqf, testgen
-from tsnwcd.errors import (
-    AuthError,
-    CompletionError,
-    CompletionTimeout,
-    MalformedResponseError,
-    ValidationError,
-)
+from tsnwcd.errors import ValidationError
 from tsnwcd.minplus import frac
 from tsnwcd.netmodel import (
     ES,
@@ -335,6 +327,12 @@ def test_mcqa_missing_item_excluded_with_diagnostic():
 def test_mcqa_unknown_record_rejected():
     with pytest.raises(ValidationError):
         ev.score_mcqa(items3(), [rec("mystery", "A")])
+    # a second record for q0 would weigh that item twice
+    repeated = [rec("q0", "A", F(1)), rec("q0", "A", F(1)),
+                rec("q1", "B", F(1))]
+    for score in (ev.score_mcqa, ev.calibration):
+        with pytest.raises(ValidationError, match="duplicate record"):
+            score(items3(), repeated)
 
 
 def test_run_record_bounds():
@@ -549,158 +547,23 @@ def test_mcq_items_json():
     assert item == ev.McqItem("7", "pick", ("a", "b"), 1)
 
 
-# HTTP client against a scripted stub
+# dependency set
 
 
-class _StubHandler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        self.server.requests.append(json.loads(self.rfile.read(length)))
-        step = self.server.script.pop(0) if self.server.script else ("ok", "")
-        kind, arg = step
-        if kind == "status":
-            body = b"{}"
-            self.send_response(arg)
-        elif kind == "raw":
-            body = arg.encode()
-            self.send_response(200)
-        else:
-            body = json.dumps(
-                {"choices": [{"message": {"content": arg}}]}).encode()
-            self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    server.script = []
-    server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield server
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
-def cfg_for(server, **kw):
-    kw.setdefault("backoff_base_s", 0.0)
-    return ev.EndpointConfig(
-        base_url=f"http://127.0.0.1:{server.server_address[1]}/v1/chat",
-        model="test-model", **kw)
-
-
-def test_requests_is_imported_lazily():
-    # the HTTP client's dependency is optional: loading the package and
-    # its CLI must not need it
-    code = ("import sys, tsnwcd.cli, tsnwcd.evalharness; "
-            "sys.exit('requests' in sys.modules)")
+def test_package_imports_without_test_dependencies():
+    # click is the only runtime dependency: every module loads with
+    # requests and the test extras blocked
+    code = ("import importlib, pkgutil, sys\n"
+            "for m in ('requests', 'numpy', 'hypothesis'):\n"
+            "    sys.modules[m] = None\n"
+            "import tsnwcd\n"
+            "for mod in pkgutil.iter_modules(tsnwcd.__path__):\n"
+            "    importlib.import_module('tsnwcd.' + mod.name)\n"
+            "    print(mod.name)\n")
     src = str(Path(ev.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code], env=env,
-                          timeout=60).returncode == 0
-
-
-def test_fetch_roundtrip(stub_server, monkeypatch):
-    monkeypatch.setenv("TSNWCD_API_KEY", "sekrit")
-    stub_server.script = [("ok", "the answer text")]
-    text, latency = ev.fetch_completion(cfg_for(stub_server), "hello")
-    assert text == "the answer text"
-    assert latency > 0
-    sent = stub_server.requests[0]
-    assert sent["model"] == "test-model"
-    assert [m["role"] for m in sent["messages"]] == ["system", "user"]
-    assert sent["messages"][1]["content"] == "hello"
-    assert "temperature" not in sent
-
-
-def test_fetch_temperature_passthrough(stub_server, monkeypatch):
-    monkeypatch.setenv("TSNWCD_API_KEY", "k")
-    stub_server.script = [("ok", "x")]
-    ev.fetch_completion(cfg_for(stub_server, temperature=0.2), "p")
-    assert stub_server.requests[0]["temperature"] == 0.2
-
-
-def test_fetch_retries_through_429(stub_server, monkeypatch):
-    monkeypatch.setenv("TSNWCD_API_KEY", "k")
-    stub_server.script = [("status", 429), ("status", 429), ("ok", "done")]
-    text, _ = ev.fetch_completion(cfg_for(stub_server, max_retries=3), "p")
-    assert text == "done"
-    assert len(stub_server.requests) == 3
-
-
-def test_fetch_transient_budget_exhausted(stub_server, monkeypatch):
-    monkeypatch.setenv("TSNWCD_API_KEY", "k")
-    stub_server.script = [("status", 503)] * 3
-    with pytest.raises(CompletionError):
-        ev.fetch_completion(cfg_for(stub_server, max_retries=2), "p")
-
-
-def test_fetch_auth_failures(stub_server, monkeypatch):
-    monkeypatch.delenv("TSNWCD_API_KEY", raising=False)
-    with pytest.raises(AuthError):
-        ev.fetch_completion(cfg_for(stub_server), "p")
-    assert not stub_server.requests                 # no credential, no call
-    monkeypatch.setenv("TSNWCD_API_KEY", "bad")
-    stub_server.script = [("status", 401)]
-    with pytest.raises(AuthError):
-        ev.fetch_completion(cfg_for(stub_server, max_retries=5), "p")
-    assert len(stub_server.requests) == 1           # no retry on auth
-
-
-def test_fetch_malformed_payload(stub_server, monkeypatch):
-    monkeypatch.setenv("TSNWCD_API_KEY", "k")
-    stub_server.script = [("raw", '{"unexpected": 1}')]
-    with pytest.raises(MalformedResponseError):
-        ev.fetch_completion(cfg_for(stub_server), "p")
-
-
-def test_fetch_timeout_after_retries(monkeypatch):
-    monkeypatch.setenv("TSNWCD_API_KEY", "k")
-    # a local listener that never answers: every attempt times out
-    with socket.create_server(("127.0.0.1", 0)) as silent:
-        port = silent.getsockname()[1]
-        cfg = ev.EndpointConfig(base_url=f"http://127.0.0.1:{port}/v1/chat",
-                                model="m", timeout_s=0.2, max_retries=1,
-                                backoff_base_s=0.0)
-        with pytest.raises(CompletionTimeout):
-            ev.fetch_completion(cfg, "p")
-
-
-def test_collect_predictions_records_timeout(monkeypatch):
-    cbs_tc = tiny_tc("TCA", n_flows=2)
-    other = tiny_tc("TCB", n_flows=2)
-
-    def fake_fetch(cfg, prompt, system_text=ev.SYSTEM_TEXT):
-        if "TCA" in prompt:
-            raise CompletionTimeout("slow")
-        return '{"F0": 5, "F1": 6}', 10.0
-
-    monkeypatch.setattr(ev, "fetch_completion", fake_fetch)
-    cfg = ev.EndpointConfig(base_url="http://127.0.0.1:1/x", model="m")
-    got = ev.collect_predictions(cfg, [cbs_tc, other], concurrency=2)
-    assert got["TCA"].failure_mode == "timeout"
-    assert got["TCB"].failure_mode == "ok"
-    assert got["TCB"].per_flow[1].wcd == F(6)
-
-
-def test_endpoint_config_validation():
-    with pytest.raises(ValidationError):
-        ev.EndpointConfig(base_url="ftp://x", model="m")
-    with pytest.raises(ValidationError):
-        ev.EndpointConfig(base_url="https://x", model="m", timeout_s=0)
-    with pytest.raises(ValidationError):
-        ev.endpoint_config_from_json(
-            '{"base_url": "https://x", "model": "m", "api_key": "inline"}')
-    cfg = ev.endpoint_config_from_json(
-        '{"base_url": "https://api.example/v1/chat", "model": "m", '
-        '"temperature": 0.1, "credential_env": "OTHER_KEY"}')
-    assert cfg.credential_env == "OTHER_KEY"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert {"cli", "cbs", "cqf", "evalharness", "minplus", "netmodel",
+            "sim", "testgen"} <= set(done.stdout.split())
