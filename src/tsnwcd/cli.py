@@ -232,10 +232,14 @@ def prompt(tc_dir, mechanism, out_path):
 def score(truth_dir, pred_dir, out_path):
     """Score per-flow delay predictions against ground truth."""
     def body():
-        truths = {}
+        truths, source = {}, {}
         for path in sorted(Path(truth_dir).glob("*_truth.json")):
             name, flows = _read(evalharness.truth_from_json, path)
-            truths[name] = flows
+            if name in truths:
+                raise ValidationError(
+                    f"test case {name!r} has two truth files: "
+                    f"{source[name]} and {path}")
+            truths[name], source[name] = flows, path
         preds = [_read(evalharness.prediction_from_json, p)
                  for p in sorted(Path(pred_dir).glob("*.json"))]
         if not preds:

@@ -1,4 +1,4 @@
-"""Event-driven shaper simulator for CBS and CQF egress ports.
+"""Shaper simulator for CBS and CQF egress ports.
 
 The simulator is the empirical oracle for the analytical bounds: observed
 end-to-end delays must never exceed them.  Time and credit are exact
@@ -6,22 +6,44 @@ integers.  Each run picks one tick of 1/den us for its inputs, den being the
 least common multiple of the denominators of every duration the run can
 produce (constants, horizon, cycle, periods, phases, frame transmission
 times and CBS credit recovery times), and one credit unit of 1/scale bits
-that makes every slope a whole number of units per tick.  The event loops
-then work on Python ints; values turn back into Fraction only where they
-leave the simulator (reports, traces, transmissions, error messages).  The
-event queue breaks ties deterministically (arrivals, then transmission
-completions, then credit wakeups; among flows by ascending id), and for a
+that makes every slope a whole number of units per tick.  The loops then
+work on Python ints; values turn back into Fraction only where they leave
+the simulator (reports, traces, transmissions, error messages).  For a
 fixed (test case, config, seed) the report is bit-identical across runs.
 
-The CBS event loop schedules only events that can change what happens
-next.  A port saturated with best effort sends one run of back-to-back MTU
-frames, not an event per frame: the run keeps its start tick, its frames end
-at start + k * be_tx, and it has at most one pending end event, pushed only
-while a class frame waits, at the first of those boundaries at which a
-waiting queue is eligible or at the first at or past the horizon.  A credit
-recovering with an empty queue schedules no wakeup: the next update of the
-queue pegs it at zero at the exact tick it got there, and traced ports are
-settled once after the loop.
+A network CBS port has one FIFO credit queue and, at most, a saturating
+best-effort source, so nothing that reaches a port after a frame can change
+when that frame starts (Lindley's single-server recursion).  simulate_cbs
+therefore fixes a frame's start the moment it pops off the heap at a port,
+and the heap holds arrivals only, one entry per frame-hop.  Each port keeps
+the end tick and end credit of its last scheduled frame; the start of a new
+frame is a closed form of those and its arrival.  Queued behind that frame,
+it inherits the end credit; arriving later, it finds the credit reset to
+zero or recovering towards it.  It is eligible once the credit is >= 0.  A
+saturating source sends a run of back-to-back MTU frames from the end of
+each class frame (or from 0) until the first boundary at or past the
+horizon, and an eligible frame waits for the first of the run's frame
+boundaries at or after it became eligible.  Credit-trace records of a frame
+are written when it is scheduled; those of its transmission end wait until
+the next frame at the port (or the end of the simulation) shows whether a
+frame was queued behind it.
+
+The heap orders entries by (tick, batch, port, flow, seq, hop).  With a
+positive propagation plus switching delay every batch is 1.  Without one, a
+frame can reach the next port at the tick it starts, and the batch keeps the
+order of a loop that lets every event of an instant settle before any port
+picks its next frame: an entry pushed from a start at its own arrival tick
+gets the arrival's batch + 1, one pushed from a later start gets 2.  A frame
+is queued behind its predecessor when it arrives before that frame ends, or
+at its end tick in batch 1; one arriving at the tick a best-effort run
+started in a later batch waits at least one best-effort frame.
+
+simulate_port drives one port with several credit queues and explicit
+best-effort frames through an event loop (arrivals, then transmission
+completions, then credit wakeups at each instant; among flows by ascending
+id).  A credit recovering with an empty queue schedules no wakeup: the next
+update of the queue pegs it at zero at the exact tick it got there, and the
+port is settled once after the loop.
 
 Conventions shared with the analytical modules: cut-through forwarding
 enqueues a frame at the next switch one propagation plus one switching
@@ -60,7 +82,6 @@ _POLICIES = (RELEASE_SYNCHRONIZED, RELEASE_JITTERED)
 _RANK_ARRIVE = 0
 _RANK_TX_END = 1
 _RANK_WAKE = 2
-_DELIVERY_PORT = 10 ** 9
 _BE_CLS = -1
 _NO_FLOW = -1
 
@@ -157,21 +178,15 @@ class _CbsPort:
     and slopes credit units.
     """
 
-    def __init__(self, idx, key, slopes, be_tx, traced):
+    def __init__(self, idx, slopes):
         self.idx = idx
-        self.key = key
         self.queues = [_Queue(a, b) for a, b in slopes]
         self.be_fifo = deque()            # (duration, tag)
-        self.be_tx = be_tx                # synthetic saturating frame, or None
-        self.traced = traced
         self.busy = None                  # (cls, flow, seq, hop) or (None,) for BE
-        self.run = None                   # saturating run: (start, stop) ticks
-        self.be_end = None                # pending BE end event: (t, serial)
         self.trace = []                   # (t, cls, credit)
 
     def _emit(self, t, cls):
-        if self.traced:
-            self.trace.append((t, cls, self.queues[cls].credit))
+        self.trace.append((t, cls, self.queues[cls].credit))
 
     def _set_slope(self, t, cls, slope):
         q = self.queues[cls]
@@ -212,19 +227,17 @@ class _CbsPort:
 
 
 class _CbsEngine:
-    """Shared event loop; on_start wires transmissions into the network and
-    returns the transmission duration."""
+    """Event loop of simulate_port; on_start wires a class transmission
+    into the caller and returns its duration, on_be_start is told of each
+    best-effort one."""
 
-    def __init__(self, ports, on_start: Callable, horizon=None,
+    def __init__(self, ports, on_start: Callable,
                  on_be_start: Optional[Callable] = None):
         self.ports = ports
         self.on_start = on_start
         self.on_be_start = on_be_start
-        self.horizon = horizon
         self.heap = []
-        self.deliveries = []              # (t, flow, seq)
         self.be_payload = {}              # (flow, seq) -> (duration, tag)
-        self._serial = 0
 
     def push(self, entry):
         heapq.heappush(self.heap, entry)
@@ -238,9 +251,6 @@ class _CbsEngine:
             touched = []
             while heap and heap[0][0] == t:
                 _, rank, pidx, cls, flow, seq, hop = heapq.heappop(heap)
-                if pidx == _DELIVERY_PORT:
-                    self.deliveries.append((t, flow, seq))
-                    continue
                 port = ports[pidx]
                 if rank == _RANK_ARRIVE:
                     if cls == _BE_CLS:
@@ -248,8 +258,6 @@ class _CbsEngine:
                     else:
                         port.enqueue(t, cls, (flow, seq, hop))
                 elif rank == _RANK_TX_END:
-                    if flow == _NO_FLOW and port.be_end != (t, -seq):
-                        continue              # superseded run end
                     self._tx_end(port, t)
                 else:
                     port._update(t, cls)
@@ -264,7 +272,6 @@ class _CbsEngine:
         cls = port.busy[0]
         port.busy = None
         if cls is None:
-            port.run = port.be_end = None
             return                        # best-effort frame, no credit
         q = port.queues[cls]
         port._update(t, cls)
@@ -281,39 +288,7 @@ class _CbsEngine:
         else:
             port._set_slope(t, cls, 0)
 
-    def _end_be_at(self, port, t):
-        self._serial += 1
-        port.be_end = (t, self._serial)
-        self.push((t, _RANK_TX_END, port.idx, 0, _NO_FLOW, -self._serial, 0))
-
-    def _run_ends(self, port, t):
-        """Whether the saturating run ends at t, a frame boundary at which a
-        waiting queue is eligible or the run's stop.  Otherwise schedules
-        its end at the first such boundary, if a class frame waits."""
-        start, stop = port.run
-        if t >= stop:
-            return True
-        ready = None
-        for q in port.queues:
-            if q.fifo:
-                at = t if q.credit >= 0 else q.t0 - q.credit // q.idle
-                ready = at if ready is None else min(ready, at)
-        if ready is None:
-            return False
-        be = port.be_tx
-        frames = max(1, -((start - max(ready, t)) // be))
-        end = min(start + frames * be, stop)
-        if end == t:
-            return True
-        if port.be_end is None or end < port.be_end[0]:
-            self._end_be_at(port, end)
-        return False
-
     def _kick(self, port, t):
-        if port.run is not None:
-            if not self._run_ends(port, t):
-                return
-            port.busy = port.run = port.be_end = None
         if port.busy is not None:
             return
         for cls, q in enumerate(port.queues):
@@ -326,17 +301,8 @@ class _CbsEngine:
         if port.be_fifo:
             duration, tag = port.be_fifo.popleft()
             port.busy = (None,)
-            self._end_be_at(port, t + duration)
-            if self.on_be_start is not None:
-                self.on_be_start(port, t, tag, duration)
-            return
-        if port.be_tx is not None and t < self.horizon:
-            # the run's frames end at t + k * be_tx; it stops at the first
-            # such boundary at or past the horizon
-            be = port.be_tx
-            port.busy = (None,)
-            port.run = (t, t - (t - self.horizon) // be * be)
-            self._run_ends(port, t)
+            self.push((t + duration, _RANK_TX_END, port.idx, 0, _NO_FLOW, 0, 0))
+            self.on_be_start(port, t, tag, duration)
             return
         # idle: every waiting queue must be credit-blocked (work conservation)
         for cls, q in enumerate(port.queues):
@@ -439,7 +405,8 @@ def _fold_deliveries(tc, cfg, grid, deliveries, release_of):
 # network-level CBS simulation
 
 def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
-    """Event-driven credit-based shaper run; reports max delay per flow."""
+    """Credit-based shaper run; reports max delay per flow.  Each frame's
+    start at a port is fixed when it arrives there (module docstring)."""
     tc.require(CBS)
     used = {p for r in tc.routes for p in r.ports}
     for port in cfg.trace_ports:
@@ -462,44 +429,104 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
     grid = _Grid(durations, (idle, send))
 
     port_keys, first, nxt = _port_tables(tc)
-    slopes = [(grid.slope(idle), grid.slope(send))]
+    idle, send = grid.slope(idle), grid.slope(send)   # units per tick
     be = grid.ticks(be_tx) if cfg.be_saturate else None
-    ports = [_CbsPort(i, k, slopes, be, k in cfg.trace_ports)
-             for i, k in enumerate(port_keys)]
+    horizon = grid.ticks(cfg.horizon)
     tx_t = {fid: grid.ticks(d) for fid, d in tx.items()}
+    spent = {fid: send * d for fid, d in tx_t.items()}
     hop_t = grid.ticks(consts.propagation + consts.switching)
     prop_t = grid.ticks(consts.propagation)
 
-    def on_start(port, t, cls, item):
-        flow, seq, hop = item
-        pidx = nxt[flow][hop]
-        if pidx is None:
-            eng.push((t + tx_t[flow] + prop_t, _RANK_ARRIVE, _DELIVERY_PORT,
-                      0, flow, seq, hop + 1))
-        else:
-            eng.push((t + hop_t, _RANK_ARRIVE, pidx, 0, flow, seq, hop + 1))
-        return tx_t[flow]
+    # per port: end tick and end credit of the last scheduled frame, and
+    # the start of the best-effort run after it (None: no run)
+    n = len(port_keys)
+    end = [-1] * n
+    credit = [0] * n
+    run = [0 if be is not None else None] * n
+    records = [[] if k in cfg.trace_ports else None for k in port_keys]
 
-    eng = _CbsEngine(ports, on_start, grid.ticks(cfg.horizon))
-    if cfg.be_saturate:
-        # wake every port at t=0 so the background source starts immediately
-        for p in ports:
-            eng.push((0, _RANK_WAKE, p.idx, 0, _NO_FLOW, -1, 0))
+    heap = []
+    push, pop = heapq.heappush, heapq.heappop
     release_of = {}
     for r, f, seq in _releases(tc, cfg, grid, phases):
         release_of[(f.id, seq)] = r
-        eng.push((r, _RANK_ARRIVE, first[f.id], 0, f.id, seq, 0))
-    eng.run()
+        push(heap, (r, 1, first[f.id], f.id, seq, 0))
+    deliveries = []
+    while heap:
+        t, batch, p, flow, seq, hop = pop(heap)
+        e, c = end[p], credit[p]
+        behind = t < e or (t == e and batch == 1)
+        if behind and c >= 0:
+            start = e                     # starts the moment e ends
+            c_start = c
+        else:
+            if behind:
+                ready = e + _exact_div(-c, idle)
+            elif c < 0:
+                ready = max(t, e + _exact_div(-c, idle))
+            else:
+                ready = t                 # credit reset to zero at e
+            start = ready
+            s0 = run[p]
+            if s0 is not None:
+                # the first run boundary at or after ready, or the run's
+                # stop, the first boundary at or past the horizon; a frame
+                # reaching the port in a later batch of the run's first
+                # tick finds its first best-effort frame already sent
+                frames = -((s0 - ready) // be)
+                if frames == 0 and batch > 1:
+                    frames = 1
+                to_stop = -((s0 - horizon) // be)
+                start = max(ready, s0 + min(frames, to_stop) * be)
+            c_start = idle * (start - ready)
+        rec = records[p]
+        if rec is not None:
+            # the last frame's end; with nothing queued behind it a
+            # positive credit drops to zero there
+            if e >= 0:
+                rec.append((e, c))
+                if not behind and c > 0:
+                    rec += ((e, 0), (e, 0))
+            # into an empty queue: the credit starts to rise at t, pegged at
+            # zero first if it got there before t
+            if not behind:
+                if c >= 0:
+                    rec.append((t, 0))
+                elif t >= (cross := e + _exact_div(-c, idle)):
+                    rec += ((cross, 0), (t, 0))
+            rec.append((start, c_start))
+        fin = start + tx_t[flow]
+        end[p] = fin
+        credit[p] = c_start + spent[flow]
+        run[p] = fin if be is not None and fin < horizon else None
+        nxt_p = nxt[flow][hop]
+        if nxt_p is None:
+            deliveries.append((fin + prop_t, flow, seq))
+        elif hop_t:
+            push(heap, (start + hop_t, 1, nxt_p, flow, seq, hop + 1))
+        else:
+            push(heap, (start, (batch if start == t else 1) + 1, nxt_p,
+                        flow, seq, hop + 1))
 
-    max_delay, counts = _fold_deliveries(tc, cfg, grid, eng.deliveries,
+    max_delay, counts = _fold_deliveries(tc, cfg, grid, deliveries,
                                          release_of)
     trace = None
     if cfg.trace_ports:
-        for p in ports:
-            if p.traced:
-                p.settle()
-        raw = [(t, p.key, c) for p in ports for t, _cls, c in p.trace]
-        raw.sort(key=lambda e: (e[0], e[1]))
+        raw = []
+        for p, rec in enumerate(records):
+            if rec is None:
+                continue
+            # the last frame's end, and where its credit gets back to zero
+            e, c = end[p], credit[p]
+            if e >= 0:
+                rec.append((e, c))
+                if c > 0:
+                    rec += ((e, 0), (e, 0))
+                elif c < 0:
+                    rec.append((e + _exact_div(-c, idle), 0))
+            key = port_keys[p]
+            raw += [(tick, key, units) for tick, units in rec]
+        raw.sort(key=lambda r: (r[0], r[1]))
         trace = [(grid.us(t), key, grid.bits(c)) for t, key, c in raw]
     return SimReport(tc.name, CBS, cfg.seed, cfg.horizon, cfg.release_policy,
                      max_delay, counts, trace)
@@ -525,9 +552,7 @@ def simulate_port(frames, rate, slopes):
     durations += [d * -slopes[cls][1] / slopes[cls][0]
                   for _, cls, d, _ in frames if cls is not None]
     grid = _Grid(durations, [s for pair in slopes for s in pair])
-    port = _CbsPort(0, ("port", "out"),
-                    [(grid.slope(a), grid.slope(b)) for a, b in slopes],
-                    None, True)
+    port = _CbsPort(0, [(grid.slope(a), grid.slope(b)) for a, b in slopes])
     transmissions = []
     meta = {}
 

@@ -7,12 +7,21 @@ CBS aggregate oracle builds a port's arrival curve with the general min-plus
 operations (themselves checked against the pointwise oracles), independently
 of the breakpoint-list evaluator in cbs.  Exact Fractions throughout, so
 agreement checks against the implementation can use ==.
+
+The reference CBS network engine is the event loop simulate_cbs ran before
+it fixed each frame's start at its arrival: arrivals, transmission ends,
+credit wakeups, best-effort run ends and deliveries are all heap events.
+reference_simulate_cbs must give the same report and credit-trace bytes.
 """
+import heapq
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from tsnwcd import sim
 from tsnwcd.minplus import Curve, CurveLike, as_curve, min_of, sum_of
+from tsnwcd.netmodel import CBS, MTU_BYTES, frame_bits
 
 
 def pw_value(triples, t):
@@ -127,3 +136,188 @@ def aggregate_arrival(groups: Sequence[SourceGroup]) -> Curve:
             acc = min_of(acc, g.cbs_shaping)
         total = sum_of(total, acc)
     return total
+
+
+# reference CBS network engine
+
+_DELIVERY_PORT = 10 ** 9
+
+
+class RunPort(sim._CbsPort):
+    """A CBS port whose best-effort queue is a saturating source of be_tx
+    tick frames, sent as runs: a run keeps its start tick, its frames end
+    at start + k * be_tx, and it has at most one pending end event."""
+
+    def __init__(self, idx, key, slopes, be_tx, traced):
+        super().__init__(idx, slopes)
+        self.key = key
+        self.be_tx = be_tx                # frame ticks, or None: no source
+        self.traced = traced
+        self.run = None                   # (start, stop) ticks
+        self.be_end = None                # pending run end: (t, serial)
+
+    def _emit(self, t, cls):
+        if self.traced:
+            super()._emit(t, cls)
+
+
+class ReferenceEngine(sim._CbsEngine):
+    """The shared event loop plus saturating runs and delivery events."""
+
+    def __init__(self, ports, on_start, horizon):
+        super().__init__(ports, on_start)
+        self.horizon = horizon
+        self.deliveries = []              # (t, flow, seq)
+        self._serial = 0
+
+    def run(self):
+        heap, ports = self.heap, self.ports
+        while heap:
+            t = heap[0][0]
+            touched = []
+            while heap and heap[0][0] == t:
+                _, rank, pidx, cls, flow, seq, hop = heapq.heappop(heap)
+                if pidx == _DELIVERY_PORT:
+                    self.deliveries.append((t, flow, seq))
+                    continue
+                port = ports[pidx]
+                if rank == sim._RANK_ARRIVE:
+                    port.enqueue(t, cls, (flow, seq, hop))
+                elif rank == sim._RANK_TX_END:
+                    if flow == sim._NO_FLOW and port.be_end != (t, -seq):
+                        continue              # superseded run end
+                    self._tx_end(port, t)
+                else:
+                    port._update(t, cls)
+                if pidx not in touched:
+                    touched.append(pidx)
+            if len(touched) > 1:
+                touched.sort()
+            for pidx in touched:
+                self._kick(ports[pidx], t)
+
+    def _tx_end(self, port, t):
+        if port.busy[0] is None:
+            port.busy = port.run = port.be_end = None
+            return
+        super()._tx_end(port, t)
+
+    def _end_be_at(self, port, t):
+        self._serial += 1
+        port.be_end = (t, self._serial)
+        self.push((t, sim._RANK_TX_END, port.idx, 0, sim._NO_FLOW,
+                   -self._serial, 0))
+
+    def _run_ends(self, port, t):
+        """Whether the saturating run ends at t, a frame boundary at which a
+        waiting queue is eligible or the run's stop.  Otherwise schedules
+        its end at the first such boundary, if a class frame waits."""
+        start, stop = port.run
+        if t >= stop:
+            return True
+        ready = None
+        for q in port.queues:
+            if q.fifo:
+                at = t if q.credit >= 0 else q.t0 - q.credit // q.idle
+                ready = at if ready is None else min(ready, at)
+        if ready is None:
+            return False
+        be = port.be_tx
+        frames = max(1, -((start - max(ready, t)) // be))
+        end = min(start + frames * be, stop)
+        if end == t:
+            return True
+        if port.be_end is None or end < port.be_end[0]:
+            self._end_be_at(port, end)
+        return False
+
+    def _kick(self, port, t):
+        if port.run is not None:
+            if not self._run_ends(port, t):
+                return
+            port.busy = port.run = port.be_end = None
+        if port.busy is not None:
+            return
+        for cls, q in enumerate(port.queues):
+            if not q.fifo:
+                continue
+            port._update(t, cls)
+            if q.credit >= 0:
+                self._start(port, t, cls, q.fifo.popleft())
+                return
+        if port.be_tx is not None and t < self.horizon:
+            # the run's frames end at t + k * be_tx; it stops at the first
+            # such boundary at or past the horizon
+            be = port.be_tx
+            port.busy = (None,)
+            port.run = (t, t - (t - self.horizon) // be * be)
+            self._run_ends(port, t)
+            return
+        for cls, q in enumerate(port.queues):
+            if q.fifo:
+                assert q.credit < 0, "port idled with an eligible queue"
+                self.push((t + sim._exact_div(-q.credit, q.idle),
+                           sim._RANK_WAKE, port.idx, cls, sim._NO_FLOW, -1, 0))
+
+
+def reference_simulate_cbs(tc, cfg):
+    """simulate_cbs on the reference engine: same report, same trace."""
+    tc.require(CBS)
+    if not tc.flows:
+        return sim._empty_report(tc, cfg)
+    phases = sim._phases(tc, cfg, random.Random(cfg.seed))
+    consts = tc.constants
+    C = consts.link_rate
+    idle = consts.idle_slope_fraction * C
+    send = idle - C
+    tx = {f.id: frame_bits(f, consts) / C for f in tc.flows}
+    be_tx = Fraction((MTU_BYTES + consts.frame_overhead) * 8) / C
+    durations = sim._grid_durations(tc, cfg, phases, tx)
+    durations += [d * -send / idle for d in tx.values()]
+    if cfg.be_saturate:
+        durations.append(be_tx)
+    grid = sim._Grid(durations, (idle, send))
+
+    port_keys, first, nxt = sim._port_tables(tc)
+    slopes = [(grid.slope(idle), grid.slope(send))]
+    be = grid.ticks(be_tx) if cfg.be_saturate else None
+    ports = [RunPort(i, k, slopes, be, k in cfg.trace_ports)
+             for i, k in enumerate(port_keys)]
+    tx_t = {fid: grid.ticks(d) for fid, d in tx.items()}
+    hop_t = grid.ticks(consts.propagation + consts.switching)
+    prop_t = grid.ticks(consts.propagation)
+
+    def on_start(port, t, cls, item):
+        flow, seq, hop = item
+        pidx = nxt[flow][hop]
+        if pidx is None:
+            eng.push((t + tx_t[flow] + prop_t, sim._RANK_ARRIVE,
+                      _DELIVERY_PORT, 0, flow, seq, hop + 1))
+        else:
+            eng.push((t + hop_t, sim._RANK_ARRIVE, pidx, 0, flow, seq,
+                      hop + 1))
+        return tx_t[flow]
+
+    eng = ReferenceEngine(ports, on_start, grid.ticks(cfg.horizon))
+    if cfg.be_saturate:
+        # wake every port at t=0 so the background source starts immediately
+        for p in ports:
+            eng.push((0, sim._RANK_WAKE, p.idx, 0, sim._NO_FLOW, -1, 0))
+    release_of = {}
+    for r, f, seq in sim._releases(tc, cfg, grid, phases):
+        release_of[(f.id, seq)] = r
+        eng.push((r, sim._RANK_ARRIVE, first[f.id], 0, f.id, seq, 0))
+    eng.run()
+
+    max_delay, counts = sim._fold_deliveries(tc, cfg, grid, eng.deliveries,
+                                             release_of)
+    trace = None
+    if cfg.trace_ports:
+        for p in ports:
+            if p.traced:
+                p.settle()
+        raw = [(t, p.key, c) for p in ports for t, _cls, c in p.trace]
+        raw.sort(key=lambda e: (e[0], e[1]))
+        trace = [(grid.us(t), key, grid.bits(c)) for t, key, c in raw]
+    return sim.SimReport(tc.name, CBS, cfg.seed, cfg.horizon,
+                         cfg.release_policy, max_delay, counts, trace)

@@ -344,6 +344,33 @@ def test_score_malformed_file_is_domain_error(runner, tmp_path, command,
     assert not out.exists()
 
 
+def test_score_two_truth_files_for_one_testcase_is_domain_error(runner,
+                                                                 tmp_path):
+    # B_truth.json names TC1 again with doubled bounds; it used to replace
+    # A_truth.json silently, scoring a prediction equal to A at MAE 443.
+    truth_dir, pred_dir = tmp_path / "truth", tmp_path / "pred"
+    truth_dir.mkdir()
+    pred_dir.mkdir()
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    doc = json.loads((corpus / "truth" / "TC1_truth.json").read_text())
+    (truth_dir / "A_truth.json").write_text(json.dumps(doc))
+    (pred_dir / "TC1_pred.json").write_text(json.dumps(
+        {"testcase": "TC1", "failure_mode": "ok",
+         "flows": {str(row["id"]): {"wcd_us": row["wcd_us"],
+                                    "confidence": None}
+                   for row in doc["flows"]}}))
+    for row in doc["flows"]:
+        row["wcd_us"] *= 2
+    (truth_dir / "B_truth.json").write_text(json.dumps(doc))
+    out = tmp_path / "metrics.json"
+    res = runner.invoke(main, ["score", "--truth-dir", str(truth_dir),
+                               "--pred-dir", str(pred_dir),
+                               "--out", str(out)])
+    assert_clean_domain_error(res, "'TC1'", str(truth_dir / "A_truth.json"),
+                              str(truth_dir / "B_truth.json"))
+    assert not out.exists()
+
+
 def test_config_file_supplies_defaults(runner, tmp_path):
     tc_dir = chain_tc_dir(tmp_path)
     cfg = tmp_path / "cfg.json"

@@ -7,6 +7,7 @@ import hashlib
 import heapq
 import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from tsnwcd import cbs, cqf, sim
 from tsnwcd.errors import CapacityError, HorizonError, ValidationError
 from tsnwcd.minplus import frac
@@ -318,7 +320,7 @@ def test_trace_port_must_carry_a_route():
         sim.credit_trace(tc, sim.SimConfig(horizon=F(25000)), ("s1", "h1"))
 
 
-# event counts: a stand-in for the simulator's heapq records every push
+# heap counts: a stand-in for the simulator's heapq records every push
 
 
 class CountingHeap:
@@ -333,19 +335,48 @@ class CountingHeap:
         return getattr(heapq, name)
 
 
+def assert_one_push_per_frame_hop(tc, report, pushed):
+    """Every heap entry is a frame's arrival at a port on its route: no
+    wakeup, transmission-end or delivery entries, and one per frame-hop."""
+    keys = sorted({p for r in tc.routes for p in r.ports})
+    hops = sorted((flow, seq, hop) for _t, _b, _p, flow, seq, hop in pushed)
+    assert hops == sorted(
+        (fid, seq, hop) for fid, n in report.per_flow_frame_count.items()
+        for seq in range(n) for hop in range(tc.route_for(fid).link_count))
+    for _t, _b, p, flow, _seq, hop in pushed:
+        assert keys[p] == tc.route_for(flow).ports[hop]
+
+
 @pytest.mark.parametrize("horizon", [25000, 250000])
 def test_saturated_run_pushes_scale_with_frames_not_blockers(
         monkeypatch, horizon):
     # At 123.36us per MTU blocker the longer horizon holds about 4000
-    # blockers across the two ports; none of them is an event of its own.
+    # blockers across the two ports; none of them is a heap entry.
     tc = star_tc([("h1", "h2", 2500, 965)])
     heap = CountingHeap()
     monkeypatch.setattr(sim, "heapq", heap)
     report = sim.simulate_cbs(tc, sim.SimConfig(horizon=F(horizon),
                                                 be_saturate=True))
-    frames, hops, ports = report.per_flow_frame_count[0], 2, 2
+    frames, hops = report.per_flow_frame_count[0], 2
     assert frames == horizon // 2500 - 1
-    assert len(heap.pushed) <= 4 * (frames * hops + ports)
+    assert len(heap.pushed) == frames * hops
+    assert_one_push_per_frame_hop(tc, report, heap.pushed)
+
+
+def test_traced_blocked_run_pushes_one_entry_per_frame_hop(monkeypatch):
+    # Three talkers into one saturated sink, every flow released at once:
+    # frames queue behind each other, wait on negative credit and gather
+    # positive credit behind best-effort blockers at s1->h4, and a traced
+    # run still pushes nothing but arrivals.
+    tc = star_tc([("h1", "h4", 1000, 965), ("h2", "h4", 1000, 965),
+                  ("h3", "h4", 2500, 300)])
+    heap = CountingHeap()
+    monkeypatch.setattr(sim, "heapq", heap)
+    report = sim.simulate_cbs(tc, sim.SimConfig(
+        horizon=F(25000), be_saturate=True, trace_ports=(("s1", "h4"),)))
+    assert_one_push_per_frame_hop(tc, report, heap.pushed)
+    credits = [c for _t, _p, c in report.credit_trace]
+    assert min(credits) < 0 and max(credits) > 0
 
 
 def test_unblocked_recovery_pushes_no_wakeup(monkeypatch):
@@ -354,33 +385,102 @@ def test_unblocked_recovery_pushes_no_wakeup(monkeypatch):
     tc = star_tc([("h1", "h2", 2500, 965)])
     heap = CountingHeap()
     monkeypatch.setattr(sim, "heapq", heap)
-    trace = sim.credit_trace(tc, sim.SimConfig(horizon=F(25000)),
-                             ("h1", "s1"))
-    assert heap.pushed
-    assert not [e for e in heap.pushed if e[1] == sim._RANK_WAKE]
+    cfg = sim.SimConfig(horizon=F(25000), trace_ports=(("h1", "s1"),))
+    report = sim.simulate_cbs(tc, cfg)
+    assert_one_push_per_frame_hop(tc, report, heap.pushed)
     # the last frame leaves at 20000us; its -2014 bit dip still ends in the
     # peg at zero, at the exact tick the credit gets there at slope 75
     end = frac("20080.56")
+    trace = [(t, c) for t, _p, c in report.credit_trace]
     assert trace[-2:] == [(end, F(-2014)), (end + F(2014, 75), F(0))]
 
 
 def test_saturating_run_ends_for_the_earliest_eligible_queue():
     # Two credit queues (idle 1, send -3 units per tick) behind a saturating
-    # source of 10-tick frames.  A leaves queue 0 at credit -12, so B waits
-    # for tick 16; C reaches queue 1 at 7, eligible at once.  The blocker
-    # running at 7 ends at 14, so C goes then, ahead of B.
-    port = sim._CbsPort(0, ("p", "q"), [(1, -3), (1, -3)], 10, True)
+    # source of 10-tick frames, on the reference engine.  A leaves queue 0
+    # at credit -12, so B waits for tick 16; C reaches queue 1 at 7,
+    # eligible at once.  The blocker running at 7 ends at 14, so C goes
+    # then, ahead of B.
+    port = oracles.RunPort(0, ("p", "q"), [(1, -3), (1, -3)], 10, True)
     starts = []
 
     def on_start(p, t, cls, item):
         starts.append((item[0], t))
         return 4
 
-    eng = sim._CbsEngine([port], on_start, horizon=1000)
+    eng = oracles.ReferenceEngine([port], on_start, horizon=1000)
     for label, cls, t in (("A", 0, 0), ("B", 0, 5), ("C", 1, 7)):
         eng.push((t, sim._RANK_ARRIVE, 0, cls, label, 0, 0))
     eng.run()
     assert starts == [("A", 0), ("C", 14), ("B", 18)]
+
+
+def test_zero_delay_arrivals_of_one_tick_queue_by_flow_id():
+    # No propagation or switching delay.  Flows 0 and 1 reach s1->s2 in the
+    # tick they are released; 1 waits out 0's 80.56us and the credit
+    # recovery (2014 bits at 75), so it starts at 8056/75us and reaches
+    # s2->d in that tick, as flow 2, released then, does.  Both arrive in
+    # the instant's second batch, so they queue by flow id: 1, then 2 after
+    # another 80.56us plus recovery.
+    nodes = [Node("s1", SW), Node("s2", SW)]
+    nodes += [Node(h, ES) for h in ("h0", "h1", "h2", "d")]
+    topo = Topology(nodes, [Link("h0", "s1"), Link("h1", "s1"),
+                            Link("s1", "s2"), Link("h2", "s2"),
+                            Link("s2", "d")])
+    flows = tuple(Flow(i, f"h{i}", "d", frac(2500), frac(50000), 965)
+                  for i in range(3))
+    routes = (Route(0, ("h0", "s1", "s2", "d")),
+              Route(1, ("h1", "s1", "s2", "d")), Route(2, ("h2", "s2", "d")))
+    tc = TestCase("zero", topo, flows, routes, CBS,
+                  NetworkConstants(propagation=F(0), switching=F(0)))
+    cfg = sim.SimConfig(horizon=F(25000), phases={2: F(8056, 75)})
+    report = sim.simulate_cbs(tc, cfg)
+    assert report.per_flow_max_delay == {
+        0: F(2039, 25), 1: F(14173, 75), 2: F(14173, 75)}
+    assert (sim.report_to_json(report)
+            == sim.report_to_json(oracles.reference_simulate_cbs(tc, cfg)))
+
+
+# the arrival-driven simulate_cbs against the reference event engine:
+# report bytes and credit-trace CSV on every CBS corpus case, both release
+# policies, best-effort saturation on and off, and four (propagation,
+# switching) pairs; the zero-delay pair exercises the same-tick batches.
+# Saturated jittered runs trace every used port, the rest the busiest one.
+
+HOP_DELAYS = ((1, 1), (0, 0), (0, 1), (F(1, 2), 0))
+
+
+@pytest.mark.parametrize("propagation,switching", HOP_DELAYS)
+def test_simulate_cbs_matches_reference_engine(propagation, switching):
+    compared = 0
+    for i in range(1, 31):
+        tc = load_testcase(CORPUS_DIR / f"TC{i}")
+        if tc.mechanism != CBS:
+            continue
+        tc = replace(tc, constants=replace(
+            tc.constants, propagation=F(propagation), switching=F(switching)))
+        used = sorted({p for r in tc.routes for p in r.ports})
+        for policy in (sim.RELEASE_SYNCHRONIZED, sim.RELEASE_JITTERED):
+            for saturate in (False, True):
+                every = saturate and policy == sim.RELEASE_JITTERED
+                ports = used if every else [_busiest_port(tc)]
+                cfg = sim.SimConfig(
+                    horizon=20 * max(f.period for f in tc.flows), seed=3,
+                    release_policy=policy, be_saturate=saturate,
+                    trace_ports=ports)
+                got = sim.simulate_cbs(tc, cfg)
+                want = oracles.reference_simulate_cbs(tc, cfg)
+                label = f"{tc.name}/{policy}/saturate={saturate}"
+                assert sim.report_to_json(got) == sim.report_to_json(want), \
+                    label
+                for port in ports:
+                    csv = [sim.trace_to_csv([(t, c) for t, p, c in
+                                             r.credit_trace if p == port])
+                           for r in (got, want)]
+                    assert csv[0] == csv[1], f"{label} {port}"
+                assert got.credit_trace == want.credit_trace, label
+                compared += 1
+    assert compared == 15 * 4
 
 
 # network CQF simulation
