@@ -14,14 +14,17 @@ from its last evaluation.  No credit term depends on a delay, and only c_min
 on the port, through its largest class frame: a solve takes the credit
 bounds once per frame size, and one rate-latency service serves every port,
 so each port's delay bound has a closed form over the aggregate's segment
-starts.  When no port's delay feeds back into itself, one pass over the
-ports in topological order gives the exact bounds, read off each port's
-breakpoint list.  Only cyclic port dependencies need fixed-point sweeps;
-those evaluate every port many times and need only its delay, the
-aggregate's peak backlog above the service rate, found at the first slope
-change that brings the aggregate's slope down to that rate, with every
-burst and rate an int on one common scale.  The end-to-end bound adds the
-constant propagation/switching/sync terms to the per-port queueing bounds.
+starts.
+
+The port delays are the least fixed point of the port-delay map, the
+cyclic TFA of Thomas, Le Boudec & Mifdaoui (RTSS 2019), which one worklist
+loop finds on any port graph (tfa_solve).  A feed-forward graph takes one
+exact pass.  With cyclic port dependencies each delay is rounded up to
+CYCLIC_GRID, and an evaluation needs only the aggregate's peak backlog
+above the service rate, found at the first slope change that brings the
+aggregate's slope down to that rate, with every burst and rate an int on
+one common scale.  The end-to-end bound adds the constant
+propagation/switching/sync terms to the per-port queueing bounds.
 
 No time-triggered traffic exists in these test cases, so the TAS terms of
 the underlying model are identically zero: the service latency reduces to
@@ -29,6 +32,7 @@ c_max / idleSlope and the shaping burst to (c_max - c_min) + max frame.
 """
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -51,10 +55,10 @@ from .netmodel import json_num
 Port = tuple[str, str]
 Number = Union[int, Fraction]
 
-TOLERANCE = Fraction(1, 10**9)   # us
-MAX_ITERATIONS = 1000
+MAX_ITERATIONS = 1000     # evaluations of any one port
 # round-up grid applied only when port delays depend on each other
-# cyclically, where exact rationals would otherwise grow without bound
+# cyclically, where exact delays would only approach the fixed point, with
+# ever larger denominators
 CYCLIC_GRID = Fraction(1, 10**12)
 
 
@@ -286,16 +290,25 @@ def _topological_order(
 def tfa_solve(tc: TestCase) -> CbsReport:
     """Total flow analysis over all ports carrying CBS traffic.
 
-    On a feed-forward port graph every port is evaluated once, in
-    topological order, from the final delays of the ports upstream of it:
-    that is the exact least fixed point, reported as one iteration.  With
-    cyclic port dependencies the delays start at zero and are recomputed
-    jointly each sweep from the previous sweep's values, rounded up to
-    CYCLIC_GRID; they grow monotonically until no change reaches TOLERANCE.
-    A sweep recomputes only the groups whose member bursts moved; the
-    others keep their envelopes, which are then still exact.
+    One worklist loop finds the port delays: every port starts queued and
+    every delay at zero; the loop evaluates the queued port that comes
+    first in the order below, moves the bursts of the flows it sends on and
+    queues each port where a burst moved, until nothing is queued.  Then
+    every port's delay is the bound its aggregate gives, a fixed point.
+    The port-delay map is monotone, so each evaluation stays at or below
+    its least fixed point, and the loop ends there whatever the order
+    (Cousot, 1977); the order sets only how many evaluations that takes.
+    On a feed-forward port graph the order is topological: every port is
+    evaluated once, in exact Fractions, after every port upstream of it.
+    On a cyclic one it is the sorted port order, and each delay is rounded
+    up to CYCLIC_GRID: exact delays would only approach the fixed point,
+    while the rounded map reaches its own in finitely many evaluations.  On
+    the grid every burst and rate is an int on one scale, cheaper than
+    Fraction arithmetic.  iterations is the number of evaluations per port,
+    rounded up.
     Raises InstabilityError naming every port whose aggregate rate reaches
-    the idle slope, ConvergenceError when the sweep cap is hit.
+    the idle slope, ConvergenceError naming a port evaluated more than
+    MAX_ITERATIONS times.
     """
     tc.require(CBS)
     consts = tc.constants
@@ -342,14 +355,24 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     order = _topological_order(flow_ports)
     # A flow's burst entering its k-th port is b + r*D, D the summed delays
     # of the ports before it.  The feed-forward pass works in bits and us.
-    # The cyclic sweeps, whose delays lie on CYCLIC_GRID, work on one
-    # integer scale: bursts in units of 1/scale bits, rates in units of
-    # 1/rate_den bits/us, delays in CYCLIC_GRID units, so every burst and
-    # rate is an int and lines cross at quotients of ints.
-    if order is not None:
+    # The cyclic loop, whose delays lie on CYCLIC_GRID, works on one integer
+    # scale: bursts in units of 1/scale bits, rates in units of 1/rate_den
+    # bits/us, delays in CYCLIC_GRID units, so every burst and rate is an
+    # int and lines cross at quotients of ints.
+    segments: dict[Port, list[Seg]] = {}
+    cyclic = order is None
+    if not cyclic:
         scale = 1
         lines_at = layout
+        weight = {fid: b.rate for fid, b in bucket.items()}
+
+        def port_delay(p: Port) -> Fraction:
+            # each port is evaluated once: its pieces are built anyway,
+            # and the delay is read off them
+            segments[p] = aggregate_segments(envelopes[p])
+            return rate_latency_delay(segments[p], service)
     else:
+        order = ports
         rate_den = math.lcm(idsl.denominator, C.denominator,
                             *(b.rate.denominator for b in bucket.values()))
         scale = CYCLIC_GRID.denominator * math.lcm(
@@ -367,100 +390,67 @@ def tfa_solve(tc: TestCase) -> CbsReport:
         # a burst moves by weight * (upstream delay / CYCLIC_GRID)
         weight = {fid: _scaled(b.rate, scale * CYCLIC_GRID)
                   for fid, b in bucket.items()}
+
+        def port_delay(p: Port) -> int:
+            # only the delay, the latency plus the peak backlog over the
+            # idle slope, in CYCLIC_GRID units rounded up; every line has a
+            # positive burst, so that is never below the latency
+            return math.ceil((service.latency
+                              + max_backlog(envelopes[p], idsl_scaled)
+                              / backlog_den) / CYCLIC_GRID)
+
     burst = {fid: [_scaled(bucket[fid].burst, scale)] * len(ports_f)
              for fid, ports_f in flow_ports.items()}
     # per port: each group's envelope, None until it is computed and again
-    # once a member's burst moves
+    # once a member's burst moves; and the group of each (flow, hop)
     envelopes = {p: [None] * len(layout[p]) for p in ports}
+    group_at = {fid: [0] * len(ports_f)
+                for fid, ports_f in flow_ports.items()}
+    for p in ports:
+        for i, (members, _, _) in enumerate(layout[p]):
+            for fid, k in members:
+                group_at[fid][k] = i
 
-    def refresh(p: Port) -> bool:
-        """Recompute the groups of p whose bursts moved since p was last
-        evaluated; False when there were none."""
-        envs = envelopes[p]
-        stale = False
-        for i, env in enumerate(envs):
-            if env is None:
-                members, rate, caps = lines_at[p][i]
-                b = sum(burst[fid][k] for fid, k in members)
-                envs[i] = group_envelope(((b, rate), *caps))
-                stale = True
-        return stale
-
-    # each port's arrival curve in (start, value, slope) pieces, in bits
-    # and us, from its last evaluation
-    segments: dict[Port, list[Seg]] = {}
-    if order is not None:
-        # each port is evaluated once: its pieces are built anyway, and
-        # the delay is read off them
-        delays: dict[Port, Fraction] = {}
-        for p in order:
-            refresh(p)
-            segments[p] = aggregate_segments(envelopes[p])
-            delays[p] = d = rate_latency_delay(segments[p], service)
-            # every port after p on a flow's path comes later in the order
-            for fid, k in hops[p]:
-                row = burst[fid]
-                if k + 1 < len(row):
-                    row[k + 1] = row[k] + bucket[fid].rate * d
-        iterations = 1
-        converged = True
-    else:
-        # the sweeps need only each port's delay, its latency plus the
-        # peak backlog over the idle slope; every line has a positive
-        # burst, so that is never below the latency
-        last: dict[Port, Fraction] = {}
-
-        def port_delay(p: Port) -> Fraction:
-            if refresh(p):
-                last[p] = (service.latency
-                           + max_backlog(envelopes[p], idsl_scaled)
-                           / backlog_den)
-            return last[p]
-
-        # group index of each (flow, hop) at its port, and the delays (in
-        # CYCLIC_GRID units) the bursts were last moved to
-        group_at = {fid: [0] * len(ports_f)
-                    for fid, ports_f in flow_ports.items()}
-        for p in ports:
-            for i, (members, _, _) in enumerate(layout[p]):
-                for fid, k in members:
-                    group_at[fid][k] = i
-        ticks = {p: 0 for p in ports}
-        seen = dict(ticks)
-
-        def advance(ticks: dict[Port, int]) -> None:
-            """Move every burst to the given upstream delays; each group
-            with a member whose burst moves goes stale."""
-            moved = {q for q in ports if ticks[q] != seen[q]}
-            for fid, ports_f in flow_ports.items():
-                row, w = burst[fid], weight[fid]
-                moving = False
-                for k in range(1, len(row)):
-                    moving = moving or ports_f[k - 1] in moved
-                    if moving:
-                        row[k] = row[k - 1] + w * ticks[ports_f[k - 1]]
-                        envelopes[ports_f[k]][group_at[fid][k]] = None
-            seen.update(ticks)
-
-        tolerance = TOLERANCE / CYCLIC_GRID
-        iterations = 0
-        converged = False
-        while iterations < MAX_ITERATIONS:
-            iterations += 1
-            advance(ticks)
-            new_ticks = {p: math.ceil(port_delay(p) / CYCLIC_GRID)
-                         for p in ports}
-            done = all(abs(new_ticks[p] - ticks[p]) < tolerance
-                       for p in ports)
-            ticks = new_ticks
-            if done:
-                converged = True
-                break
-        if not converged:
+    # a heap of the queued ports' ranks in the order; each evaluation
+    # queues only ports that rank after it on a feed-forward graph
+    rank = {p: i for i, p in enumerate(order)}
+    queue = list(range(len(order)))
+    queued = set(queue)
+    delays: dict[Port, Number] = {}
+    evaluations = dict.fromkeys(ports, 0)
+    while queue:
+        i = heapq.heappop(queue)
+        queued.discard(i)
+        p = order[i]
+        evaluations[p] += 1
+        if evaluations[p] > MAX_ITERATIONS:
             raise ConvergenceError(
-                f"{tc.name}: no fixed point after {MAX_ITERATIONS} sweeps")
-        delays = {p: ticks[p] * CYCLIC_GRID for p in ports}
-        # the last sweep left every group fresh: back to bits and us
+                f"{tc.name}: port {p[0]}->{p[1]} still moving after "
+                f"{MAX_ITERATIONS} evaluations")
+        envs = envelopes[p]
+        for g, env in enumerate(envs):
+            if env is None:
+                members, rate, caps = lines_at[p][g]
+                b = sum(burst[fid][k] for fid, k in members)
+                envs[g] = group_envelope(((b, rate), *caps))
+        delays[p] = d = port_delay(p)
+        for fid, k in hops[p]:
+            row = burst[fid]
+            if k + 1 == len(row):
+                continue
+            b = row[k] + weight[fid] * d
+            if b != row[k + 1]:
+                row[k + 1] = b
+                q = flow_ports[fid][k + 1]
+                envelopes[q][group_at[fid][k + 1]] = None
+                if rank[q] not in queued:
+                    queued.add(rank[q])
+                    heapq.heappush(queue, rank[q])
+    iterations = -(-sum(evaluations.values()) // len(ports))
+
+    if cyclic:
+        delays = {p: d * CYCLIC_GRID for p, d in delays.items()}
+        # every group is fresh once nothing is queued: back to bits and us
         for p in ports:
             segments[p] = aggregate_segments(
                 group_envelope(((Fraction(lines[0][0], scale), rate), *caps))
@@ -483,8 +473,7 @@ def tfa_solve(tc: TestCase) -> CbsReport:
                        consts.propagation * route.link_count
                        + consts.switching * route.switch_count
                        + consts.sync_error)
-    return CbsReport(tc.name, per_port, per_flow_hops, e2e,
-                     iterations, converged)
+    return CbsReport(tc.name, per_port, per_flow_hops, e2e, iterations, True)
 
 
 def _scaled(x: Fraction, by: Number) -> Number:

@@ -72,12 +72,12 @@ def _int_setting(ctx, command, key, flag_value, default):
     return value
 
 
-def _jobs(ctx, command, flag_value):
-    jobs = _int_setting(ctx, command, "jobs", flag_value,
-                        os.cpu_count() or 1)
-    if jobs < 1:
-        raise click.UsageError("--jobs must be >= 1")
-    return jobs
+def _count_setting(ctx, command, key, flag_value, default):
+    """_int_setting for a count flag, which must be at least 1."""
+    value = _int_setting(ctx, command, key, flag_value, default)
+    if value < 1:
+        raise click.UsageError(f"--{key} must be >= 1")
+    return value
 
 
 def _emit(summary: dict) -> None:
@@ -116,13 +116,19 @@ _MECH_CHOICE = click.Choice(["cbs", "cqf"], case_sensitive=False)
 @click.option("--truth-dir", type=click.Path(file_okay=False),
               help="Also analyze each generated case into this directory.")
 @click.option("--jobs", type=int, default=None,
-              help="Parallel workers; defaults to available cores.")
+              help="Worker threads; they overlap file writes only, since "
+                   "generation and analysis are pure Python. Defaults to "
+                   "available cores.")
 @click.pass_context
 def gen(ctx, manifest, out_dir, truth_dir, jobs):
     """Generate test-case bundles from a manifest."""
     def body():
-        n_jobs = _jobs(ctx, "gen", jobs)
+        n_jobs = _count_setting(ctx, "gen", "jobs", jobs,
+                                os.cpu_count() or 1)
         truth_out = _setting(ctx, "gen", "truth_dir", truth_dir, None)
+        if truth_out is not None and not isinstance(truth_out, str):
+            raise click.UsageError(
+                f"config gen.truth_dir must be a string, got {truth_out!r}")
         entries = testgen.parse_manifest(Path(manifest).read_text(),
                                          manifest)
         log.info("generating %d test cases with %d jobs",
@@ -269,8 +275,8 @@ def score(truth_dir, pred_dir, out_path):
 def score_mcqa(ctx, items_path, runs_path, bins, out_path):
     """Score multiple-choice answers: accuracy, consistency, calibration."""
     def body():
-        bin_count = _int_setting(ctx, "score-mcqa", "bins", bins,
-                                 evalharness.DEFAULT_BIN_COUNT)
+        bin_count = _count_setting(ctx, "score-mcqa", "bins", bins,
+                                   evalharness.DEFAULT_BIN_COUNT)
         items = _read(evalharness.mcq_items_from_json, items_path)
         records = _read(evalharness.run_records_from_jsonl, runs_path)
         mcqa = evalharness.score_mcqa(items, records)

@@ -5,8 +5,11 @@ curves are plain (start, value, slope) triples and every operation is a
 pointwise candidate search straight from the defining inf/sup formula.  The
 CBS aggregate oracle builds a port's arrival curve with the general min-plus
 operations (themselves checked against the pointwise oracles), independently
-of the breakpoint-list evaluator in cbs.  Exact Fractions throughout, so
-agreement checks against the implementation can use ==.
+of the breakpoint-list evaluator in cbs; rebuilt_aggregate does so for any
+port from given upstream delays, and reference_tfa runs plain Jacobi sweeps
+of it from zero to the least fixed point of the rounded TFA map.  Exact
+Fractions throughout, so agreement checks against the implementation can
+use ==.
 
 The reference CBS network engine is the event loop simulate_cbs ran before
 it fixed each frame's start at its arrival: arrivals, transmission ends,
@@ -14,13 +17,22 @@ credit wakeups, best-effort run ends and deliveries are all heap events.
 reference_simulate_cbs must give the same report and credit-trace bytes.
 """
 import heapq
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from tsnwcd import sim
-from tsnwcd.minplus import Curve, CurveLike, as_curve, min_of, sum_of
+from tsnwcd import cbs, sim
+from tsnwcd.minplus import (
+    Curve,
+    CurveLike,
+    as_curve,
+    h_dev,
+    min_of,
+    shift_delay,
+    sum_of,
+)
 from tsnwcd.netmodel import CBS, MTU_BYTES, frame_bits
 
 
@@ -136,6 +148,65 @@ def aggregate_arrival(groups: Sequence[SourceGroup]) -> Curve:
             acc = min_of(acc, g.cbs_shaping)
         total = sum_of(total, acc)
     return total
+
+
+def rebuilt_aggregate(tc, delay, port) -> Curve:
+    """The CBS aggregate at port when every port q upstream of it has delay
+    bound delay[q]: each flow's source bucket shifted by the delays before
+    port, summed per predecessor and capped by the link line and, behind a
+    switch, by the predecessor's CBS shaping line."""
+    consts = tc.constants
+    C = consts.link_rate
+    idsl = consts.idle_slope_fraction * C
+    bits = {f.id: frame_bits(f, consts) for f in tc.flows}
+    through = {}
+    for r in tc.routes:
+        for q in r.ports:
+            through.setdefault(q, []).append(r.flow_id)
+    local, by_pred = [], {}
+    for fid in through[port]:
+        ports = tc.route_for(fid).ports
+        k = ports.index(port)
+        env = shift_delay(cbs.source_arrival(tc.flow(fid), consts),
+                          sum(delay[q] for q in ports[:k]))
+        if k == 0:
+            local.append(env)
+        else:
+            by_pred.setdefault(ports[k - 1][0], []).append((fid, env))
+    groups = [SourceGroup(tuple(local))] if local else []
+    for pred, members in by_pred.items():
+        l_link = max(bits[fid] for fid, _ in members)
+        cbs_cap = None
+        if tc.topology.is_switch(pred):
+            cfg = cbs.CbsClassConfig(
+                1, idsl, idsl - C,
+                max(bits[fid] for fid in through[(pred, port[0])]),
+                cbs.default_lower_frame_bits(consts))
+            cbs_cap = cbs.cbs_shaping(cfg, C, l_link)
+        groups.append(SourceGroup(tuple(env for _, env in members),
+                                  cbs.link_shaping(C, l_link), cbs_cap))
+    return aggregate_arrival(groups)
+
+
+def reference_tfa(tc, grid: Fraction) -> dict:
+    """Port delays of CBS total flow analysis by plain Jacobi sweeps: all
+    start at zero, and each sweep sets every port's delay to the horizontal
+    deviation of its rebuilt aggregate from the service, rounded up to
+    grid, all from the previous sweep's delays, until a sweep changes
+    nothing.  The map is monotone, so that is its least fixed point."""
+    consts = tc.constants
+    C = consts.link_rate
+    idsl = consts.idle_slope_fraction * C
+    service = cbs.cbs_service_curve(cbs.CbsClassConfig(
+        1, idsl, idsl - C, 1, cbs.default_lower_frame_bits(consts)), C)
+    delay = {p: Fraction(0) for r in tc.routes for p in r.ports}
+    while True:
+        swept = {p: math.ceil(h_dev(rebuilt_aggregate(tc, delay, p), service)
+                              / grid) * grid
+                 for p in delay}
+        if swept == delay:
+            return delay
+        delay = swept
 
 
 # reference CBS network engine

@@ -3,9 +3,10 @@
 Credit-bound and curve-construction hand values, the token-bucket port
 aggregate against the general min-plus oracle, the closed-form port delay
 against the general horizontal deviation, a fully hand-computed
-single-switch fixed point, the one-pass solution of feed-forward cases, the
-cyclic-route path, instability detection, report serialization and pinned
-report bytes.
+single-switch fixed point, every port's delay as the fixed point of its
+rebuilt aggregate (one pass on feed-forward cases, the least fixed point of
+the rounded map on cyclic ones), the evaluation cap, instability detection,
+report serialization and pinned report bytes.
 """
 import hashlib
 import json
@@ -18,7 +19,11 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from tsnwcd import cbs, minplus, netmodel as nm, testgen
-from tsnwcd.errors import InstabilityError, ValidationError
+from tsnwcd.errors import (
+    ConvergenceError,
+    InstabilityError,
+    ValidationError,
+)
 from tsnwcd.minplus import (
     Curve,
     RateLatency,
@@ -425,54 +430,38 @@ def test_tfa_rejects_cqf_testcase():
         cbs.tfa_solve(tc)
 
 
-def rebuilt_aggregate(tc, report, port):
-    """The aggregate at port rebuilt from the reported final delays of the
-    ports upstream of it, independently of the solver's own bookkeeping."""
-    consts = tc.constants
-    C = consts.link_rate
-    idsl = consts.idle_slope_fraction * C
-    delay = {p: pa.delay_bound for p, pa in report.per_port.items()}
-    bits = {f.id: nm.frame_bits(f, consts) for f in tc.flows}
-    local, by_pred = [], {}
-    for fid in report.per_port[port].contributing_flows:
-        ports = tc.route_for(fid).ports
-        k = ports.index(port)
-        env = shift_delay(cbs.source_arrival(tc.flow(fid), consts),
-                          sum(delay[q] for q in ports[:k]))
-        if k == 0:
-            local.append(env)
-        else:
-            by_pred.setdefault(ports[k - 1][0], []).append((fid, env))
-    groups = [oracles.SourceGroup(tuple(local))] if local else []
-    for pred, members in by_pred.items():
-        l_link = max(bits[fid] for fid, _ in members)
-        cbs_cap = None
-        if tc.topology.is_switch(pred):
-            prev = report.per_port[(pred, port[0])]
-            cfg = cbs.CbsClassConfig(
-                1, idsl, idsl - C,
-                max(bits[fid] for fid in prev.contributing_flows),
-                cbs.default_lower_frame_bits(consts))
-            cbs_cap = cbs.cbs_shaping(cfg, C, l_link)
-        groups.append(oracles.SourceGroup(tuple(env for _, env in members),
-                                          cbs.link_shaping(C, l_link),
-                                          cbs_cap))
-    return oracles.aggregate_arrival(groups)
-
-
-def test_tfa_feed_forward_delays_are_the_exact_fixed_point():
-    # a mesh on which sweeps stopped by a tolerance end below the fixed point
-    spec = testgen.GenSpec("medium_mesh", 12, 4, 80, payload_range=(64, 700),
-                           seed=1432080079)
-    tc = testgen.build_testcase("fixpoint", spec, nm.CBS,
-                                nm.NetworkConstants())
+@pytest.mark.parametrize("case", [
+    # a mesh on which sweeps stopped by a tolerance ended below the fixed
+    # point, and cyclic rings on which they did too
+    "mesh_12x4_80_s1432080079", "ring", "ring_6x3_60_s2",
+    "ring_6x4_65_s1473067262", "ring_8x3_65_s58824847",
+])
+def test_tfa_delays_are_the_fixed_point(case):
+    # every port's aggregate, rebuilt from the reported delays, is the one
+    # reported, and its delay bound is that aggregate's, rounded up to the
+    # grid only on a cyclic port graph
+    if case == "ring":
+        tc = ring_tc()
+    elif case.startswith("ring"):
+        tc = pinned_tc(case)
+    else:
+        spec = testgen.GenSpec("medium_mesh", 12, 4, 80,
+                               payload_range=(64, 700), seed=1432080079)
+        tc = testgen.build_testcase(case, spec, nm.CBS, nm.NetworkConstants())
+    flow_ports = {f.id: tc.route_for(f.id).ports for f in tc.flows}
+    cyclic = cbs._topological_order(flow_ports) is None
+    assert cyclic == case.startswith("ring")
     report = cbs.tfa_solve(tc)
     assert report.converged
-    assert report.iterations == 1
+    assert (report.iterations == 1) != cyclic
+    delay = {p: pa.delay_bound for p, pa in report.per_port.items()}
     for port, pa in report.per_port.items():
-        alpha = rebuilt_aggregate(tc, report, port)
+        alpha = oracles.rebuilt_aggregate(tc, delay, port)
         assert alpha == pa.arrival
-        assert h_dev(alpha, pa.service) == pa.delay_bound
+        want = h_dev(alpha, pa.service)
+        if cyclic:
+            want = math.ceil(want / cbs.CYCLIC_GRID) * cbs.CYCLIC_GRID
+        assert pa.delay_bound == want
 
 
 # ======================================================================
@@ -517,6 +506,30 @@ def test_tfa_ring_converges_on_rounding_grid():
         assert F(10) ** 12 % pa.delay_bound.denominator == 0
         # rounded-up delays stay sound against the stored curves
         assert pa.delay_bound >= h_dev(pa.arrival, pa.service)
+
+
+@pytest.mark.parametrize("case", ["ring", "ring_5x2_16_s16"])
+def test_tfa_ring_delays_are_the_least_fixed_point(case):
+    # the worklist ends where plain Jacobi sweeps from zero end, whatever
+    # order it evaluates the ports in
+    if case == "ring":
+        tc = ring_tc()
+    else:
+        spec = testgen.GenSpec("ring", 5, 2, 16, payload_range=(64, 700),
+                               seed=16)
+        tc = testgen.build_testcase(case, spec, nm.CBS,
+                                    nm.NetworkConstants())
+    report = cbs.tfa_solve(tc)
+    assert report.iterations > 1         # cyclic: ports evaluated again
+    assert ({p: pa.delay_bound for p, pa in report.per_port.items()}
+            == oracles.reference_tfa(tc, cbs.CYCLIC_GRID))
+
+
+def test_tfa_evaluation_cap_names_case_and_port(monkeypatch):
+    monkeypatch.setattr(cbs, "MAX_ITERATIONS", 2)
+    with pytest.raises(ConvergenceError,
+                       match=r"^ring: port \w+->\w+ still moving after 2 "):
+        cbs.tfa_solve(ring_tc())
 
 
 @pytest.mark.parametrize("kind,seed", [("medium_mesh", 1), ("ring", 2)])
@@ -578,13 +591,20 @@ TFA_DIGEST_CASES = (
 )
 
 
+def pinned_tc(name):
+    for case, kind, switches, hosts, flows, seed in TFA_DIGEST_CASES:
+        if case == name:
+            spec = testgen.GenSpec(kind, switches, hosts, flows,
+                                   payload_range=(64, 700), seed=seed)
+            return testgen.build_testcase(name, spec, nm.CBS,
+                                          nm.NetworkConstants())
+    raise KeyError(name)
+
+
 def tfa_digests():
     out = {}
-    for name, kind, switches, hosts, flows, seed in TFA_DIGEST_CASES:
-        spec = testgen.GenSpec(kind, switches, hosts, flows,
-                               payload_range=(64, 700), seed=seed)
-        tc = testgen.build_testcase(name, spec, nm.CBS, nm.NetworkConstants())
-        report = cbs.tfa_solve(tc)
+    for name, *_ in TFA_DIGEST_CASES:
+        report = cbs.tfa_solve(pinned_tc(name))
         out[name] = {
             "report_sha256": hashlib.sha256(
                 cbs.report_to_json(report).encode()).hexdigest(),

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from tsnwcd import testgen
+from test_cbs import ring_tc
+from tsnwcd import cbs, testgen
 from tsnwcd.cli import main
 from tsnwcd.netmodel import (
     ES,
@@ -143,6 +144,19 @@ def test_analyze_non_positive_deadline_is_domain_error(runner, tmp_path,
     assert not (tmp_path / "x.json").exists()
 
 
+def test_analyze_evaluation_cap_is_domain_error(runner, tmp_path,
+                                                monkeypatch):
+    save_testcase(ring_tc(), tmp_path / "ring")
+    monkeypatch.setattr(cbs, "MAX_ITERATIONS", 2)
+    out = tmp_path / "x.json"
+    res = runner.invoke(main, ["analyze", "--tc", str(tmp_path / "ring"),
+                               "--mechanism", "cbs", "--out", str(out)])
+    assert res.exit_code == 1
+    assert res.stderr.startswith("error: ring: port ")
+    assert "still moving after 2 evaluations" in res.stderr
+    assert not out.exists()
+
+
 def test_usage_errors_exit_2(runner, tmp_path):
     res = runner.invoke(main, ["analyze", "--tc", str(tmp_path)])
     assert res.exit_code == 2
@@ -270,6 +284,25 @@ def test_score_mcqa_and_report_csv(runner, tmp_path):
     assert lines[10] == "0.9,1,1,0.9,1.0"
 
 
+@pytest.mark.parametrize("flag, config", [
+    (["--bins", "0"], {}),
+    (["--bins", "-3"], {}),
+    ([], {"score-mcqa": {"bins": 0}}),
+])
+def test_score_mcqa_bins_below_one_is_usage_error(runner, tmp_path, flag,
+                                                  config):
+    items, runs = write_mcqa_inputs(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "m.json"
+    res = runner.invoke(main, ["--config", str(cfg), "score-mcqa",
+                               "--items", str(items), "--runs", str(runs),
+                               "--out", str(out), *flag])
+    assert res.exit_code == 2
+    assert "--bins must be >= 1" in res.stderr
+    assert not out.exists()
+
+
 def test_report_requires_calibration_section(runner, tmp_path):
     metrics = tmp_path / "m.json"
     metrics.write_text("{}")
@@ -392,6 +425,10 @@ def test_config_file_supplies_defaults(runner, tmp_path):
     ({"gen": {"jobs": 2.5}}, "gen.jobs must be an integer, got 2.5"),
     ({"gen": {"jobs": True}}, "gen.jobs must be an integer, got True"),
     ({"gen": 3}, "config section 'gen' must be a JSON object"),
+    ({"gen": {"jobs": 0}}, "--jobs must be >= 1"),
+    ({"gen": {"truth_dir": 5}}, "gen.truth_dir must be a string, got 5"),
+    ({"gen": {"truth_dir": ["a"]}},
+     "gen.truth_dir must be a string, got ['a']"),
 ])
 def test_gen_bad_config_value_is_usage_error(runner, tmp_path, config,
                                              shown):
