@@ -3,13 +3,13 @@
 Three topology families: a star of hosts on one switch, a ring of switches
 with hosts attached, and a seeded random mesh (spanning tree plus extra
 edges).  Flows draw distinct host pairs, periods, payloads, and deadlines
-from a seeded RNG; routes take the first of the k shortest loop-free paths.
-Everything regenerates bit-identically from (spec, seed), so a corpus is
-fully described by its manifest.
+from a seeded RNG; each route is the flow's shortest path through switches,
+ties going to the least node sequence.  Everything regenerates
+bit-identically from (spec, seed), so a corpus is fully described by its
+manifest.
 """
 from __future__ import annotations
 
-import heapq
 import json
 import random
 from dataclasses import dataclass
@@ -130,41 +130,56 @@ def gen_flows(spec: GenSpec, topo: Topology) -> tuple[Flow, ...]:
     return tuple(flows)
 
 
-def k_shortest_routes(topo: Topology, flow: Flow, k: int = 1) -> list[Route]:
-    """Loop-free routes in (hop count, lexicographic) order.
+def shortest_routes(topo: Topology, flows: Sequence[Flow]) -> tuple[Route, ...]:
+    """Each flow's shortest route, least in lexicographic node order.
 
-    Interior hops are switches only.  Best-first expansion over simple
-    paths; with unit weights the pop order is exactly nondecreasing length
-    with lexicographic node sequences breaking ties.
+    Interior hops are switches only.  One breadth-first search per distinct
+    destination gives every node that can reach it its next hop; the walk
+    from the source follows those hops.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    out = []
-    heap = [(1, (flow.src,))]
-    while heap and len(out) < k:
-        n, path = heapq.heappop(heap)
-        last = path[-1]
-        if last == flow.dst:
-            out.append(Route(flow.id, path))
-            continue
-        for nb in topo.neighbors(last):
-            if nb in path:
-                continue
-            if nb != flow.dst and not topo.is_switch(nb):
-                continue
-            heapq.heappush(heap, (n + 1, path + (nb,)))
-    if not out:
-        raise ValidationError(f"no route from {flow.src} to {flow.dst}")
-    return out
+    next_hop_by_dst: dict[str, dict[str, str]] = {}
+    routes = []
+    for f in flows:
+        next_hop = next_hop_by_dst.get(f.dst)
+        if next_hop is None:
+            next_hop = next_hop_by_dst[f.dst] = _next_hops(topo, f.dst)
+        if f.src not in next_hop:
+            raise ValidationError(f"no route from {f.src} to {f.dst}")
+        hops = [f.src]
+        while hops[-1] != f.dst:
+            hops.append(next_hop[hops[-1]])
+        routes.append(Route(f.id, tuple(hops)))
+    return tuple(routes)
+
+
+def _next_hops(topo: Topology, dst: str) -> dict[str, str]:
+    """Breadth-first search from dst in which only dst and switches are
+    expanded, so an end station is reached but forwards nothing.  Each
+    level is expanded in name order, so the node that first reaches a
+    neighbour is the least-named switch or dst one hop closer: the step a
+    lexicographically least shortest path takes from that neighbour.  dst
+    maps to itself."""
+    next_hop = {dst: dst}
+    frontier = [dst]
+    while frontier:
+        reached = []
+        for node in sorted(frontier):
+            for nb in topo.neighbors(node):
+                if nb not in next_hop:
+                    next_hop[nb] = node
+                    if topo.is_switch(nb):
+                        reached.append(nb)
+        frontier = reached
+    return next_hop
 
 
 def build_testcase(name: str, spec: GenSpec, mechanism: str,
                    constants: NetworkConstants) -> TestCase:
-    """Topology, flows, and first-shortest routes assembled and validated."""
+    """Topology, flows, and shortest routes assembled and validated."""
     topo = gen_topology(spec)
     flows = gen_flows(spec, topo)
-    routes = tuple(k_shortest_routes(topo, f, 1)[0] for f in flows)
-    return TestCase(name, topo, flows, routes, mechanism, constants)
+    return TestCase(name, topo, flows, shortest_routes(topo, flows),
+                    mechanism, constants)
 
 
 def emit_testcase(tc: TestCase, out_dir) -> Path:
@@ -202,13 +217,27 @@ def manifest_to_json(entries: Sequence[dict]) -> str:
 
 
 def parse_manifest(text: str, source: str = "manifest") -> list[dict]:
+    """The manifest's entries.  A name may appear once, since each entry
+    writes the bundle and truth file its name picks."""
     try:
         doc = json.loads(text)
     except ValueError as exc:
         raise ParseError(f"{source}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "testcases" not in doc:
         raise ValidationError(f"{source}: manifest needs a testcases list")
-    return doc["testcases"]
+    entries = doc["testcases"]
+    if not isinstance(entries, list):
+        raise ParseError(f"{source}: testcases must be a list, "
+                         f"got {type(entries).__name__}")
+    names = set()
+    for entry in entries:
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if isinstance(name, str):
+            if name in names:
+                raise ValidationError(
+                    f"{source}: test case name {name!r} appears twice")
+            names.add(name)
+    return entries
 
 
 def testcase_from_entry(entry: dict) -> TestCase:
@@ -220,6 +249,8 @@ def testcase_from_entry(entry: dict) -> TestCase:
     for key in ("name", "mechanism", "constants", "spec"):
         if key not in entry:
             raise ParseError(f"{where}: missing key {key!r}")
+    if not isinstance(entry["name"], str):
+        raise ParseError(f"{where}: name must be a string")
     try:
         spec_fields = dict(entry["spec"])
         for key in ("period_choices", "payload_range", "deadline_range"):

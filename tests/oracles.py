@@ -15,6 +15,10 @@ The reference CBS network engine is the event loop simulate_cbs ran before
 it fixed each frame's start at its arrival: arrivals, transmission ends,
 credit wakeups, best-effort run ends and deliveries are all heap events.
 reference_simulate_cbs must give the same report and credit-trace bytes.
+
+The routing oracle k_shortest_routes enumerates loop-free paths best-first,
+so it can give the 2nd and 3rd routes too; its first is the one
+testgen.shortest_routes must pick.
 """
 import heapq
 import math
@@ -33,7 +37,8 @@ from tsnwcd.minplus import (
     shift_delay,
     sum_of,
 )
-from tsnwcd.netmodel import CBS, MTU_BYTES, frame_bits
+from tsnwcd.errors import ValidationError
+from tsnwcd.netmodel import CBS, MTU_BYTES, Route, frame_bits
 
 
 def pw_value(triples, t):
@@ -392,3 +397,33 @@ def reference_simulate_cbs(tc, cfg):
         trace = [(grid.us(t), key, grid.bits(c)) for t, key, c in raw]
     return sim.SimReport(tc.name, CBS, cfg.seed, cfg.horizon,
                          cfg.release_policy, max_delay, counts, trace)
+
+
+# routing
+
+def k_shortest_routes(topo, flow, k: int = 1) -> list[Route]:
+    """Loop-free routes in (hop count, lexicographic) order.
+
+    Interior hops are switches only.  Best-first expansion over simple
+    paths; with unit weights the pop order is exactly nondecreasing length
+    with lexicographic node sequences breaking ties.
+    """
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    out = []
+    heap = [(1, (flow.src,))]
+    while heap and len(out) < k:
+        n, path = heapq.heappop(heap)
+        last = path[-1]
+        if last == flow.dst:
+            out.append(Route(flow.id, path))
+            continue
+        for nb in topo.neighbors(last):
+            if nb in path:
+                continue
+            if nb != flow.dst and not topo.is_switch(nb):
+                continue
+            heapq.heappush(heap, (n + 1, path + (nb,)))
+    if not out:
+        raise ValidationError(f"no route from {flow.src} to {flow.dst}")
+    return out

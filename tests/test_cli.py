@@ -338,6 +338,39 @@ def test_gen_manifest_entry_without_spec_is_domain_error(runner, tmp_path):
     assert_clean_domain_error(res, "manifest entry 'TC1'", "'spec'")
 
 
+def test_gen_manifest_testcases_not_a_list_is_domain_error(runner, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"testcases": 5}')
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["gen", "--manifest", str(manifest),
+                               "--out", str(out)])
+    assert_clean_domain_error(res, str(manifest),
+                              "testcases must be a list, got int")
+    assert not out.exists()
+
+
+def test_gen_manifest_repeated_name_is_domain_error(runner, tmp_path):
+    # two entries with one name would write one bundle from two threads
+    entry = testgen.default_manifest()[0]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(testgen.manifest_to_json([entry, entry]))
+    out, truth = tmp_path / "out", tmp_path / "truth"
+    res = runner.invoke(main, ["gen", "--manifest", str(manifest),
+                               "--out", str(out), "--truth-dir", str(truth)])
+    assert_clean_domain_error(res, str(manifest), "'TC1' appears twice")
+    assert not out.exists() and not truth.exists()
+
+
+def test_gen_manifest_name_not_a_string_is_domain_error(runner, tmp_path):
+    entry = testgen.default_manifest()[0]
+    entry["name"] = 5
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(testgen.manifest_to_json([entry]))
+    res = runner.invoke(main, ["gen", "--manifest", str(manifest),
+                               "--out", str(tmp_path / "out")])
+    assert_clean_domain_error(res, "manifest entry 5", "name must be a string")
+
+
 def test_report_metrics_not_json_is_domain_error(runner, tmp_path):
     metrics = tmp_path / "m.json"
     metrics.write_text("[1, 2")

@@ -1,12 +1,16 @@
-"""Generator tests: topology families, flow draws, k-shortest routing
-against a brute-force path oracle, and manifest-driven regeneration."""
+"""Generator tests: topology families, flow draws, shortest routes against
+the best-first path enumerator in oracles (itself checked against a
+brute-force path search), and manifest-driven regeneration."""
 import functools
+import hashlib
 import json
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from tsnwcd import testgen
 from tsnwcd.errors import ValidationError
 from tsnwcd.netmodel import (
@@ -18,6 +22,7 @@ from tsnwcd.netmodel import (
     Topology,
     frame_bits,
     load_testcase,
+    serialize_routes,
     serialize_topology,
     validate_testcase,
 )
@@ -155,21 +160,23 @@ def test_k_shortest_star_unique_path():
     s = spec(hosts=3)
     topo = testgen.gen_topology(s)
     f = Flow(0, "node1_1", "node1_3", F(1000), F(5000), 100)
-    routes = testgen.k_shortest_routes(topo, f, 3)
+    routes = oracles.k_shortest_routes(topo, f, 3)
     assert len(routes) == 1
     assert routes[0].hops == ("node1_1", "sw1", "node1_3")
+    assert testgen.shortest_routes(topo, [f]) == (routes[0],)
 
 
 def test_k_shortest_ring_lexicographic_direction():
     s = spec(kind="ring", switches=6, hosts=1)
     topo = testgen.gen_topology(s)
     f = Flow(0, "node1_1", "node4_1", F(1000), F(5000), 100)
-    routes = testgen.k_shortest_routes(topo, f, 2)
+    routes = oracles.k_shortest_routes(topo, f, 2)
     oracle = all_simple_paths(topo, "node1_1", "node4_1")
     assert routes[0].hops == oracle[0]
     assert routes[0].hops == ("node1_1", "sw1", "sw2", "sw3", "sw4", "node4_1")
     assert routes[1].hops == oracle[1] == (
         "node1_1", "sw1", "sw6", "sw5", "sw4", "node4_1")
+    assert testgen.shortest_routes(topo, [f]) == (routes[0],)
 
 
 def test_k_shortest_matches_bruteforce_on_meshes():
@@ -180,8 +187,9 @@ def test_k_shortest_matches_bruteforce_on_meshes():
         f = Flow(0, hosts[0], hosts[-1], F(1000), F(5000), 100)
         oracle = all_simple_paths(topo, f.src, f.dst)
         k = min(3, len(oracle))
-        got = testgen.k_shortest_routes(topo, f, 3)
+        got = oracles.k_shortest_routes(topo, f, 3)
         assert [r.hops for r in got[:k]] == oracle[:k]
+        assert testgen.shortest_routes(topo, [f])[0].hops == oracle[0]
 
 
 def test_k_shortest_unreachable_through_es():
@@ -192,7 +200,81 @@ def test_k_shortest_unreachable_through_es():
         [Link("a", "s1"), Link("s1", "c"), Link("c", "s2"), Link("s2", "b")])
     f = Flow(0, "a", "b", F(1000), F(5000), 100)
     with pytest.raises(ValidationError):
-        testgen.k_shortest_routes(topo, f)
+        oracles.k_shortest_routes(topo, f)
+    with pytest.raises(ValidationError, match="no route from a to b"):
+        testgen.shortest_routes(topo, [f])
+
+
+def test_shortest_route_sorts_names_as_strings():
+    # both ways round are two switch hops; "sw10" < "sw2" as a str
+    topo = Topology(
+        [Node("a", ES), Node("b", ES), Node("sw2", SW), Node("sw10", SW)],
+        [Link("a", "sw2"), Link("a", "sw10"),
+         Link("sw2", "b"), Link("sw10", "b")])
+    f = Flow(0, "a", "b", F(1000), F(5000), 100)
+    assert testgen.shortest_routes(topo, [f])[0].hops == ("a", "sw10", "b")
+
+
+def flows_between_all(topo):
+    hosts = topo.end_stations()
+    return [Flow(i, a, b, F(1000), F(5000), 100) for i, (a, b) in enumerate(
+        (a, b) for a in hosts for b in hosts if a != b)]
+
+
+@st.composite
+def hand_built_topologies(draw):
+    """A connected topology over names n0..n<N-1>, so "n10" sorts before
+    "n2": at least two end stations and at most six switches, a random
+    spanning tree plus random extra links (end stations may link to each
+    other and to several switches), and a flow for every ordered pair of
+    end stations."""
+    kinds = draw(st.lists(st.sampled_from((ES, SW)), min_size=3, max_size=12)
+                 .filter(lambda ks: ks.count(ES) >= 2 and ks.count(SW) <= 6))
+    names = [f"n{i}" for i in range(len(kinds))]
+    order = draw(st.permutations(names))
+    pairs = {frozenset((node, order[draw(st.integers(0, i - 1))]))
+             for i, node in enumerate(order) if i}
+    every = [frozenset((a, b)) for i, a in enumerate(names)
+             for b in names[i + 1:]]
+    pairs |= set(draw(st.lists(st.sampled_from(every), max_size=12)))
+    topo = Topology([Node(n, k) for n, k in zip(names, kinds)],
+                    [Link(*sorted(p)) for p in sorted(pairs, key=sorted)])
+    return topo, flows_between_all(topo)
+
+
+@st.composite
+def generated_topologies(draw):
+    """A generated topology of any family, one host per switch (two to
+    four on a star), and a flow for every ordered pair of hosts.  Even
+    rings tie at the far side, where the two branches of a search from
+    the destination meet out of name order."""
+    kind = draw(st.sampled_from(testgen.TOPOLOGY_KINDS))
+    if kind == testgen.ONE_SWITCH:
+        shape = dict(switches=1, hosts=draw(st.integers(2, 4)))
+    else:
+        shape = dict(switches=draw(st.integers(3, 10)), hosts=1)
+    topo = testgen.gen_topology(spec(kind, seed=draw(st.integers(0, 2 ** 31)),
+                                     **shape))
+    return topo, flows_between_all(topo)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(hand_built_topologies(), generated_topologies()))
+def test_shortest_routes_match_first_enumerated_route(case):
+    topo, flows = case
+    expected = []
+    for f in flows:
+        try:
+            best = oracles.k_shortest_routes(topo, f, 1)[0]
+        except ValidationError:
+            with pytest.raises(ValidationError,
+                               match=f"no route from {f.src} to {f.dst}"):
+                testgen.shortest_routes(topo, [f])
+            continue
+        assert testgen.shortest_routes(topo, [f]) == (best,)
+        expected.append(best)
+    reachable = [f for f in flows if any(r.flow_id == f.id for r in expected)]
+    assert testgen.shortest_routes(topo, reachable) == tuple(expected)
 
 
 # bundles and manifests
@@ -280,7 +362,43 @@ def test_corpus_cqf_cycle_margin():
 
 
 def test_corpus_routes_are_first_shortest():
-    for tc in corpus_testcases()[:4]:
+    for tc in corpus_testcases():
         for f in tc.flows:
-            best = testgen.k_shortest_routes(tc.topology, f, 1)[0]
+            best = oracles.k_shortest_routes(tc.topology, f, 1)[0]
             assert tc.route_for(f.id).hops == best.hops
+
+
+# ======================================================================
+# pinned bytes: the serialized routes of large generated cases, where
+# shortest-path ties are common, recorded once and compared on every run;
+# regenerate them only on purpose, with
+# `PYTHONPATH=src python tests/test_testgen.py`
+
+ROUTE_DIGESTS_PATH = Path(__file__).resolve().parent / "data" / "route_digests.json"
+# (kind, switches, hosts per switch, flows) x GenSpec seeds
+ROUTE_DIGEST_SHAPES = (("medium_mesh", 12, 4, 160), ("ring", 10, 4, 80))
+ROUTE_DIGEST_SEEDS = (1, 2, 3)
+
+
+def route_digests():
+    out = {}
+    for kind, switches, hosts, flows in ROUTE_DIGEST_SHAPES:
+        for seed in ROUTE_DIGEST_SEEDS:
+            name = f"{kind}_{switches}x{hosts}_{flows}_s{seed}"
+            tc = testgen.build_testcase(
+                name, spec(kind, switches, hosts, flows, seed=seed), "CBS",
+                testgen.NetworkConstants())
+            out[name] = hashlib.sha256(
+                serialize_routes(tc.routes).encode()).hexdigest()
+    return out
+
+
+def test_route_bytes_match_pinned_digests():
+    pinned = json.loads(ROUTE_DIGESTS_PATH.read_text())
+    assert route_digests() == pinned
+
+
+if __name__ == "__main__":
+    ROUTE_DIGESTS_PATH.parent.mkdir(exist_ok=True)
+    ROUTE_DIGESTS_PATH.write_text(json.dumps(route_digests(), indent=2,
+                                             sort_keys=True) + "\n")
