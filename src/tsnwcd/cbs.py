@@ -33,7 +33,6 @@ c_max / idleSlope and the shaping burst to (c_max - c_min) + max frame.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,8 +48,10 @@ from .netmodel import (
     NetworkConstants,
     TestCase,
     frame_bits,
+    json_num,
+    json_text,
+    wire_bits,
 )
-from .netmodel import json_num
 
 Port = tuple[str, str]
 Number = Union[int, Fraction]
@@ -243,7 +244,7 @@ class CbsReport:
 
 def default_lower_frame_bits(constants: NetworkConstants) -> Fraction:
     """Blocking assumption: one MTU-sized best-effort frame."""
-    return Fraction((MTU_BYTES + constants.frame_overhead) * 8)
+    return wire_bits(MTU_BYTES, constants)
 
 
 def rate_latency_delay(segments: Sequence[Seg], service: RateLatency
@@ -526,4 +527,4 @@ def report_to_json(report: CbsReport) -> str:
         "flows": flows,
         "converged": report.converged,
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)

@@ -98,14 +98,6 @@ def _solve_text(tc: netmodel.TestCase) -> str:
     return cqf.report_to_json(cqf.solve(tc))
 
 
-def _read(reader, path):
-    """reader(text of the file at path); a ParseError names the file."""
-    try:
-        return reader(Path(path).read_text())
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
 _MECH_CHOICE = click.Choice(["cbs", "cqf"], case_sensitive=False)
 
 
@@ -129,8 +121,7 @@ def gen(ctx, manifest, out_dir, truth_dir, jobs):
         if truth_out is not None and not isinstance(truth_out, str):
             raise click.UsageError(
                 f"config gen.truth_dir must be a string, got {truth_out!r}")
-        entries = testgen.parse_manifest(Path(manifest).read_text(),
-                                         manifest)
+        entries = netmodel.parse_file(manifest, testgen.parse_manifest)
         log.info("generating %d test cases with %d jobs",
                  len(entries), n_jobs)
 
@@ -236,23 +227,27 @@ def prompt(tc_dir, mechanism, out_path):
               type=click.Path(exists=True, file_okay=False))
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def score(truth_dir, pred_dir, out_path):
-    """Score per-flow delay predictions against ground truth."""
+    """Score a model's raw replies, one <testcase>.txt each, against truth."""
     def body():
         truths, source = {}, {}
         for path in sorted(Path(truth_dir).glob("*_truth.json")):
-            name, flows = _read(evalharness.truth_from_json, path)
+            name, flows = netmodel.parse_file(path,
+                                              evalharness.truth_from_json)
             if name in truths:
                 raise ValidationError(
                     f"test case {name!r} has two truth files: "
                     f"{source[name]} and {path}")
             truths[name], source[name] = flows, path
-        preds = [_read(evalharness.prediction_from_json, p)
-                 for p in sorted(Path(pred_dir).glob("*.json"))]
+        # score_open rejects a reply whose test case has no truth
+        preds = [evalharness.parse_prediction(netmodel.parse_file(path),
+                                              path.stem,
+                                              truths.get(path.stem, ()))
+                 for path in sorted(Path(pred_dir).glob("*.txt"))]
         if not preds:
-            raise ValidationError(f"no prediction files in {pred_dir}")
+            raise ValidationError(f"no reply files (*.txt) in {pred_dir}")
         open_score = evalharness.score_open(preds, truths)
-        report = evalharness.MetricsReport(open_ended=open_score)
-        Path(out_path).write_text(evalharness.metrics_to_json(report))
+        Path(out_path).write_text(
+            evalharness.metrics_to_json(open_ended=open_score))
         mae = open_score.overall_mae
         return {"command": "score", "testcases": len(preds),
                 "scored": open_score.scored_testcases,
@@ -277,16 +272,18 @@ def score_mcqa(ctx, items_path, runs_path, bins, out_path):
     def body():
         bin_count = _count_setting(ctx, "score-mcqa", "bins", bins,
                                    evalharness.DEFAULT_BIN_COUNT)
-        items = _read(evalharness.mcq_items_from_json, items_path)
-        records = _read(evalharness.run_records_from_jsonl, runs_path)
+        items = netmodel.parse_file(items_path,
+                                    evalharness.mcq_items_from_json)
+        records = netmodel.parse_file(runs_path,
+                                      evalharness.run_records_from_jsonl)
         mcqa = evalharness.score_mcqa(items, records)
         try:
             calib = evalharness.calibration(items, records, bin_count)
         except ValidationError as exc:
             log.warning("calibration skipped: %s", exc)
             calib = None
-        report = evalharness.MetricsReport(mcqa=mcqa, calib=calib)
-        Path(out_path).write_text(evalharness.metrics_to_json(report))
+        Path(out_path).write_text(
+            evalharness.metrics_to_json(mcqa=mcqa, calib=calib))
         acc = mcqa.accuracy
         return {"command": "score-mcqa", "items": len(items),
                 "answered": mcqa.answered_items,
@@ -307,7 +304,7 @@ def report(metrics_path, csv_path):
     """Export the reliability-bin table of a metrics file as CSV."""
     def body():
         try:
-            doc = json.loads(Path(metrics_path).read_text())
+            doc = json.loads(netmodel.parse_file(metrics_path))
         except ValueError as exc:
             raise ParseError(f"{metrics_path}: not valid JSON: {exc}") from exc
         cal = doc.get("calibration") if isinstance(doc, dict) else None

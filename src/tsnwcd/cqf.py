@@ -10,7 +10,6 @@ periods; T must divide it for the schedule to repeat cleanly.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +25,7 @@ from .netmodel import (
     TestCase,
     frame_bits,
     json_num,
+    json_text,
 )
 
 
@@ -164,4 +164,4 @@ def report_to_json(report: CqfReport) -> str:
         "hypercycle_us": json_num(report.hypercycle),
         "flows": flows,
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)

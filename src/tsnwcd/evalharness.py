@@ -27,7 +27,7 @@ import statistics
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ParseError, ValidationError
 from .minplus import frac
@@ -35,6 +35,7 @@ from .netmodel import (
     CBS,
     TestCase,
     json_num,
+    json_text,
     serialize_flows,
     serialize_routes,
     serialize_topology,
@@ -57,6 +58,16 @@ HIGH_CONFIDENCE = Fraction(4, 5)
 MIN_ANSWERED_TESTCASES = 50
 
 DEFAULT_BIN_COUNT = 10
+
+
+def _confidence(value) -> Optional[Fraction]:
+    """None, or value as an exact Fraction that must lie in [0, 1]."""
+    if value is None:
+        return None
+    c = frac(value)
+    if not 0 <= c <= 1:
+        raise ValidationError(f"confidence {c} outside [0, 1]")
+    return c
 
 
 # ---------------------------------------------------------------- MCQA types
@@ -97,11 +108,7 @@ class Run:
     raw_text: str = ""
 
     def __post_init__(self):
-        if self.confidence is not None:
-            c = frac(self.confidence)
-            if not 0 <= c <= 1:
-                raise ValidationError(f"confidence {c} outside [0, 1]")
-            object.__setattr__(self, "confidence", c)
+        object.__setattr__(self, "confidence", _confidence(self.confidence))
         if self.latency_ms is not None:
             object.__setattr__(self, "latency_ms", frac(self.latency_ms))
 
@@ -130,11 +137,7 @@ class FlowPrediction:
 
     def __post_init__(self):
         object.__setattr__(self, "wcd", frac(self.wcd))
-        if self.confidence is not None:
-            c = frac(self.confidence)
-            if not 0 <= c <= 1:
-                raise ValidationError(f"confidence {c} outside [0, 1]")
-            object.__setattr__(self, "confidence", c)
+        object.__setattr__(self, "confidence", _confidence(self.confidence))
 
 
 @dataclass(frozen=True)
@@ -320,15 +323,17 @@ def _scan_mapping(obj: dict) -> tuple[dict[int, FlowPrediction],
     return out, shared_conf
 
 
-def parse_prediction(text: str, tc: TestCase) -> PredictionSet:
-    """Extract per-flow delay predictions from arbitrary model output.
+def parse_prediction(text: str, testcase: str,
+                     flow_ids: Collection[int]) -> PredictionSet:
+    """Extract per-flow delay predictions from a model's raw reply to the
+    question on testcase, whose flows are flow_ids.
 
     Takes the first well-formed JSON object in the text that yields at
     least one flow-label-to-number entry; labels 0 / F0 / flow_0 are all
     accepted, unknown flow ids are dropped. Never raises on garbage; the
     failure mode of the returned set records what went wrong.
     """
-    known = {f.id for f in tc.flows}
+    known = set(flow_ids)
     decoder = json.JSONDecoder(parse_float=Fraction,
                                parse_constant=lambda _: None)
     flows: dict[int, FlowPrediction] = {}
@@ -350,9 +355,9 @@ def parse_prediction(text: str, tc: TestCase) -> PredictionSet:
         flows = {k: (v if v.confidence is not None
                      else FlowPrediction(v.wcd, shared_conf))
                  for k, v in flows.items()}
-    mode = classify_failure(len(flows), len(tc.flows),
+    mode = classify_failure(len(flows), len(known),
                             all(p.wcd == 0 for p in flows.values()))
-    return PredictionSet(tc.name, flows, mode)
+    return PredictionSet(testcase, flows, mode)
 
 
 # ------------------------------------------------------------- open scoring
@@ -638,24 +643,20 @@ def reliability_to_csv(cal: CalibrationScore) -> str:
     return "\n".join(lines) + "\n"
 
 
-# ------------------------------------------------------------ report bundle
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    open_ended: Optional[OpenScore] = None
-    mcqa: Optional[McqaScore] = None
-    calib: Optional[CalibrationScore] = None
+# ------------------------------------------------------------ metrics file
 
 
 def _opt(x) -> Optional[Union[int, float]]:
     return None if x is None else json_num(Fraction(x))
 
 
-def metrics_to_json(report: MetricsReport) -> str:
+def metrics_to_json(open_ended: Optional[OpenScore] = None,
+                    mcqa: Optional[McqaScore] = None,
+                    calib: Optional[CalibrationScore] = None) -> str:
+    """The metrics file: one section per score given."""
     doc: dict = {}
-    if report.open_ended is not None:
-        o = report.open_ended
+    if open_ended is not None:
+        o = open_ended
         doc["open_ended"] = {
             "per_tc_mae": {k: json_num(v) for k, v in o.per_tc_mae.items()},
             "per_tc_mape": {k: _opt(v) for k, v in o.per_tc_mape.items()},
@@ -669,8 +670,8 @@ def metrics_to_json(report: MetricsReport) -> str:
             "suppression_flags": list(o.suppression_flags),
             "diagnostics": list(o.diagnostics),
         }
-    if report.mcqa is not None:
-        m = report.mcqa
+    if mcqa is not None:
+        m = mcqa
         doc["mcqa"] = {
             "accuracy_percent": _opt(m.accuracy),
             "per_run_accuracy_percent": [_opt(a) for a in m.per_run_accuracy],
@@ -678,8 +679,8 @@ def metrics_to_json(report: MetricsReport) -> str:
             "answered_items": m.answered_items,
             "diagnostics": list(m.diagnostics),
         }
-    if report.calib is not None:
-        c = report.calib
+    if calib is not None:
+        c = calib
         doc["calibration"] = {
             "ece": json_num(c.ece),
             "brier": json_num(c.brier),
@@ -692,7 +693,7 @@ def metrics_to_json(report: MetricsReport) -> str:
                 for b in c.bins],
             "diagnostics": list(c.diagnostics),
         }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json_text(doc)
 
 
 def calibration_from_json(section: dict) -> CalibrationScore:
@@ -760,29 +761,3 @@ def run_records_from_jsonl(text: str) -> list[RunRecord]:
                 for r in doc["runs"])
             out.append(RunRecord(id=str(doc["id"]), runs=runs))
     return out
-
-
-def prediction_to_json(ps: PredictionSet) -> str:
-    doc = {
-        "testcase": ps.testcase,
-        "failure_mode": ps.failure_mode,
-        "flows": {
-            str(fid): {
-                "wcd_us": json_num(fp.wcd),
-                "confidence": _opt(fp.confidence),
-            }
-            for fid, fp in ps.per_flow.items()},
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def prediction_from_json(text: str) -> PredictionSet:
-    with _malformed("prediction"):
-        doc = json.loads(text, parse_float=Fraction)
-        flows = {
-            int(fid): FlowPrediction(Fraction(row["wcd_us"]),
-                                     None if row.get("confidence") is None
-                                     else Fraction(row["confidence"]))
-            for fid, row in doc["flows"].items()}
-        return PredictionSet(doc["testcase"], flows, doc["failure_mode"])
-

@@ -10,7 +10,7 @@ A test case is a bundle directory with four files:
 All files are UTF-8 with LF endings; '#'-prefixed lines and blank lines are
 ignored on parse.  Times are microseconds, rates bits per microsecond;
 payloads stay in bytes as parsed and are converted to wire bits exactly once
-in frame_bits().
+in wire_bits().
 """
 from __future__ import annotations
 
@@ -18,12 +18,14 @@ import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, TypeVar, Union
 
 from .errors import ParseError, ValidationError
 from .minplus import frac
 
 MTU_BYTES = 1500
+
+T = TypeVar("T")
 
 ES = "es"
 SW = "sw"
@@ -46,6 +48,12 @@ def json_num(x: Fraction) -> Union[int, float]:
     if x.denominator == 1:
         return x.numerator
     return float(x)
+
+
+def json_text(doc) -> str:
+    """The byte-stable JSON text of every report and file this package
+    writes: two-space indent, sorted keys, one trailing newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def content_lines(text: str):
@@ -277,9 +285,15 @@ class TestCase:
                 f"{self.name} is a {self.mechanism} test case, not {mechanism}")
 
 
+def wire_bits(payload_bytes: int, constants: NetworkConstants) -> Fraction:
+    """Wire size in bits of a frame carrying payload_bytes; the single
+    bytes-to-bits conversion."""
+    return Fraction((payload_bytes + constants.frame_overhead) * 8)
+
+
 def frame_bits(flow: Flow, constants: NetworkConstants) -> Fraction:
-    """Wire size of one frame in bits; the single bytes-to-bits conversion."""
-    return Fraction((flow.payload_bytes + constants.frame_overhead) * 8)
+    """Wire size of one frame of flow in bits."""
+    return wire_bits(flow.payload_bytes, constants)
 
 
 # ======================================================================
@@ -412,7 +426,7 @@ def constants_to_json(mechanism: str, constants: NetworkConstants) -> str:
     }}
     if constants.cycle_T is not None:
         payload["constants"]["cycle_T"] = json_num(constants.cycle_T)
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)
 
 
 def constants_from_json(text: str) -> tuple[str, NetworkConstants]:
@@ -513,7 +527,18 @@ def validate_testcase(tc: TestCase) -> list[str]:
 # ======================================================================
 # bundle IO
 
-BUNDLE_SUFFIXES = ("_topo.txt", "_flows.txt", "_route.txt", "_config.json")
+def parse_file(path: Union[str, Path], parse: Callable[[str], T] = str) -> T:
+    """parse(the UTF-8 text of the file at path); the default returns the
+    text.  A file that cannot be read or is not UTF-8, or a ParseError from
+    parse, raises a ParseError that names the file."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def bundle_paths(directory: Union[str, Path], name: str) -> dict[str, Path]:
@@ -537,20 +562,17 @@ def infer_bundle_name(directory: Union[str, Path]) -> str:
 
 def load_testcase(directory: Union[str, Path],
                   name: Optional[str] = None) -> TestCase:
-    """Read a bundle directory into a TestCase; raises ParseError on a
-    malformed file and ValidationError on an invalid test case."""
+    """Read a bundle directory into a TestCase; raises ParseError naming
+    a missing or malformed file and ValidationError on an invalid test
+    case."""
     if name is None:
         name = infer_bundle_name(directory)
     paths = bundle_paths(directory, name)
-    for p in paths.values():
-        if not p.exists():
-            raise ParseError(f"missing bundle file {p}")
-    topo = parse_topology(paths["topo"].read_text(encoding="utf-8"))
-    flows = parse_flows(paths["flows"].read_text(encoding="utf-8"))
-    routes = parse_routes(paths["route"].read_text(encoding="utf-8"),
-                          flows=flows, topology=topo)
-    mech, constants = constants_from_json(
-        paths["config"].read_text(encoding="utf-8"))
+    topo = parse_file(paths["topo"], parse_topology)
+    flows = parse_file(paths["flows"], parse_flows)
+    routes = parse_file(paths["route"], lambda text: parse_routes(
+        text, flows=flows, topology=topo))
+    mech, constants = parse_file(paths["config"], constants_from_json)
     return TestCase(name, topo, tuple(flows), tuple(routes), mech, constants)
 
 

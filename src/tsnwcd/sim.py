@@ -56,7 +56,6 @@ itself is not simulated.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import random
 from collections import deque
@@ -73,6 +72,8 @@ from .netmodel import (
     TestCase,
     frame_bits,
     json_num,
+    json_text,
+    wire_bits,
 )
 
 RELEASE_SYNCHRONIZED = "synchronized"
@@ -421,7 +422,7 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
     idle = consts.idle_slope_fraction * C
     send = idle - C
     tx = {f.id: frame_bits(f, consts) / C for f in tc.flows}
-    be_tx = Fraction((MTU_BYTES + consts.frame_overhead) * 8) / C
+    be_tx = wire_bits(MTU_BYTES, consts) / C
     durations = _grid_durations(tc, cfg, phases, tx)
     durations += [d * -send / idle for d in tx.values()]
     if cfg.be_saturate:
@@ -697,4 +698,4 @@ def report_to_json(report: SimReport) -> str:
         "release_policy": report.release_policy,
         "flows": flows,
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)

@@ -31,6 +31,7 @@ from .netmodel import (
     Topology,
     constants_from_json,
     constants_to_json,
+    json_text,
     save_testcase,
 )
 
@@ -212,30 +213,32 @@ def manifest_entry(name: str, spec: GenSpec, mechanism: str,
 
 
 def manifest_to_json(entries: Sequence[dict]) -> str:
-    return json.dumps({"testcases": list(entries)},
-                      indent=2, sort_keys=True) + "\n"
+    return json_text({"testcases": list(entries)})
 
 
-def parse_manifest(text: str, source: str = "manifest") -> list[dict]:
-    """The manifest's entries.  A name may appear once, since each entry
-    writes the bundle and truth file its name picks."""
+def parse_manifest(text: str) -> list[dict]:
+    """The manifest's entries.  A name must be one plain path component
+    and may appear once, since each entry writes the bundle and truth file
+    its name picks."""
     try:
         doc = json.loads(text)
     except ValueError as exc:
-        raise ParseError(f"{source}: not valid JSON: {exc}") from exc
+        raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "testcases" not in doc:
-        raise ValidationError(f"{source}: manifest needs a testcases list")
+        raise ParseError("manifest needs a testcases list")
     entries = doc["testcases"]
     if not isinstance(entries, list):
-        raise ParseError(f"{source}: testcases must be a list, "
-                         f"got {type(entries).__name__}")
+        raise ParseError(
+            f"testcases must be a list, got {type(entries).__name__}")
     names = set()
     for entry in entries:
         name = entry.get("name") if isinstance(entry, dict) else None
         if isinstance(name, str):
+            if name in ("", ".", "..") or "/" in name or "\\" in name:
+                raise ParseError(f"manifest entry {name!r}: name must be "
+                                 "one plain path component")
             if name in names:
-                raise ValidationError(
-                    f"{source}: test case name {name!r} appears twice")
+                raise ParseError(f"test case name {name!r} appears twice")
             names.add(name)
     return entries
 

@@ -179,72 +179,63 @@ def test_duplicate_and_unknown_testcases_rejected():
 
 
 def test_parse_plain_mapping():
-    tc = tiny_tc(n_flows=2)
-    ps = ev.parse_prediction('{"F0": 12.5, "F1": 30}', tc)
+    ps = ev.parse_prediction('{"F0": 12.5, "F1": 30}', "T", range(2))
     assert ps.failure_mode == "ok"
     assert ps.per_flow[0].wcd == F(25, 2)
     assert ps.per_flow[1].wcd == F(30)
 
 
 def test_parse_label_spellings():
-    tc = tiny_tc(n_flows=3)
-    ps = ev.parse_prediction('{"flow_0": 10, "1": 20, "F2": 30}', tc)
+    ps = ev.parse_prediction('{"flow_0": 10, "1": 20, "F2": 30}', "T",
+                             range(3))
     assert {f: p.wcd for f, p in ps.per_flow.items()} == {
         0: F(10), 1: F(20), 2: F(30)}
 
 
 def test_parse_skips_preamble_and_non_flow_objects():
-    tc = tiny_tc(n_flows=2)
     text = ('The delays are {"unrelated": true} as computed.\n'
             'Final answer: {"F0": 101.5, "F1": 202}\n'
             'Alternative: {"F0": 999, "F1": 999}')
-    ps = ev.parse_prediction(text, tc)
+    ps = ev.parse_prediction(text, "T", range(2))
     assert ps.per_flow[0].wcd == F(203, 2)
     assert ps.per_flow[1].wcd == F(202)
 
 
 def test_parse_nested_flows_object():
-    tc = tiny_tc(n_flows=2)
     ps = ev.parse_prediction(
-        '{"answer": {"F0": 7, "F1": 9}, "confidence": 0.8}', tc)
+        '{"answer": {"F0": 7, "F1": 9}, "confidence": 0.8}', "T", range(2))
     assert ps.per_flow[0].wcd == F(7)
     assert ps.failure_mode == "ok"
 
 
 def test_parse_per_flow_details_and_shared_confidence():
-    tc = tiny_tc(n_flows=2)
     ps = ev.parse_prediction(
         '{"F0": {"wcd_us": 10, "confidence": 0.9}, "F1": 20, '
-        '"confidence": 0.7}', tc)
+        '"confidence": 0.7}', "T", range(2))
     assert ps.per_flow[0] == ev.FlowPrediction(F(10), F(9, 10))
     assert ps.per_flow[1] == ev.FlowPrediction(F(20), F(7, 10))
 
 
 def test_parse_all_zero_is_trivial_zero():
-    tc = tiny_tc(n_flows=2)
-    ps = ev.parse_prediction('{"F0": 0, "F1": 0.0}', tc)
+    ps = ev.parse_prediction('{"F0": 0, "F1": 0.0}', "T", range(2))
     assert ps.failure_mode == "trivial_zero"
 
 
 def test_parse_empty_and_garbage():
-    tc = tiny_tc(n_flows=2)
-    assert ev.parse_prediction("", tc).failure_mode == "empty"
-    assert ev.parse_prediction("no json here {", tc).failure_mode == "empty"
-    assert ev.parse_prediction('{"F9": 5}', tc).failure_mode == "empty"
+    for text in ("", "no json here {", '{"F9": 5}'):
+        assert ev.parse_prediction(text, "T", range(2)).failure_mode == "empty"
 
 
 def test_parse_partial_below_80_percent():
-    tc = tiny_tc(n_flows=20)
     body = json.dumps({f"F{i}": 10 + i for i in range(15)})
-    ps = ev.parse_prediction(body, tc)
+    ps = ev.parse_prediction(body, "T", range(20))
     assert ps.failure_mode == "partial"             # 75% < 80%
     body16 = json.dumps({f"F{i}": 10 + i for i in range(16)})
-    assert ev.parse_prediction(body16, tc).failure_mode == "ok"
+    assert ev.parse_prediction(body16, "T", range(20)).failure_mode == "ok"
 
 
 def test_parse_unknown_ids_dropped():
-    tc = tiny_tc(n_flows=2)
-    ps = ev.parse_prediction('{"F0": 5, "F7": 9}', tc)
+    ps = ev.parse_prediction('{"F0": 5, "F7": 9}', "T", range(2))
     assert set(ps.per_flow) == {0}
 
 
@@ -258,7 +249,7 @@ def test_classify_failure_precedence():
 @settings(max_examples=60, deadline=None)
 @given(st.text(max_size=200))
 def test_parse_never_raises(text):
-    ps = ev.parse_prediction(text, tiny_tc(n_flows=2))
+    ps = ev.parse_prediction(text, "T", range(2))
     assert ps.failure_mode in ev.FAILURE_MODES
 
 
@@ -445,7 +436,7 @@ def test_calibration_json_round_trip_keeps_csv_bytes():
     items, records = conf_records(
         [("0.75", True), ("0.75", False), ("1/3", True), (1, False)])
     cal = ev.calibration(items, records)
-    doc = json.loads(ev.metrics_to_json(ev.MetricsReport(calib=cal)))
+    doc = json.loads(ev.metrics_to_json(calib=cal))
     back = ev.calibration_from_json(doc["calibration"])
     assert ev.reliability_to_csv(back) == ev.reliability_to_csv(cal)
     with pytest.raises(ValidationError, match="malformed calibration"):
@@ -499,26 +490,18 @@ def test_prompt_mechanism_mismatch():
 
 
 def test_metrics_json_round_structure():
-    report = ev.MetricsReport(
+    text = ev.metrics_to_json(
         open_ended=ev.score_open(fixture_preds(), fixture_truths()),
         mcqa=ev.score_mcqa(items3(), [rec("q0", "AAA"), rec("q1", "AAA"),
                                       rec("q2", "CCC")]),
         calib=ev.calibration(*conf_records([("0.9", True)] * 3)))
-    doc = json.loads(ev.metrics_to_json(report))
+    doc = json.loads(text)
     assert doc["open_ended"]["overall_mae"] == 18.5
     assert doc["open_ended"]["per_tc_mape"]["TC2"] == 11.5
     assert doc["mcqa"]["accuracy_percent"] == 100
     assert doc["calibration"]["ece"] == pytest.approx(0.1)
     assert len(doc["calibration"]["bins"]) == 10
-    assert ev.metrics_to_json(report).endswith("\n")
-
-
-def test_prediction_json_roundtrip():
-    ps = ev.PredictionSet(
-        "TC2", {0: ev.FlowPrediction(F(25, 2), F(9, 10)),
-                1: ev.FlowPrediction(F(30))}, "ok")
-    again = ev.prediction_from_json(ev.prediction_to_json(ps))
-    assert again == ps
+    assert text.endswith("\n")
 
 
 def test_truth_from_json_reads_analysis_report():
