@@ -9,21 +9,22 @@ with D the sum of the delay bounds of the ports before it, so between
 evaluations only the bursts move.  Each group is then the lower envelope of
 at most three lines and the aggregate is concave, a sorted (start, value,
 slope) breakpoint list built straight from (burst, rate) pairs, with no
-general min-plus curve algebra; each port's reported Curve is built once,
-from its last evaluation.  No credit term depends on a delay, and only c_min
-on the port, through its largest class frame: a solve takes the credit
-bounds once per frame size, and one rate-latency service serves every port,
-so each port's delay bound has a closed form over the aggregate's segment
-starts.
+general min-plus curve algebra.  No credit term depends on a delay, and
+only c_min on the port, through its largest class frame: a solve takes the
+credit bounds once per frame size, and one rate-latency service serves
+every port.
 
 The port delays are the least fixed point of the port-delay map, the
 cyclic TFA of Thomas, Le Boudec & Mifdaoui (RTSS 2019), which one worklist
-loop finds on any port graph (tfa_solve).  A feed-forward graph takes one
-exact pass.  With cyclic port dependencies each delay is rounded up to
-CYCLIC_GRID, and an evaluation needs only the aggregate's peak backlog
+loop finds on any port graph (tfa_solve).  One integer evaluator serves
+both graph kinds: it puts a port's lines on one scale, every burst and
+rate an int, and reads the delay bound off the aggregate's peak backlog
 above the service rate, found at the first slope change that brings the
-aggregate's slope down to that rate, with every burst and rate an int on
-one common scale.  The end-to-end bound adds the constant
+aggregate's slope down to that rate.  A feed-forward graph takes one pass,
+each port on its own scale, so every delay is exact.  With cyclic port
+dependencies each delay is rounded up to CYCLIC_GRID, and one scale serves
+every port.  Each port's reported aggregate is built once, from its last
+envelopes.  The end-to-end bound adds the constant
 propagation/switching/sync terms to the per-port queueing bounds.
 
 No time-triggered traffic exists in these test cases, so the TAS terms of
@@ -166,31 +167,42 @@ def group_envelope(lines: Sequence[Line]) -> Envelope:
         r = ri
 
 
-def aggregate_segments(envelopes: Iterable[Envelope]) -> list[Seg]:
+def aggregate_segments(envelopes: Iterable[Envelope], burst_unit: Fraction,
+                       rate_unit: Fraction) -> list[Seg]:
     """Class aggregate at a port, the sum of its groups' envelopes, as
-    canonical (start, value, slope) pieces.
+    canonical (start, value, slope) pieces in bits, us and bits/us.
 
-    Each envelope is concave with at most one slope change per line, so
-    the sum is concave too: its value at 0+ and first slope are the groups'
-    sums, and it changes slope exactly where some group does.  The pieces
-    are those of Curve(...) of the same function, so building a Curve from
-    them moves no segment.
+    Every line of the envelopes is an int on one scale: bursts in
+    burst_unit bits and rates in rate_unit bits/us, so their crossings lie
+    at quotients of ints in units of burst_unit / rate_unit us.  Each
+    envelope is concave with at most one slope change per line, so the sum
+    is concave too: its value at 0+ and first slope are the groups' sums,
+    and it changes slope exactly where some group does.  The pieces are
+    found on ints, with times over the lcm of the crossings' denominators
+    and values times it, and each becomes a Fraction once.  They are those
+    of Curve(...) of the same function, so Curve.from_canonical takes them
+    as they are.
     """
-    value = slope = Fraction(0)
-    changes: list[tuple[Fraction, Fraction]] = []
-    for lines, r, drops in envelopes:
+    value = slope = 0
+    drops: list[tuple[int, int, int]] = []
+    for lines, r, envelope_drops in envelopes:
         value += min(lines)[0]
         slope += r
-        changes += [(Fraction(num, den), -drop) for num, den, drop in drops]
-    changes.sort()
-    segments = [Seg(Fraction(0), value, slope)]
-    for x, dr in changes:
-        start, value, slope = segments[-1]
-        if x == start:              # changes at one time merge
-            segments[-1] = Seg(x, value, slope + dr)
+        drops += envelope_drops
+    den = math.lcm(*(d for _, d, _ in drops))
+    # (time, value, slope): time in 1/den time units, value times den
+    pieces = [(0, value * den, slope)]
+    for t, drop in sorted((n * (den // d), drop) for n, d, drop in drops):
+        start, value, slope = pieces[-1]
+        if t == start:              # changes at one time merge
+            pieces[-1] = (t, value, slope - drop)
         else:
-            segments.append(Seg(x, value + slope * (x - start), slope + dr))
-    return segments
+            pieces.append((t, value + slope * (t - start), slope - drop))
+    bn, bd = burst_unit.numerator, burst_unit.denominator
+    rn, rd = rate_unit.numerator, rate_unit.denominator
+    return [Seg(Fraction(t * bn * rd, den * bd * rn),
+                Fraction(value * bn, den * bd), Fraction(slope * rn, rd))
+            for t, value, slope in pieces]
 
 
 def max_backlog(envelopes: Sequence[Envelope], rate: Number) -> Fraction:
@@ -200,9 +212,10 @@ def max_backlog(envelopes: Sequence[Envelope], rate: Number) -> Fraction:
     alpha is concave, so alpha(t) - rate*t rises until the first slope
     change after which alpha's slope is at most rate, and falls from there
     on: only the changes up to that point are visited, earliest first, and
-    alpha is evaluated there alone.  rate_latency_delay of the aggregate's
-    segments is latency + max_backlog / rate.  Raises InstabilityError
-    when alpha's final slope exceeds rate.
+    alpha is evaluated there alone.  Its delay bound at a rate-latency
+    server, the horizontal deviation, is latency + max_backlog / rate: the
+    positive bursts keep it from waiting for less than the latency.  Raises
+    InstabilityError when alpha's final slope exceeds rate.
     """
     slope = sum(r for _, r, _ in envelopes)
     pending = [drop for _, _, drops in envelopes for drop in drops]
@@ -247,30 +260,6 @@ def default_lower_frame_bits(constants: NetworkConstants) -> Fraction:
     return wire_bits(MTU_BYTES, constants)
 
 
-def rate_latency_delay(segments: Sequence[Seg], service: RateLatency
-                       ) -> Fraction:
-    """Delay bound of an arrival curve, given as its canonical segments
-    (Curve.segments or aggregate_segments), at a rate-latency server (rate
-    R, latency T), in closed form: T + max over the segment starts s of
-    (alpha(s+)/R - s), and never below 0.
-
-    Between segment starts alpha(t)/R - t is linear and alpha jumps only
-    upward, so the supremum over t sits at a segment start; a leading
-    stretch where alpha is still 0 waits for nothing and is skipped.  The
-    result equals minplus.h_dev(alpha, service.curve()).
-    """
-    R = service.rate
-    if segments[-1].slope > R:
-        raise InstabilityError(
-            f"arrival rate {segments[-1].slope} exceeds service rate {R}")
-    # max of alpha(s+) - R*s, divided by R once at the end
-    best = max((seg.value - R * seg.start for seg in segments
-                if seg.value or seg.slope), default=None)
-    if best is None:
-        return Fraction(0)
-    return max(Fraction(0), service.latency + best / R)
-
-
 def _topological_order(
         flow_ports: dict[int, tuple[Port, ...]]) -> Optional[list[Port]]:
     """Ports ordered so that each comes after every port upstream of it on
@@ -300,13 +289,13 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     its least fixed point, and the loop ends there whatever the order
     (Cousot, 1977); the order sets only how many evaluations that takes.
     On a feed-forward port graph the order is topological: every port is
-    evaluated once, in exact Fractions, after every port upstream of it.
-    On a cyclic one it is the sorted port order, and each delay is rounded
-    up to CYCLIC_GRID: exact delays would only approach the fixed point,
-    while the rounded map reaches its own in finitely many evaluations.  On
-    the grid every burst and rate is an int on one scale, cheaper than
-    Fraction arithmetic.  iterations is the number of evaluations per port,
-    rounded up.
+    evaluated once, after every port upstream of it, and its delay is
+    exact.  On a cyclic one it is the sorted port order, and each delay is
+    rounded up to CYCLIC_GRID: exact delays would only approach the fixed
+    point, while the rounded map reaches its own in finitely many
+    evaluations.  Either way an evaluation runs on ints (see evaluate
+    below), cheaper than Fraction arithmetic.  iterations is the number of
+    evaluations per port, rounded up.
     Raises InstabilityError naming every port whose aggregate rate reaches
     the idle slope, ConvergenceError naming a port evaluated more than
     MAX_ITERATIONS times.
@@ -354,63 +343,70 @@ def tfa_solve(tc: TestCase) -> CbsReport:
             f"port(s) {names}")
 
     order = _topological_order(flow_ports)
-    # A flow's burst entering its k-th port is b + r*D, D the summed delays
-    # of the ports before it.  The feed-forward pass works in bits and us.
-    # The cyclic loop, whose delays lie on CYCLIC_GRID, works on one integer
-    # scale: bursts in units of 1/scale bits, rates in units of 1/rate_den
-    # bits/us, delays in CYCLIC_GRID units, so every burst and rate is an
-    # int and lines cross at quotients of ints.
-    segments: dict[Port, list[Seg]] = {}
     cyclic = order is None
-    if not cyclic:
-        scale = 1
-        lines_at = layout
-        weight = {fid: b.rate for fid, b in bucket.items()}
-
-        def port_delay(p: Port) -> Fraction:
-            # each port is evaluated once: its pieces are built anyway,
-            # and the delay is read off them
-            segments[p] = aggregate_segments(envelopes[p])
-            return rate_latency_delay(segments[p], service)
-    else:
+    # Every evaluation works on ints: rates in units of 1/rate_den bits/us,
+    # bursts in units of 1/(scale * m) bits, with scale making every source
+    # and cap burst an int and m the port's own factor.  A flow's burst
+    # entering its k-th port is b + r*D, D the summed delays of the ports
+    # before it, kept in 1/scale bits.  On a feed-forward graph those are
+    # exact Fractions and m the lcm of the port's group-burst denominators,
+    # so each delay is exact.  On a cyclic graph the delays lie on
+    # CYCLIC_GRID, which scale covers together with the rates, so every
+    # burst is an int and m is 1.
+    rate_den = math.lcm(idsl.denominator, C.denominator,
+                        *(b.rate.denominator for b in bucket.values()))
+    scale = math.lcm(*(b.burst.denominator for b in bucket.values()),
+                     *(cap_b.denominator for p in ports
+                       for _, _, caps in layout[p] for cap_b, _ in caps))
+    if cyclic:
         order = ports
-        rate_den = math.lcm(idsl.denominator, C.denominator,
-                            *(b.rate.denominator for b in bucket.values()))
-        scale = CYCLIC_GRID.denominator * math.lcm(
-            rate_den, *(b.burst.denominator for b in bucket.values()),
-            *(cap_b.denominator for p in ports
-              for _, _, caps in layout[p] for cap_b, _ in caps))
-        lines_at = {
-            p: [(members, _scaled(rate, rate_den),
-                 tuple((_scaled(b, scale), _scaled(r, rate_den))
-                       for b, r in caps))
-                for members, rate, caps in layout[p]]
-            for p in ports}
-        idsl_scaled = _scaled(idsl, rate_den)
-        backlog_den = scale * idsl       # scaled backlog -> delay in us
+        scale = CYCLIC_GRID.denominator * math.lcm(rate_den, scale)
         # a burst moves by weight * (upstream delay / CYCLIC_GRID)
-        weight = {fid: _scaled(b.rate, scale * CYCLIC_GRID)
+        weight = {fid: _on_scale(b.rate, scale // CYCLIC_GRID.denominator)
                   for fid, b in bucket.items()}
+    else:
+        weight = {fid: b.rate * scale for fid, b in bucket.items()}
+    lines_at = {
+        p: [(members, _on_scale(rate, rate_den),
+             tuple((_on_scale(b, scale), _on_scale(r, rate_den))
+                   for b, r in caps))
+            for members, rate, caps in layout[p]]
+        for p in ports}
+    idsl_scaled = _on_scale(idsl, rate_den)
+    backlog_den = scale * idsl       # scaled backlog -> delay in us, over m
 
-        def port_delay(p: Port) -> int:
-            # only the delay, the latency plus the peak backlog over the
-            # idle slope, in CYCLIC_GRID units rounded up; every line has a
-            # positive burst, so that is never below the latency
-            return math.ceil((service.latency
-                              + max_backlog(envelopes[p], idsl_scaled)
-                              / backlog_den) / CYCLIC_GRID)
-
-    burst = {fid: [_scaled(bucket[fid].burst, scale)] * len(ports_f)
+    burst = {fid: [_on_scale(bucket[fid].burst, scale)] * len(ports_f)
              for fid, ports_f in flow_ports.items()}
     # per port: each group's envelope, None until it is computed and again
-    # once a member's burst moves; and the group of each (flow, hop)
+    # once a member's burst moves, and the factor m of its bursts; and the
+    # group of each (flow, hop)
     envelopes = {p: [None] * len(layout[p]) for p in ports}
+    port_scale = dict.fromkeys(ports, 1)
     group_at = {fid: [0] * len(ports_f)
                 for fid, ports_f in flow_ports.items()}
     for p in ports:
         for i, (members, _, _) in enumerate(layout[p]):
             for fid, k in members:
                 group_at[fid][k] = i
+
+    def evaluate(p: Port) -> Fraction:
+        """Exact delay bound of port p from the current bursts: the latency
+        plus the peak backlog above the idle slope, over the idle slope.
+        Only the groups whose bursts moved get new envelopes; the others
+        exist only on a cyclic graph, where m is always 1, since a
+        feed-forward pass evaluates each port once."""
+        envs, groups = envelopes[p], lines_at[p]
+        stale = [g for g, env in enumerate(envs) if env is None]
+        bursts = [_exact_sum([burst[fid][k] for fid, k in groups[g][0]])
+                  for g in stale]
+        m = math.lcm(*(b.denominator for b in bursts))
+        for g, b in zip(stale, bursts):
+            _, rate, caps = groups[g]
+            envs[g] = group_envelope(((_on_scale(b, m), rate),
+                                      *((cap_b * m, r) for cap_b, r in caps)))
+        port_scale[p] = m
+        return (service.latency
+                + max_backlog(envs, idsl_scaled) / (m * backlog_den))
 
     # a heap of the queued ports' ranks in the order; each evaluation
     # queues only ports that rank after it on a feed-forward graph
@@ -428,13 +424,11 @@ def tfa_solve(tc: TestCase) -> CbsReport:
             raise ConvergenceError(
                 f"{tc.name}: port {p[0]}->{p[1]} still moving after "
                 f"{MAX_ITERATIONS} evaluations")
-        envs = envelopes[p]
-        for g, env in enumerate(envs):
-            if env is None:
-                members, rate, caps = lines_at[p][g]
-                b = sum(burst[fid][k] for fid, k in members)
-                envs[g] = group_envelope(((b, rate), *caps))
-        delays[p] = d = port_delay(p)
+        d = evaluate(p)
+        if cyclic:
+            # in CYCLIC_GRID units, rounded up
+            d = math.ceil(d / CYCLIC_GRID)
+        delays[p] = d
         for fid, k in hops[p]:
             row = burst[fid]
             if k + 1 == len(row):
@@ -448,19 +442,17 @@ def tfa_solve(tc: TestCase) -> CbsReport:
                     queued.add(rank[q])
                     heapq.heappush(queue, rank[q])
     iterations = -(-sum(evaluations.values()) // len(ports))
-
     if cyclic:
         delays = {p: d * CYCLIC_GRID for p, d in delays.items()}
-        # every group is fresh once nothing is queued: back to bits and us
-        for p in ports:
-            segments[p] = aggregate_segments(
-                group_envelope(((Fraction(lines[0][0], scale), rate), *caps))
-                for (lines, _, _), (_, rate, caps)
-                in zip(envelopes[p], layout[p]))
 
+    # every group is fresh once nothing is queued: each port's aggregate,
+    # back in bits and us, comes from its last envelopes
+    rate_unit = Fraction(1, rate_den)
     per_port = {
-        p: PortAnalysis(p, Curve(segments[p]), service_curve,
-                        delays[p], tuple(fid for fid, _ in hops[p]))
+        p: PortAnalysis(
+            p, Curve.from_canonical(aggregate_segments(
+                envelopes[p], Fraction(1, scale * port_scale[p]), rate_unit)),
+            service_curve, delays[p], tuple(fid for fid, _ in hops[p]))
         for p in ports
     }
     per_flow_hops = {
@@ -470,17 +462,23 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     e2e = {}
     for fid in sorted(flow_ports):
         route = tc.route_for(fid)
-        e2e[fid] = sum((delays[p] for p in flow_ports[fid]),
-                       consts.propagation * route.link_count
-                       + consts.switching * route.switch_count
-                       + consts.sync_error)
+        e2e[fid] = _exact_sum([consts.propagation * route.link_count
+                               + consts.switching * route.switch_count
+                               + consts.sync_error,
+                               *(delays[p] for p in flow_ports[fid])])
     return CbsReport(tc.name, per_port, per_flow_hops, e2e, iterations, True)
 
 
-def _scaled(x: Fraction, by: Number) -> Number:
-    """x * by, as an int when that is whole."""
-    x *= by
-    return x.numerator if x.denominator == 1 else x
+def _on_scale(x: Number, scale: int) -> int:
+    """x * scale, for x whose denominator divides scale."""
+    return x.numerator * (scale // x.denominator)
+
+
+def _exact_sum(xs: Sequence[Number]) -> Fraction:
+    """The sum of xs, over the lcm of their denominators at once."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return Fraction(sum(x.numerator * (den // x.denominator) for x in xs),
+                    den)
 
 
 def _port_layout(tc, port, hops_p, flow_ports, bucket, credit_range, C,
@@ -511,15 +509,18 @@ def _port_layout(tc, port, hops_p, flow_ports, bucket, credit_range, C,
 
 
 def report_to_json(report: CbsReport) -> str:
+    # a port's delay is converted once, however many flows cross it
+    hop_json = {}
+    for hops in report.per_flow_hops.values():
+        for p, d in hops:
+            if p not in hop_json:
+                hop_json[p] = {"port": f"{p[0]}->{p[1]}", "d_us": json_num(d)}
     flows = []
     for fid in sorted(report.e2e_wcd):
         flows.append({
             "id": fid,
             "wcd_us": json_num(report.e2e_wcd[fid]),
-            "per_hop": [
-                {"port": f"{a}->{b}", "d_us": json_num(d)}
-                for (a, b), d in report.per_flow_hops[fid]
-            ],
+            "per_hop": [hop_json[p] for p, _ in report.per_flow_hops[fid]],
         })
     payload = {
         "testcase": report.testcase,

@@ -287,6 +287,11 @@ def _as_number(v) -> Optional[Fraction]:
     if isinstance(v, bool) or v is None:
         return None
     if isinstance(v, (int, Fraction)):
+        try:
+            float(v)
+        except OverflowError:
+            # beyond float range: no answer, as Infinity and NaN are not
+            return None
         return Fraction(v)
     return None
 
@@ -381,9 +386,16 @@ class OpenScore:
 
 
 def _pstdev(values: Sequence[Fraction]) -> float:
+    """Population standard deviation; never overflows for values within
+    float range, as it is at most half their range."""
     mean = sum(values) / len(values)
     var = sum((v - mean) ** 2 for v in values) / len(values)
-    return math.sqrt(float(var))
+    try:
+        return math.sqrt(float(var))
+    except OverflowError:
+        # a variance beyond float range means a deviation above 1e154,
+        # where the integer square root is exact far beyond float precision
+        return float(math.isqrt(round(var)))
 
 
 def truth_from_json(text: str) -> tuple[str, dict[int, Fraction]]:

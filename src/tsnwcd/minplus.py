@@ -144,6 +144,18 @@ class Curve:
     def affine(cls, burst: RationalLike, rate: RationalLike) -> "Curve":
         return cls([(0, burst, rate)])
 
+    @classmethod
+    def from_canonical(cls, segments: Sequence[Seg]) -> "Curve":
+        """A curve of segments already as __init__ would leave them:
+        Fraction Segs, the first at t = 0, starts strictly increasing, no
+        downward jump and no collinear neighbours.  They are taken
+        unchecked, so only a producer that guarantees that form may call
+        this."""
+        curve = cls.__new__(cls)
+        curve.segments = tuple(segments)
+        curve._starts = [s.start for s in curve.segments]
+        return curve
+
     # ------------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -7,9 +7,11 @@ CBS aggregate oracle builds a port's arrival curve with the general min-plus
 operations (themselves checked against the pointwise oracles), independently
 of the breakpoint-list evaluator in cbs; rebuilt_aggregate does so for any
 port from given upstream delays, and reference_tfa runs plain Jacobi sweeps
-of it from zero to the least fixed point of the rounded TFA map.  Exact
-Fractions throughout, so agreement checks against the implementation can
-use ==.
+of it from zero to the least fixed point of the rounded TFA map.
+rate_latency_delay reads a delay bound off an aggregate's segments in closed
+form, the way feed-forward TFA did before it read the peak backlog on ints.
+Exact Fractions throughout, so agreement checks against the implementation
+can use ==.
 
 The reference CBS network engine is the event loop simulate_cbs ran before
 it fixed each frame's start at its arrival: arrivals, transmission ends,
@@ -31,13 +33,15 @@ from tsnwcd import cbs, sim
 from tsnwcd.minplus import (
     Curve,
     CurveLike,
+    RateLatency,
+    Seg,
     as_curve,
     h_dev,
     min_of,
     shift_delay,
     sum_of,
 )
-from tsnwcd.errors import ValidationError
+from tsnwcd.errors import InstabilityError, ValidationError
 from tsnwcd.netmodel import CBS, MTU_BYTES, Route, frame_bits
 
 
@@ -153,6 +157,30 @@ def aggregate_arrival(groups: Sequence[SourceGroup]) -> Curve:
             acc = min_of(acc, g.cbs_shaping)
         total = sum_of(total, acc)
     return total
+
+
+def rate_latency_delay(segments: Sequence[Seg], service: RateLatency
+                       ) -> Fraction:
+    """Delay bound of an arrival curve, given as its canonical segments
+    (Curve.segments or cbs.aggregate_segments), at a rate-latency server
+    (rate R, latency T), in closed form: T + max over the segment starts s
+    of (alpha(s+)/R - s), and never below 0.
+
+    Between segment starts alpha(t)/R - t is linear and alpha jumps only
+    upward, so the supremum over t sits at a segment start; a leading
+    stretch where alpha is still 0 waits for nothing and is skipped.  The
+    result equals minplus.h_dev(alpha, service.curve()).
+    """
+    R = service.rate
+    if segments[-1].slope > R:
+        raise InstabilityError(
+            f"arrival rate {segments[-1].slope} exceeds service rate {R}")
+    # max of alpha(s+) - R*s, divided by R once at the end
+    best = max((seg.value - R * seg.start for seg in segments
+                if seg.value or seg.slope), default=None)
+    if best is None:
+        return Fraction(0)
+    return max(Fraction(0), service.latency + best / R)
 
 
 def rebuilt_aggregate(tc, delay, port) -> Curve:

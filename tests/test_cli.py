@@ -299,6 +299,54 @@ def test_score_classifies_replies_by_what_they_answer(runner, tmp_path):
     assert (counts["ok"], counts["partial"], counts["empty"]) == (1, 1, 1)
 
 
+CORPUS_TRUTH = Path(__file__).resolve().parent.parent / "corpus" / "truth"
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("replies, scored, mae, mae_stddev", [
+    # a number no float can hold is no answer: TC1 answers one flow of six
+    ({"TC1": '{"F0": 5, "F1": 1e999}'}, 1, F("275.69015750837434"), 0),
+    # one answer of 1e200 spreads the two test cases' MAEs beyond what a
+    # float variance can hold
+    ({"TC1": '{"F0": 1e200}', "TC2": '{"F0": 100}'}, 2, None, F(10**200, 2)),
+], ids=["beyond-float-range", "huge-spread"])
+def test_score_survives_extreme_numbers(runner, tmp_path, replies, scored,
+                                        mae, mae_stddev):
+    pred_dir = tmp_path / "replies"
+    pred_dir.mkdir()
+    for name, text in replies.items():
+        (pred_dir / f"{name}.txt").write_text(text)
+    out = tmp_path / "metrics.json"
+    s = summary(runner.invoke(main, score_args(CORPUS_TRUTH, pred_dir, out)))
+    assert s["scored"] == scored
+    doc = strict_json(out.read_text())["open_ended"]
+    if mae is not None:
+        assert doc["overall_mae"] == float(mae)
+    assert doc["overall_mae_stddev"] == pytest.approx(float(mae_stddev))
+
+
+def test_score_keeps_a_negative_answer(runner, tmp_path):
+    # a negative delay is scored as given: its error exceeds the truth, so
+    # it scores worse than answering 0 and never escapes that penalty
+    near = {"F1": 437, "F2": 465, "F3": 423, "F4": 522, "F5": 529}
+    maes = []
+    for f0 in (-280, 0):
+        pred_dir = tmp_path / f"replies{f0}"
+        pred_dir.mkdir()
+        (pred_dir / "TC1.txt").write_text(reply({"F0": f0, **near}))
+        s = summary(runner.invoke(main, score_args(
+            CORPUS_TRUTH, pred_dir, tmp_path / f"metrics{f0}.json")))
+        assert s["scored"] == 1
+        maes.append(s["overall_mae_us"])
+    assert round(maes[0], 1) == 93.8
+    assert maes[0] - maes[1] == pytest.approx(280 / 6)
+
+
 @pytest.mark.parametrize("files, fragment", [
     ({}, "no reply files (*.txt) in"),
     ({"TC1_pred.json": '{"testcase": "TC1", "flows": {"0": 200}}'},

@@ -116,6 +116,17 @@ def test_curve_equality_is_canonical():
 
 
 @given(curve_triples(), times)
+def test_from_canonical_is_the_validated_curve(triples, t):
+    # canonical segments come back as they went in, and evaluate the same
+    c = Curve(triples)
+    trusted = Curve.from_canonical(c.segments)
+    assert trusted.segments == c.segments
+    assert repr(trusted) == repr(c)
+    assert trusted.value(t) == c.value(t)
+    assert trusted.value_right(t) == c.value_right(t)
+
+
+@given(curve_triples(), times)
 def test_curves_are_nondecreasing(triples, t):
     c = Curve(triples)
     assert c.value(t) <= c.value(t + F(1, 3))
