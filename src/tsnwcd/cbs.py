@@ -16,15 +16,15 @@ every port.
 
 The port delays are the least fixed point of the port-delay map, the
 cyclic TFA of Thomas, Le Boudec & Mifdaoui (RTSS 2019), which one worklist
-loop finds on any port graph (tfa_solve).  One integer evaluator serves
-both graph kinds: it puts a port's lines on one scale, every burst and
-rate an int, and reads the delay bound off the aggregate's peak backlog
-above the service rate, found at the first slope change that brings the
-aggregate's slope down to that rate.  A feed-forward graph takes one pass,
-each port on its own scale, so every delay is exact.  With cyclic port
-dependencies each delay is rounded up to CYCLIC_GRID, and one scale serves
-every port.  Each port's reported aggregate is built once, from its last
-envelopes.  The end-to-end bound adds the constant
+loop finds on any port graph (tfa_solve).  A solve lays every port's lines
+out once, as ints, and one integer evaluator reads each delay bound off
+the aggregate's peak backlog above the service rate, at the first slope
+change that brings the aggregate's slope down to that rate.  A
+feed-forward graph takes one pass, each port on its own scale, so every
+delay is exact.  With cyclic port dependencies each delay is rounded up to
+CYCLIC_GRID, and one scale serves every port.  Each port's reported
+aggregate is built once, from its last envelopes, and the report's JSON
+text in one pass.  The end-to-end bound adds the constant
 propagation/switching/sync terms to the per-port queueing bounds.
 
 No time-triggered traffic exists in these test cases, so the TAS terms of
@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ConvergenceError, InstabilityError, ValidationError
@@ -50,7 +51,6 @@ from .netmodel import (
     TestCase,
     frame_bits,
     json_num,
-    json_text,
     wire_bits,
 )
 
@@ -318,76 +318,89 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     if not ports:
         return CbsReport(tc.name, {}, {}, {}, 1, True)
 
-    bucket = {f.id: source_arrival(f, consts) for f in tc.flows}
+    # each flow's source bucket (source_arrival): its frame in bits, whole
+    # as payload and frame_overhead are ints, and its rate
+    frame = {f.id: frame_bits(f, consts).numerator for f in tc.flows}
+    rate = {f.id: frame[f.id] / f.period for f in tc.flows}
+    rate_den = math.lcm(idsl.denominator, C.denominator,
+                        *(r.denominator for r in rate.values()))
+    rate_at = {fid: _on_scale(r, rate_den) for fid, r in rate.items()}
     # No credit term depends on a delay, and only c_min on the port, via its
     # largest class frame: bounds are taken once per frame size, and every
     # port shares one service, idleSlope after c_max / idleSlope.
-    l_max = {p: max(bucket[fid].burst for fid, _ in hops[p]) for p in ports}
-    range_of = {}
+    l_max = {p: max(frame[fid] for fid, _ in hops[p]) for p in ports}
+    credit_range = {}
     for l_class in set(l_max.values()):
         cfg = CbsClassConfig(1, idsl, idsl - C, l_class, l_lower)
         c_min, c_max = credit_bounds(cfg, C)
-        range_of[l_class] = c_max - c_min
-    credit_range = {p: range_of[l_max[p]] for p in ports}
+        credit_range[l_class] = c_max - c_min
     service = cbs_service_curve(cfg, C)      # the same for any frame size
     service_curve = service.curve()
-    layout, long_run = {}, {}
-    for p in ports:
-        layout[p], long_run[p] = _port_layout(
-            tc, p, hops[p], flow_ports, bucket, credit_range, C, idsl)
-    unstable = [p for p in ports if long_run[p] >= idsl]
-    if unstable:
-        names = ", ".join(f"{a}->{b}" for a, b in unstable)
-        raise InstabilityError(
-            f"{tc.name}: aggregate rate reaches the idle slope at "
-            f"port(s) {names}")
 
     order = _topological_order(flow_ports)
     cyclic = order is None
     # Every evaluation works on ints: rates in units of 1/rate_den bits/us,
-    # bursts in units of 1/(scale * m) bits, with scale making every source
-    # and cap burst an int and m the port's own factor.  A flow's burst
+    # bursts in units of 1/(scale * m) bits, with scale making every frame
+    # and credit range an int and m the port's own factor.  A flow's burst
     # entering its k-th port is b + r*D, D the summed delays of the ports
     # before it, kept in 1/scale bits.  On a feed-forward graph those are
     # exact Fractions and m the lcm of the port's group-burst denominators,
     # so each delay is exact.  On a cyclic graph the delays lie on
     # CYCLIC_GRID, which scale covers together with the rates, so every
     # burst is an int and m is 1.
-    rate_den = math.lcm(idsl.denominator, C.denominator,
-                        *(b.rate.denominator for b in bucket.values()))
-    scale = math.lcm(*(b.burst.denominator for b in bucket.values()),
-                     *(cap_b.denominator for p in ports
-                       for _, _, caps in layout[p] for cap_b, _ in caps))
+    scale = math.lcm(*(r.denominator for r in credit_range.values()))
     if cyclic:
         order = ports
         scale = CYCLIC_GRID.denominator * math.lcm(rate_den, scale)
         # a burst moves by weight * (upstream delay / CYCLIC_GRID)
-        weight = {fid: _on_scale(b.rate, scale // CYCLIC_GRID.denominator)
-                  for fid, b in bucket.items()}
+        weight = {fid: _on_scale(r, scale // CYCLIC_GRID.denominator)
+                  for fid, r in rate.items()}
     else:
-        weight = {fid: b.rate * scale for fid, b in bucket.items()}
-    lines_at = {
-        p: [(members, _on_scale(rate, rate_den),
-             tuple((_on_scale(b, scale), _on_scale(r, rate_den))
-                   for b, r in caps))
-            for members, rate, caps in layout[p]]
-        for p in ports}
-    idsl_scaled = _on_scale(idsl, rate_den)
-    backlog_den = scale * idsl       # scaled backlog -> delay in us, over m
+        weight = {fid: r * scale for fid, r in rate.items()}
+    range_at = {l: _on_scale(r, scale) for l, r in credit_range.items()}
+    C_at, idsl_at = _on_scale(C, rate_den), _on_scale(idsl, rate_den)
 
-    burst = {fid: [_on_scale(bucket[fid].burst, scale)] * len(ports_f)
+    # The groups feeding each port, fixed for a solve, as (members, summed
+    # rate, caps): members are (flow id, hop index) pairs and caps (burst,
+    # rate) lines.  The flows the port sources come uncapped; each
+    # predecessor's flows are capped by the link line (link_shaping) and,
+    # behind a switch, by the CBS shaping line (cbs_shaping).  No delay
+    # moves the long-run rate, the sum of each group's shallowest line.
+    layout, unstable = {}, []
+    for p in ports:
+        local = tuple((fid, k) for fid, k in hops[p] if k == 0)
+        by_pred: dict[Port, list[tuple[int, int]]] = {}   # predecessor port
+        for fid, k in hops[p]:
+            if k:
+                by_pred.setdefault(flow_ports[fid][k - 1], []).append((fid, k))
+        groups = [(local, ())] if local else []
+        for q in sorted(by_pred):
+            l_link = max(frame[fid] for fid, _ in by_pred[q]) * scale
+            caps: tuple[Line, ...] = ((l_link, C_at),)
+            if tc.topology.is_switch(q[0]):
+                caps += ((range_at[l_max[q]] + l_link, idsl_at),)
+            groups.append((tuple(by_pred[q]), caps))
+        layout[p] = [(members, sum(rate_at[fid] for fid, _ in members), caps)
+                     for members, caps in groups]
+        if sum(min([r, *(cap_r for _, cap_r in caps)])
+               for _, r, caps in layout[p]) >= idsl_at:
+            unstable.append(p)
+    if unstable:
+        names = ", ".join(f"{a}->{b}" for a, b in unstable)
+        raise InstabilityError(
+            f"{tc.name}: aggregate rate reaches the idle slope at "
+            f"port(s) {names}")
+
+    burst = {fid: [frame[fid] * scale] * len(ports_f)
              for fid, ports_f in flow_ports.items()}
     # per port: each group's envelope, None until it is computed and again
     # once a member's burst moves, and the factor m of its bursts; and the
-    # group of each (flow, hop)
+    # group of each (flow id, hop index)
     envelopes = {p: [None] * len(layout[p]) for p in ports}
     port_scale = dict.fromkeys(ports, 1)
-    group_at = {fid: [0] * len(ports_f)
-                for fid, ports_f in flow_ports.items()}
-    for p in ports:
-        for i, (members, _, _) in enumerate(layout[p]):
-            for fid, k in members:
-                group_at[fid][k] = i
+    group_at = {member: i for p in ports
+                for i, (members, _, _) in enumerate(layout[p])
+                for member in members}
 
     def evaluate(p: Port) -> Fraction:
         """Exact delay bound of port p from the current bursts: the latency
@@ -395,7 +408,7 @@ def tfa_solve(tc: TestCase) -> CbsReport:
         Only the groups whose bursts moved get new envelopes; the others
         exist only on a cyclic graph, where m is always 1, since a
         feed-forward pass evaluates each port once."""
-        envs, groups = envelopes[p], lines_at[p]
+        envs, groups = envelopes[p], layout[p]
         stale = [g for g, env in enumerate(envs) if env is None]
         bursts = [_exact_sum([burst[fid][k] for fid, k in groups[g][0]])
                   for g in stale]
@@ -405,8 +418,9 @@ def tfa_solve(tc: TestCase) -> CbsReport:
             envs[g] = group_envelope(((_on_scale(b, m), rate),
                                       *((cap_b * m, r) for cap_b, r in caps)))
         port_scale[p] = m
+        # the backlog is in 1/(m * scale) bits
         return (service.latency
-                + max_backlog(envs, idsl_scaled) / (m * backlog_den))
+                + max_backlog(envs, idsl_at) / (m * scale * idsl))
 
     # a heap of the queued ports' ranks in the order; each evaluation
     # queues only ports that rank after it on a feed-forward graph
@@ -437,7 +451,7 @@ def tfa_solve(tc: TestCase) -> CbsReport:
             if b != row[k + 1]:
                 row[k + 1] = b
                 q = flow_ports[fid][k + 1]
-                envelopes[q][group_at[fid][k + 1]] = None
+                envelopes[q][group_at[fid, k + 1]] = None
                 if rank[q] not in queued:
                     queued.add(rank[q])
                     heapq.heappush(queue, rank[q])
@@ -459,13 +473,12 @@ def tfa_solve(tc: TestCase) -> CbsReport:
         fid: [(p, delays[p]) for p in flow_ports[fid]]
         for fid in sorted(flow_ports)
     }
-    e2e = {}
-    for fid in sorted(flow_ports):
-        route = tc.route_for(fid)
-        e2e[fid] = _exact_sum([consts.propagation * route.link_count
-                               + consts.switching * route.switch_count
-                               + consts.sync_error,
-                               *(delays[p] for p in flow_ports[fid])])
+    # the constant term once per route length n: n links, n - 1 switches
+    fixed = {n: consts.propagation * n + consts.switching * (n - 1)
+             + consts.sync_error for n in set(map(len, flow_ports.values()))}
+    e2e = {fid: _exact_sum([fixed[len(flow_ports[fid])],
+                            *(delays[p] for p in flow_ports[fid])])
+           for fid in sorted(flow_ports)}
     return CbsReport(tc.name, per_port, per_flow_hops, e2e, iterations, True)
 
 
@@ -481,51 +494,30 @@ def _exact_sum(xs: Sequence[Number]) -> Fraction:
                     den)
 
 
-def _port_layout(tc, port, hops_p, flow_ports, bucket, credit_range, C,
-                 idsl):
-    """The groups feeding one port, fixed for a solve, as (members, summed
-    rate, caps): members are (flow id, hop index) pairs and caps (burst,
-    rate) lines.  The flows the port sources come uncapped; each
-    predecessor's flows are capped by the link line and, behind a switch,
-    by the CBS shaping line.  Also the port's long-run aggregate rate, the
-    sum of each group's shallowest line, which no delay moves."""
-    local = [(fid, k) for fid, k in hops_p if k == 0]
-    by_pred: dict[str, list[tuple[int, int]]] = {}
-    for fid, k in hops_p:
-        if k:
-            by_pred.setdefault(flow_ports[fid][k - 1][0], []).append((fid, k))
-    groups = [(tuple(local), ())] if local else []
-    for pred in sorted(by_pred):
-        members = by_pred[pred]
-        l_link = max(bucket[fid].burst for fid, _ in members)
-        caps: tuple[Line, ...] = ((l_link, C),)     # link_shaping
-        if tc.topology.is_switch(pred):             # cbs_shaping
-            caps += ((credit_range[(pred, port[0])] + l_link, idsl),)
-        groups.append((tuple(members), caps))
-    layout = [(members, sum(bucket[fid].rate for fid, _ in members), caps)
-              for members, caps in groups]
-    return layout, sum(min([rate] + [r for _, r in caps])
-                       for _, rate, caps in layout)
-
-
 def report_to_json(report: CbsReport) -> str:
-    # a port's delay is converted once, however many flows cross it
-    hop_json = {}
-    for hops in report.per_flow_hops.values():
-        for p, d in hops:
-            if p not in hop_json:
-                hop_json[p] = {"port": f"{p[0]}->{p[1]}", "d_us": json_num(d)}
-    flows = []
+    """The json_text of the report's document, written in its fixed shape
+    in one pass: every flow crosses a port, and each port's hop block, with
+    its one delay, is written once, however many flows cross it."""
+    hop_block, flows = {}, []
     for fid in sorted(report.e2e_wcd):
-        flows.append({
-            "id": fid,
-            "wcd_us": json_num(report.e2e_wcd[fid]),
-            "per_hop": [hop_json[p] for p, _ in report.per_flow_hops[fid]],
-        })
-    payload = {
-        "testcase": report.testcase,
-        "mechanism": "CBS",
-        "flows": flows,
-        "converged": report.converged,
-    }
-    return json_text(payload)
+        for p, d in report.per_flow_hops[fid]:
+            if p not in hop_block:
+                port = encode_basestring_ascii(f"{p[0]}->{p[1]}")
+                hop_block[p] = (f'        {{\n'
+                                f'          "d_us": {json_num(d)!r},\n'
+                                f'          "port": {port}\n'
+                                f'        }}')
+        per_hop = ",\n".join(
+            hop_block[p] for p, _ in report.per_flow_hops[fid])
+        flows.append(f'    {{\n'
+                     f'      "id": {fid},\n'
+                     f'      "per_hop": [\n{per_hop}\n      ],\n'
+                     f'      "wcd_us": {json_num(report.e2e_wcd[fid])!r}\n'
+                     f'    }}')
+    flows_list = "[\n" + ",\n".join(flows) + "\n  ]" if flows else "[]"
+    return (f'{{\n'
+            f'  "converged": {"true" if report.converged else "false"},\n'
+            f'  "flows": {flows_list},\n'
+            f'  "mechanism": "CBS",\n'
+            f'  "testcase": {encode_basestring_ascii(report.testcase)}\n'
+            f'}}\n')

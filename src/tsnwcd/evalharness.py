@@ -385,9 +385,9 @@ class OpenScore:
     diagnostics: tuple[str, ...] = ()
 
 
-def _pstdev(values: Sequence[Fraction]) -> float:
-    """Population standard deviation; never overflows for values within
-    float range, as it is at most half their range."""
+def _pstdev(values: Sequence[Fraction]) -> Union[float, int]:
+    """Population standard deviation, a float, or an int when no float
+    holds it (a MAPE over a truth below 100 us can exceed float range)."""
     mean = sum(values) / len(values)
     var = sum((v - mean) ** 2 for v in values) / len(values)
     try:
@@ -395,7 +395,11 @@ def _pstdev(values: Sequence[Fraction]) -> float:
     except OverflowError:
         # a variance beyond float range means a deviation above 1e154,
         # where the integer square root is exact far beyond float precision
-        return float(math.isqrt(round(var)))
+        root = math.isqrt(round(var))
+        try:
+            return float(root)
+        except OverflowError:
+            return root
 
 
 def truth_from_json(text: str) -> tuple[str, dict[int, Fraction]]:

@@ -47,7 +47,10 @@ def json_num(x: Fraction) -> Union[int, float]:
     x = frac(x)
     if x.denominator == 1:
         return x.numerator
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:       # no float holds it: the nearest int
+        return round(x)
 
 
 def json_text(doc) -> str:

@@ -10,6 +10,8 @@ port from given upstream delays, and reference_tfa runs plain Jacobi sweeps
 of it from zero to the least fixed point of the rounded TFA map.
 rate_latency_delay reads a delay bound off an aggregate's segments in closed
 form, the way feed-forward TFA did before it read the peak backlog on ints.
+report_json_reference writes a CBS report through a document and the JSON
+encoder, the text cbs.report_to_json writes in one pass.
 Exact Fractions throughout, so agreement checks against the implementation
 can use ==.
 
@@ -42,7 +44,14 @@ from tsnwcd.minplus import (
     sum_of,
 )
 from tsnwcd.errors import InstabilityError, ValidationError
-from tsnwcd.netmodel import CBS, MTU_BYTES, Route, frame_bits
+from tsnwcd.netmodel import (
+    CBS,
+    MTU_BYTES,
+    Route,
+    frame_bits,
+    json_num,
+    json_text,
+)
 
 
 def pw_value(triples, t):
@@ -240,6 +249,31 @@ def reference_tfa(tc, grid: Fraction) -> dict:
         if swept == delay:
             return delay
         delay = swept
+
+
+def report_json_reference(report) -> str:
+    """A CBS report's JSON text, built as a document and written by
+    json_text; cbs.report_to_json, which writes the fixed shape in one
+    pass, must give the same text."""
+    hop_json = {}
+    for hops in report.per_flow_hops.values():
+        for p, d in hops:
+            if p not in hop_json:
+                hop_json[p] = {"port": f"{p[0]}->{p[1]}", "d_us": json_num(d)}
+    flows = []
+    for fid in sorted(report.e2e_wcd):
+        flows.append({
+            "id": fid,
+            "wcd_us": json_num(report.e2e_wcd[fid]),
+            "per_hop": [hop_json[p] for p, _ in report.per_flow_hops[fid]],
+        })
+    payload = {
+        "testcase": report.testcase,
+        "mechanism": "CBS",
+        "flows": flows,
+        "converged": report.converged,
+    }
+    return json_text(payload)
 
 
 # reference CBS network engine

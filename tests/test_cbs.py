@@ -5,8 +5,9 @@ aggregate against the general min-plus oracle, the closed-form port delay
 against the general horizontal deviation, a fully hand-computed
 single-switch fixed point, every port's delay as the fixed point of its
 rebuilt aggregate (one pass on feed-forward cases, the least fixed point of
-the rounded map on cyclic ones), the evaluation cap, instability detection,
-report serialization and pinned report bytes.
+the rounded map on cyclic ones, under default and non-default constants
+and periods), the evaluation cap, instability detection, report
+serialization against the reference writer and pinned report bytes.
 """
 import hashlib
 import json
@@ -15,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from tsnwcd import cbs, minplus, netmodel as nm, testgen
@@ -46,13 +47,43 @@ def single_class_cfg(l_max_class=AVB_FRAME, l_max_lower=BE_FRAME):
     return cbs.CbsClassConfig(1, IDSL, SDSL, l_max_class, l_max_lower)
 
 
-def star_tc(flows, routes, name="t"):
+def star_tc(flows, routes, name="t", constants=nm.NetworkConstants()):
     nodes = [nm.Node("h1", "es"), nm.Node("h2", "es"), nm.Node("h3", "es"),
              nm.Node("sw1", "sw")]
     links = [nm.Link("h1", "sw1"), nm.Link("h2", "sw1"), nm.Link("h3", "sw1")]
     topo = nm.Topology(nodes, links)
     return nm.TestCase(name, topo, tuple(flows), tuple(routes), "CBS",
-                       nm.NetworkConstants())
+                       constants)
+
+
+# constants and periods that the defaults never give: a link rate, idle
+# slope and propagation with denominators, and periods that are not whole
+ODD_CONSTANTS = nm.NetworkConstants(link_rate=F(1000, 3),
+                                    idle_slope_fraction=F(7, 9),
+                                    propagation=F(1, 3))
+ODD_PERIODS = (F(1000, 7), F(2500, 7), F(5000, 3))
+
+
+def odd_tc(case):
+    """A star built by hand, an acyclic mesh or a cyclic ring, under
+    ODD_CONSTANTS with ODD_PERIODS."""
+    if case == "star_odd":
+        flows = [nm.Flow(0, "h1", "h2", F(1000, 7), 5000, 300),
+                 nm.Flow(1, "h3", "h2", F(2500, 7), 5000, 700),
+                 nm.Flow(2, "h1", "h3", F(5000, 3), 5000, 64),
+                 nm.Flow(3, "h2", "h1", F(1000, 7), 5000, 500)]
+        routes = [nm.Route(0, ("h1", "sw1", "h2")),
+                  nm.Route(1, ("h3", "sw1", "h2")),
+                  nm.Route(2, ("h1", "sw1", "h3")),
+                  nm.Route(3, ("h2", "sw1", "h1"))]
+        return star_tc(flows, routes, case, ODD_CONSTANTS)
+    kind, switches, hosts, flows, seed = {
+        "mesh_odd": ("medium_mesh", 6, 3, 40, 1),
+        "ring_odd": ("ring", 5, 2, 16, 16)}[case]
+    spec = testgen.GenSpec(kind, switches, hosts, flows,
+                           period_choices=ODD_PERIODS,
+                           payload_range=(64, 700), seed=seed)
+    return testgen.build_testcase(case, spec, nm.CBS, ODD_CONSTANTS)
 
 
 # ======================================================================
@@ -420,6 +451,18 @@ def test_tfa_instability_at_exact_idle_slope():
     tc = star_tc([flow], [nm.Route(0, ("h1", "sw1", "h2"))])
     with pytest.raises(InstabilityError):
         cbs.tfa_solve(tc)
+    # under ODD_CONSTANTS, idleSlope 7000/27 bits/us: a frame of 1136 bits
+    # every 1136 / idleSlope us, on every port of its route
+    idsl = ODD_CONSTANTS.idle_slope_fraction * ODD_CONSTANTS.link_rate
+    flow = nm.Flow(0, "h1", "h2", (100 + 42) * 8 / idsl, 5000, 100)
+    assert flow.period.denominator != 1
+    tc = star_tc([flow], [nm.Route(0, ("h1", "sw1", "h2"))],
+                 constants=ODD_CONSTANTS)
+    with pytest.raises(InstabilityError) as err:
+        cbs.tfa_solve(tc)
+    assert str(err.value) == (
+        "t: aggregate rate reaches the idle slope at port(s) h1->sw1, "
+        "sw1->h2")
 
 
 def test_tfa_rejects_cqf_testcase():
@@ -436,12 +479,16 @@ def test_tfa_rejects_cqf_testcase():
     # point, and cyclic rings on which they did too
     "mesh_12x4_80_s1432080079", "ring", "ring_6x3_60_s2",
     "ring_6x4_65_s1473067262", "ring_8x3_65_s58824847",
+    # every integer scale under non-default constants and periods
+    "star_odd", "mesh_odd", "ring_odd",
 ])
 def test_tfa_delays_are_the_fixed_point(case):
     # every port's aggregate, rebuilt from the reported delays, is the one
     # reported, and its delay bound is that aggregate's, rounded up to the
     # grid only on a cyclic port graph
-    if case == "ring":
+    if case.endswith("_odd"):
+        tc = odd_tc(case)
+    elif case == "ring":
         tc = ring_tc()
     elif case.startswith("ring"):
         tc = pinned_tc(case)
@@ -571,6 +618,45 @@ def test_report_json_layout():
     assert [h["port"] for h in entry["per_hop"]] == ["h1->sw1", "sw1->h2"]
     total = sum(h["d_us"] for h in entry["per_hop"])
     assert entry["wcd_us"] == pytest.approx(total + 4.0)
+
+
+report_names = st.text(max_size=12)
+report_numbers = st.one_of(
+    st.integers(0, 10**40),
+    st.builds(F, st.integers(0, 10**300), st.integers(1, 10**300)),
+    st.builds(F, st.integers(0, 10**6), st.integers(1, 10**6)))
+
+
+@st.composite
+def cbs_reports(draw):
+    """Reports of the shape the writer takes: names with any character,
+    int and Fraction delays, flows crossing one or more shared ports, and
+    no flows at all."""
+    nodes = draw(st.lists(report_names, min_size=2, max_size=4))
+    ports = [(a, b) for a in nodes for b in nodes]
+    port_delay = {p: draw(report_numbers) for p in ports}
+    fids = draw(st.lists(st.integers(0, 10**6), max_size=5, unique=True))
+    per_flow_hops = {
+        fid: [(p, port_delay[p]) for p in draw(
+            st.lists(st.sampled_from(ports), min_size=1, max_size=4))]
+        for fid in fids}
+    e2e = {fid: draw(report_numbers) for fid in fids}
+    return cbs.CbsReport(draw(report_names), {}, per_flow_hops, e2e, 1,
+                         draw(st.booleans()))
+
+
+# quotes, a backslash, control and non-ASCII characters
+ODD_NAME = ('q"uote back\\slash tab\tnew\nline\x00 '
+            '\u00e9t\u00e9 \u2192 \U0001f600')
+
+
+@settings(deadline=None)
+@given(cbs_reports())
+@example(cbs.CbsReport("", {}, {}, {}, 1, True))
+@example(cbs.CbsReport(ODD_NAME, {}, {0: [((ODD_NAME, "b"), F(1, 3))]},
+                       {0: F(10**300 + 1, 10**299)}, 1, False))
+def test_report_json_equals_the_reference_writer(report):
+    assert cbs.report_to_json(report) == oracles.report_json_reference(report)
 
 
 # ======================================================================

@@ -330,6 +330,35 @@ def test_score_survives_extreme_numbers(runner, tmp_path, replies, scored,
     assert doc["overall_mae_stddev"] == pytest.approx(float(mae_stddev))
 
 
+def test_score_writes_a_mape_beyond_float_range(runner, tmp_path):
+    # an answer a float holds, over a truth of 30 us, makes a MAPE no float
+    # holds: it is written as its nearest int, and so are the mean and the
+    # spread of it and a zero MAPE, in strict JSON
+    truth_dir, pred_dir = tmp_path / "truth", tmp_path / "replies"
+    truth_dir.mkdir()
+    pred_dir.mkdir()
+    for name in ("X", "Y"):
+        (truth_dir / f"{name}_truth.json").write_text(json.dumps(
+            {"testcase": name, "flows": [{"id": 0, "wcd_us": 30}]}))
+    (pred_dir / "X.txt").write_text('{"F0": 1.7e308}')
+    out = tmp_path / "metrics.json"
+    s = summary(runner.invoke(main, score_args(truth_dir, pred_dir, out)))
+    assert s["scored"] == 1
+    assert s["overall_mae_us"] == 17 * 10**307 - 30
+    mape = round((17 * 10**307 - 30) * F(100, 30))
+    doc = strict_json(out.read_text())["open_ended"]
+    assert doc["per_tc_mape"] == {"X": mape}
+    assert doc["overall_mape"] == mape
+    assert doc["overall_mape_stddev"] == 0.0
+    (pred_dir / "Y.txt").write_text('{"F0": 30}')
+    s = summary(runner.invoke(main, score_args(truth_dir, pred_dir, out)))
+    assert s["scored"] == 2
+    doc = strict_json(out.read_text())["open_ended"]
+    assert doc["per_tc_mape"] == {"X": mape, "Y": 0}
+    assert abs(doc["overall_mape"] - mape // 2) <= 1
+    assert abs(doc["overall_mape_stddev"] - mape // 2) <= 1
+
+
 def test_score_keeps_a_negative_answer(runner, tmp_path):
     # a negative delay is scored as given: its error exceeds the truth, so
     # it scores worse than answering 0 and never escapes that penalty
