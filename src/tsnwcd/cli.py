@@ -113,7 +113,8 @@ _MECH_CHOICE = click.Choice(["cbs", "cqf"], case_sensitive=False)
                    "available cores.")
 @click.pass_context
 def gen(ctx, manifest, out_dir, truth_dir, jobs):
-    """Generate test-case bundles from a manifest."""
+    """Generate test-case bundles from a manifest; nothing is written
+    unless every entry builds and, with --truth-dir, analyzes."""
     def body():
         n_jobs = _count_setting(ctx, "gen", "jobs", jobs,
                                 os.cpu_count() or 1)
@@ -124,22 +125,20 @@ def gen(ctx, manifest, out_dir, truth_dir, jobs):
         entries = netmodel.parse_file(manifest, testgen.parse_manifest)
         log.info("generating %d test cases with %d jobs",
                  len(entries), n_jobs)
+        tcs = [testgen.testcase_from_entry(entry) for entry in entries]
+        truths = [_solve_text(tc) if truth_out else None for tc in tcs]
 
-        def one(entry):
-            tc = testgen.testcase_from_entry(entry)
+        def write(tc, truth):
             testgen.emit_testcase(tc, out_dir)
-            if truth_out:
-                text = _solve_text(tc)
-                path = Path(truth_out) / f"{tc.name}_truth.json"
-                path.write_text(text)
-            return tc.name
+            if truth is not None:
+                (Path(truth_out) / f"{tc.name}_truth.json").write_text(truth)
 
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         if truth_out:
             Path(truth_out).mkdir(parents=True, exist_ok=True)
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            names = list(pool.map(one, entries))
-        return {"command": "gen", "testcases": len(names),
+            list(pool.map(write, tcs, truths))
+        return {"command": "gen", "testcases": len(tcs),
                 "out": str(out_dir),
                 "truth": str(truth_out) if truth_out else None}
 

@@ -5,8 +5,9 @@ Egress queues ping-pong on a global cycle of T microseconds: everything
 received during one cycle is forwarded during the next.  A frame therefore
 reaches the listener within (switch_count + 1) full cycles of its aligned
 injection, plus the network constant term xi.  T is the test case's
-constants.cycle_T.  The hypercycle is the least common multiple of the flow
-periods; T must divide it for the schedule to repeat cleanly.
+constants.cycle_T, and T divides every period (validate_testcase), so every
+release the tool makes opens a cycle.  The hypercycle is the least common
+multiple of the flow periods.
 """
 from __future__ import annotations
 
@@ -67,53 +68,39 @@ def cqf_wcd(route: Route, T: Fraction,
 @dataclass(frozen=True)
 class CapacityDiagnostic:
     port: tuple[str, str]
-    cycle_index: int
     load_us: Fraction
     limit_us: Fraction
 
     def __str__(self):
         a, b = self.port
-        return (f"port {a}->{b} cycle {self.cycle_index}: "
-                f"{float(self.load_us)}us scheduled where a cycle fits "
-                f"{float(self.limit_us)}us")
+        return (f"port {a}->{b}: {float(self.load_us)}us of frames in one "
+                f"cycle where a cycle fits {float(self.limit_us)}us")
 
 
 def cycle_capacity_check(tc: TestCase) -> list[CapacityDiagnostic]:
-    """Per-port, per-cycle transmission load over one hypercycle.
+    """Every port whose worst cycle overfills, over all release phases.
 
-    A frame released at r is injected in cycle ceil(r/T) (boundary releases
-    keep their own cycle) and advances one cycle per switch.  A cycle's
-    frames go out back to back from its start, and a port whose next node
-    is a switch must finish them propagation + switching before the cycle
-    ends, so that they reach the switch before the cycle that forwards them
-    opens; a last hop has the whole cycle.  Every cycle over its limit is
-    reported.
+    T divides every period, so a flow puts at most one frame into each
+    cycle of a port on its route, and some phases put every flow crossing
+    the port into one cycle.  Those frames go out back to back from its
+    start; a port whose next node is a switch must finish them propagation
+    + switching before the cycle ends, so that they reach the switch before
+    the cycle that forwards them opens, and a last hop has the whole cycle.
     """
     tc.require(CQF)
-    if not tc.flows:
-        return []
     T = tc.constants.cycle_T
-    h = hypercycle(tc.flows, T)
-    slots = int(h / T)
     margin = tc.constants.propagation + tc.constants.switching
-    load: dict[tuple[tuple[str, str], int], Fraction] = {}
-    for f in sorted(tc.flows, key=lambda f: f.id):
-        route = tc.route_for(f.id)
+    load: dict[tuple[str, str], Fraction] = {}
+    for f in tc.flows:
         tx = frame_bits(f, tc.constants) / tc.constants.link_rate
-        releases = int(h / f.period)
-        for k in range(releases):
-            inject = math.ceil(k * f.period / T)
-            for j, port in enumerate(route.ports):
-                slot = (inject + j) % slots
-                key = (port, slot)
-                load[key] = load.get(key, Fraction(0)) + tx
-    limits = {port: T - margin if tc.topology.is_switch(port[1]) else T
-              for port, _ in load}
-    return [
-        CapacityDiagnostic(port, slot, total, limits[port])
-        for (port, slot), total in sorted(load.items())
-        if total > limits[port]
-    ]
+        for port in tc.route_for(f.id).ports:
+            load[port] = load.get(port, Fraction(0)) + tx
+    out = []
+    for port, total in sorted(load.items()):
+        limit = T - margin if tc.topology.is_switch(port[1]) else T
+        if total > limit:
+            out.append(CapacityDiagnostic(port, total, limit))
+    return out
 
 
 @dataclass
@@ -127,15 +114,15 @@ class CqfReport:
 def solve(tc: TestCase) -> CqfReport:
     """Closed-form per-flow worst-case delays for a CQF test case.
 
-    Raises CapacityError when cycle_capacity_check finds an overfull cycle:
-    the bound assumes every frame is forwarded in the cycle after the one
-    that received it.
+    Raises CapacityError when cycle_capacity_check finds a port that some
+    release phases overfill: the bound assumes every frame is forwarded in
+    the cycle after the one that received it, whatever the phases.
     """
     overfull = cycle_capacity_check(tc)
     if overfull:
-        raise CapacityError("; ".join(str(d) for d in overfull))
+        raise CapacityError(f"{tc.name}: " + "; ".join(map(str, overfull)))
     T = tc.constants.cycle_T
-    h = hypercycle(tc.flows, T) if tc.flows else T
+    h = hypercycle(tc.flows) if tc.flows else T
     per_flow = {}
     for f in sorted(tc.flows, key=lambda f: f.id):
         route = tc.route_for(f.id)

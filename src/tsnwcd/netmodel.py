@@ -519,8 +519,15 @@ def validate_testcase(tc: TestCase) -> list[str]:
             if hop in topo.nodes and topo.kind(hop) == ES:
                 out.append(f"route {r.flow_id}: end-station {hop} used as interior hop")
 
-    if tc.mechanism == CQF and tc.constants.cycle_T is None:
+    cycle = tc.constants.cycle_T
+    if tc.mechanism == CQF and cycle is None:
         out.append("CQF test case needs constants.cycle_T")
+    elif tc.mechanism == CQF:
+        off = [f"flow {f.id} ({float(f.period)}us)" for f in tc.flows
+               if f.period % cycle]
+        if off:   # every release must open a cycle (cqf module docstring)
+            out.append(f"CQF cycle_T {float(cycle)}us does not divide the "
+                       "period of " + ", ".join(off))
     if tc.mechanism == CBS and not tc.constants.cut_through:
         # the CBS analysis and simulator model cut-through forwarding only
         out.append("CBS test case needs constants.cut_through = true")

@@ -63,6 +63,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .cqf import cqf_wcd
 from .errors import CapacityError, HorizonError, ValidationError
 from .minplus import frac
 from .netmodel import (
@@ -350,9 +351,14 @@ def _phases(tc, cfg, rng, cycle=None):
     return phases
 
 
-def _releases(tc, cfg, grid, phases):
-    """(release tick, flow, seq) up to horizon minus a drain margin."""
-    end = grid.ticks(cfg.horizon - 2 * max(f.period for f in tc.flows))
+def _releases(tc, cfg, grid, phases, drain):
+    """(release tick, flow, seq) up to horizon minus the drain margin, which
+    must leave every flow a release."""
+    if cfg.horizon - drain < max(f.period for f in tc.flows):
+        raise HorizonError(f"horizon {float(cfg.horizon)}us leaves less than "
+                           f"a period before the drain margin of "
+                           f"{float(drain)}us; extend it")
+    end = math.floor((cfg.horizon - drain) * grid.den)
     for f in sorted(tc.flows, key=lambda f: f.id):
         ticks = range(grid.ticks(phases[f.id]), end + 1, grid.ticks(f.period))
         for seq, r in enumerate(ticks):
@@ -383,20 +389,21 @@ def _empty_report(tc, cfg):
                      cfg.release_policy, {}, {}, None)
 
 
-def _fold_deliveries(tc, cfg, grid, deliveries, release_of):
+def _fold_deliveries(tc, cfg, grid, deliveries, release_of, drain):
     horizon = grid.ticks(cfg.horizon)
     longest = {f.id: 0 for f in tc.flows}
     counts = {f.id: 0 for f in tc.flows}
-    late = 0
+    late = set()
     for t, flow, seq in deliveries:
         if t > horizon:
-            late += 1
+            late.add(flow)
             continue
         counts[flow] += 1
         longest[flow] = max(longest[flow], t - release_of[(flow, seq)])
     if late:
         raise HorizonError(
-            f"{late} frame(s) not delivered within the horizon; extend it")
+            f"flows {sorted(late)}: a frame outlasts the horizon, its delay "
+            f"exceeding the drain margin of {float(drain)}us")
     sync = tc.constants.sync_error
     max_delay = {fid: grid.us(d) + sync if counts[fid] else Fraction(0)
                  for fid, d in longest.items()}
@@ -417,6 +424,7 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
     if not tc.flows:
         return _empty_report(tc, cfg)
     phases = _phases(tc, cfg, random.Random(cfg.seed))
+    drain = 2 * max(f.period for f in tc.flows)
     consts = tc.constants
     C = consts.link_rate
     idle = consts.idle_slope_fraction * C
@@ -449,7 +457,7 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
     heap = []
     push, pop = heapq.heappush, heapq.heappop
     release_of = {}
-    for r, f, seq in _releases(tc, cfg, grid, phases):
+    for r, f, seq in _releases(tc, cfg, grid, phases, drain):
         release_of[(f.id, seq)] = r
         push(heap, (r, 1, first[f.id], f.id, seq, 0))
     deliveries = []
@@ -510,7 +518,7 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
                         flow, seq, hop + 1))
 
     max_delay, counts = _fold_deliveries(tc, cfg, grid, deliveries,
-                                         release_of)
+                                         release_of, drain)
     trace = None
     if cfg.trace_ports:
         raw = []
@@ -606,13 +614,11 @@ def simulate_cqf(tc: TestCase, cfg: SimConfig) -> SimReport:
     if not tc.flows:
         return _empty_report(tc, cfg)
     T = tc.constants.cycle_T
-    if cfg.release_policy == RELEASE_JITTERED:
-        for f in tc.flows:
-            if (f.period / T).denominator != 1:
-                raise ValidationError(
-                    f"flow {f.id}: jittered release needs period divisible by T")
     phases = _phases(tc, cfg, random.Random(cfg.seed), cycle=T)
     consts = tc.constants
+    # + T: a phase given in cfg.phases may wait up to T for its cycle
+    drain = max(2 * max(f.period for f in tc.flows),
+                max(cqf_wcd(r, T, consts) for r in tc.routes) + T)
     tx = {f.id: frame_bits(f, consts) / consts.link_rate for f in tc.flows}
     grid = _Grid(_grid_durations(tc, cfg, phases, tx) + [T])
     T_t = grid.ticks(T)
@@ -625,7 +631,7 @@ def simulate_cqf(tc: TestCase, cfg: SimConfig) -> SimReport:
     heap = []
     deliveries = []
     release_of = {}
-    for r, f, seq in _releases(tc, cfg, grid, phases):
+    for r, f, seq in _releases(tc, cfg, grid, phases, drain):
         release_of[(f.id, seq)] = r
         heapq.heappush(heap, (r, _RANK_ARRIVE, first[f.id], 0, f.id, seq, 0))
 
@@ -659,7 +665,7 @@ def simulate_cqf(tc: TestCase, cfg: SimConfig) -> SimReport:
                                   cycle + 1, flow, seq, hop + 1))
 
     max_delay, counts = _fold_deliveries(tc, cfg, grid, deliveries,
-                                         release_of)
+                                         release_of, drain)
     return SimReport(tc.name, CQF, cfg.seed, cfg.horizon, cfg.release_policy,
                      max_delay, counts, None)
 

@@ -442,13 +442,14 @@ def reference_simulate_cbs(tc, cfg):
         for p in ports:
             eng.push((0, sim._RANK_WAKE, p.idx, 0, sim._NO_FLOW, -1, 0))
     release_of = {}
-    for r, f, seq in sim._releases(tc, cfg, grid, phases):
+    drain = 2 * max(f.period for f in tc.flows)
+    for r, f, seq in sim._releases(tc, cfg, grid, phases, drain):
         release_of[(f.id, seq)] = r
         eng.push((r, sim._RANK_ARRIVE, first[f.id], 0, f.id, seq, 0))
     eng.run()
 
     max_delay, counts = sim._fold_deliveries(tc, cfg, grid, eng.deliveries,
-                                             release_of)
+                                             release_of, drain)
     trace = None
     if cfg.trace_ports:
         for p in ports:

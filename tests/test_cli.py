@@ -91,6 +91,45 @@ def test_gen_truth_identical_across_job_counts(runner, tmp_path):
     assert len(results[1]) == 6
 
 
+@pytest.mark.parametrize("cycle_T,fragment", [
+    (60, "does not divide the period of flow"),   # TC7 cannot be built
+    (10, "TC7: port node1_2->sw1: 8.88us"),       # TC7 cannot be analyzed
+])
+def test_gen_failing_entry_writes_nothing(runner, tmp_path, cycle_T,
+                                          fragment):
+    tc6, tc7 = testgen.default_manifest()[5:7]
+    tc7["constants"]["cycle_T"] = cycle_T
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(testgen.manifest_to_json([tc6, tc7]))
+    out, truth = tmp_path / "out", tmp_path / "truth"
+    res = runner.invoke(main, ["gen", "--manifest", str(manifest),
+                               "--out", str(out), "--truth-dir", str(truth)])
+    assert_clean_domain_error(res, fragment)
+    assert not out.exists() and not truth.exists()
+
+
+def test_analyze_rejects_cqf_cycle_that_does_not_divide_a_period(runner,
+                                                                 tmp_path):
+    # es1-s1-s2-es2 with T = 60 and periods 100 and 75: the closed form
+    # would print 184us for flow 0, which synchronized release exceeds
+    tc_dir = tmp_path / "chain"
+    tc_dir.mkdir()
+    (tc_dir / "chain_topo.txt").write_text(
+        "node,es1,es\nnode,es2,es\nnode,s1,sw\nnode,s2,sw\n"
+        "link,es1,s1\nlink,s1,s2\nlink,s2,es2\n")
+    (tc_dir / "chain_flows.txt").write_text(
+        "0,es1,es2,100,5000,300\n1,es1,es2,75,5000,64\n")
+    (tc_dir / "chain_route.txt").write_text(
+        "0:es1>s1>s2>es2\n1:es1>s1>s2>es2\n")
+    (tc_dir / "chain_config.json").write_text(
+        '{"mechanism": "CQF", "constants": {"cycle_T": 60}}')
+    out = tmp_path / "truth.json"
+    res = runner.invoke(main, ["analyze", "--tc", str(tc_dir),
+                               "--mechanism", "cqf", "--out", str(out)])
+    assert_clean_domain_error(res, "flow 0 (100.0us)", "flow 1 (75.0us)")
+    assert not out.exists()
+
+
 def test_analyze_emits_known_cqf_value(runner, tmp_path):
     tc_dir = chain_tc_dir(tmp_path, switches=3)
     out = tmp_path / "truth.json"

@@ -1,4 +1,5 @@
 """Cyclic Queuing and Forwarding closed-form bound tests."""
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -133,10 +134,13 @@ def test_config_rejects_nonpositive_T():
 # structural properties of the bound
 
 
-@given(sw=st.integers(0, 6), t1=st.integers(1, 500), t2=st.integers(1, 500))
-def test_wcd_affine_in_cycle_duration(sw, t1, t2):
+@given(sw=st.integers(0, 6), t1=st.integers(1, 500), t2=st.integers(1, 500),
+       cycles=st.integers(1, 4))
+def test_wcd_affine_in_cycle_duration(sw, t1, t2, cycles):
+    period = math.lcm(t1, t2) * cycles      # both cycle durations divide it
+
     def wcd(T):
-        tc = chain_tc(sw, [(5000, 100)], cycle_T=F(T))
+        tc = chain_tc(sw, [(period, 100)], cycle_T=F(T))
         return cqf.cqf_wcd(tc.routes[0], tc.constants.cycle_T, tc.constants)
     assert wcd(t2) - wcd(t1) == (sw + 1) * (F(t2) - F(t1))
 
@@ -164,6 +168,22 @@ def test_solve_rejects_cbs_testcase():
     tc = chain_tc(1, [(2500, 965)], mechanism=CBS)
     with pytest.raises(ValidationError):
         cqf.solve(tc)
+
+
+def test_cqf_rejects_cycle_that_does_not_divide_a_period():
+    # T = 60 divides neither 100 nor 75: a release at 100us would wait 20us
+    # for the cycle that opens at 120us, which the closed form omits.  The
+    # one diagnostic names both flows; flow 2's 120us is a multiple of 60.
+    with pytest.raises(ValidationError) as exc:
+        chain_tc(2, [(100, 300), (75, 64), (120, 64)], cycle_T=F(60))
+    assert str(exc.value) == (
+        "tc: invalid test case: CQF cycle_T 60.0us does not divide the "
+        "period of flow 0 (100.0us), flow 1 (75.0us)")
+
+
+def test_cqf_accepts_fractional_period_multiple_of_cycle():
+    tc = chain_tc(1, [(F(75, 2), 64)], cycle_T=F(25, 2))
+    assert cqf.solve(tc).hypercycle == F(75, 2)
 
 
 def test_solve_requires_cycle_T_in_constants():
@@ -196,8 +216,7 @@ def test_capacity_flags_frame_longer_than_cycle():
     # A port into a switch must also leave propagation + switching (2us).
     tc = chain_tc(1, [(400, 965)], cycle_T=F(50))
     diags = cqf.cycle_capacity_check(tc)
-    assert [(d.port, d.cycle_index) for d in diags] == [
-        (("es1", "s1"), 0), (("s1", "es2"), 1)]
+    assert [d.port for d in diags] == [("es1", "s1"), ("s1", "es2")]
     assert all(d.load_us == frac("80.56") for d in diags)
     assert [d.limit_us for d in diags] == [F(48), F(50)]
     assert "es1->s1" in str(diags[0])
@@ -218,28 +237,46 @@ def test_capacity_sums_colliding_flows():
     # Two 80.56us frames injected into the same cycle of the same port.
     tc = chain_tc(1, [(400, 965), (400, 965)], cycle_T=F(50))
     diags = cqf.cycle_capacity_check(tc)
-    first = [d for d in diags if d.port == ("es1", "s1") and d.cycle_index == 0]
+    first = [d for d in diags if d.port == ("es1", "s1")]
     assert len(first) == 1
     assert first[0].load_us == 2 * frac("80.56")
 
 
-def test_capacity_mid_cycle_release_waits_for_next_boundary():
-    # T = 60 divides the 300us hypercycle of periods 100 and 75 but not 100,
-    # so flow 0's frames released at 100 and 200 are injected in cycles 2
-    # and 4, not 1 and 3.  Only flow 0's 80.56us frames overfill a cycle.
-    tc = chain_tc(1, [(100, 965), (75, 64)], cycle_T=F(60))
-    diags = cqf.cycle_capacity_check(tc)
-    assert [(d.port, d.cycle_index) for d in diags] == [
-        (("es1", "s1"), 0), (("es1", "s1"), 2), (("es1", "s1"), 4),
-        (("s1", "es2"), 0), (("s1", "es2"), 1), (("s1", "es2"), 3)]
-
-
-def test_capacity_wraps_cycles_modulo_hypercycle():
-    # Period 100 with T=50 gives 2 slots; the port after the second switch
-    # lands back on slot 0.
+def test_capacity_flags_every_port_of_the_route():
+    # One 80.56us frame overfills a 50us cycle of each of the three ports
+    # it crosses, whichever cycle its phase puts it in.
     tc = chain_tc(2, [(100, 965)], cycle_T=F(50))
     diags = cqf.cycle_capacity_check(tc)
-    assert (("s2", "es2"), 0) in [(d.port, d.cycle_index) for d in diags]
+    assert [d.port for d in diags] == [
+        ("es1", "s1"), ("s1", "s2"), ("s2", "es2")]
+
+
+def fork_parts():
+    """Topology, flows, routes and constants of es1>s1>es2 and
+    es3>s0>s1>es2, both with period 200 and 742-byte frames, T = 100."""
+    nodes = [Node(n, ES) for n in ("es1", "es2", "es3")]
+    nodes += [Node("s0", SW), Node("s1", SW)]
+    links = [Link("es1", "s1"), Link("es3", "s0"), Link("s0", "s1"),
+             Link("s1", "es2")]
+    flows = (Flow(0, "es1", "es2", F(200), F(5000), 700),
+             Flow(1, "es3", "es2", F(200), F(5000), 700))
+    routes = (Route(0, ("es1", "s1", "es2")),
+              Route(1, ("es3", "s0", "s1", "es2")))
+    return (Topology(nodes, links), flows, routes,
+            NetworkConstants(cycle_T=F(100)))
+
+
+def test_capacity_sums_flows_whatever_their_phase():
+    # Released together, the two 59.36us frames reach s1->es2 in different
+    # cycles; released one cycle apart, they share one.  The port carries
+    # both.
+    topo, flows, routes, constants = fork_parts()
+    tc = TestCase("fork", topo, flows, routes, CQF, constants)
+    assert [(d.port, d.load_us, d.limit_us)
+            for d in cqf.cycle_capacity_check(tc)] == [
+        (("s1", "es2"), frac("118.72"), F(100))]
+    with pytest.raises(CapacityError, match="^fork: port s1->es2: 118.72us"):
+        cqf.solve(tc)
 
 
 def test_capacity_empty_testcase():
@@ -258,7 +295,7 @@ def test_capacity_margin_counts_propagation_and_switching():
     diags = cqf.cycle_capacity_check(tc)
     assert [(d.port, d.limit_us) for d in diags] == [
         (("es1", "s1"), F(4)), (("s1", "s2"), F(4))]
-    with pytest.raises(CapacityError, match="es1->s1 cycle 0"):
+    with pytest.raises(CapacityError, match="port es1->s1: "):
         cqf.solve(tc)
 
 
@@ -269,7 +306,7 @@ def test_capacity_margin_second_frame_in_cycle():
     tc = chain_tc(1, [(1000, 64), (1000, 64)], cycle_T=F(20),
                   propagation=F(3))
     diags = cqf.cycle_capacity_check(tc)
-    assert [(d.port, d.cycle_index, d.load_us, d.limit_us)
-            for d in diags] == [(("es1", "s1"), 0, frac("16.96"), F(16))]
+    assert [(d.port, d.load_us, d.limit_us)
+            for d in diags] == [(("es1", "s1"), frac("16.96"), F(16))]
     with pytest.raises(CapacityError):
         cqf.solve(tc)

@@ -12,10 +12,11 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from test_cqf import fork_parts
 from tsnwcd import cbs, cqf, sim
 from tsnwcd.errors import CapacityError, HorizonError, ValidationError
 from tsnwcd.minplus import frac
@@ -34,7 +35,16 @@ from tsnwcd.netmodel import (
     frame_bits,
     load_testcase,
 )
-from tsnwcd.testgen import RING, GenSpec, build_testcase
+from tsnwcd.testgen import (
+    ONE_SWITCH,
+    RING,
+    TOPOLOGY_KINDS,
+    GenSpec,
+    build_testcase,
+    gen_flows,
+    gen_topology,
+    shortest_routes,
+)
 
 
 def star_tc(flow_specs, name="star", mechanism=CBS, hosts=None, **const_kw):
@@ -52,7 +62,8 @@ def star_tc(flow_specs, name="star", mechanism=CBS, hosts=None, **const_kw):
                     NetworkConstants(**const_kw))
 
 
-def chain_tc(n_switches, flow_specs, name="chain", mechanism=CQF, **const_kw):
+def chain_parts(n_switches, flow_specs):
+    """Topology, flows and routes of the line es1 - s1 - ... - sN - es2."""
     hops = ["es1"] + [f"s{i + 1}" for i in range(n_switches)] + ["es2"]
     nodes = [Node("es1", ES), Node("es2", ES)]
     nodes += [Node(h, SW) for h in hops[1:-1]]
@@ -61,7 +72,11 @@ def chain_tc(n_switches, flow_specs, name="chain", mechanism=CQF, **const_kw):
         Flow(i, "es1", "es2", frac(period), frac(50000), payload)
         for i, (period, payload) in enumerate(flow_specs))
     routes = tuple(Route(f.id, tuple(hops)) for f in flows)
-    return TestCase(name, topo, flows, routes, mechanism,
+    return topo, flows, routes
+
+
+def chain_tc(n_switches, flow_specs, name="chain", mechanism=CQF, **const_kw):
+    return TestCase(name, *chain_parts(n_switches, flow_specs), mechanism,
                     NetworkConstants(**const_kw))
 
 
@@ -257,7 +272,8 @@ def test_cbs_unstable_port_overruns_horizon():
     # class allocation; the backlog outgrows the drain margin.
     specs = [(f"h{i}", "sink", 1000, 965) for i in range(1, 11)]
     tc = star_tc(specs)
-    with pytest.raises(HorizonError):
+    with pytest.raises(HorizonError,
+                       match=r"flows \[.*drain margin of 2000.0us"):
         sim.simulate_cbs(tc, sim.SimConfig(horizon=F(100000)))
 
 
@@ -547,11 +563,22 @@ def test_cqf_zero_flows_empty_report():
     assert report.per_flow_max_delay == {}
 
 
-def test_cqf_jittered_needs_dividing_period():
-    tc = chain_tc(1, [(1030, 100)], cycle_T=F(50))
-    with pytest.raises(ValidationError):
-        sim.simulate_cqf(tc, sim.SimConfig(
-            horizon=F(103000), release_policy=sim.RELEASE_JITTERED))
+def test_cqf_drains_a_bound_longer_than_twice_the_period():
+    # period = T = 100us over four switches: the 506us bound exceeds the
+    # 200us that two periods drain, so releases stop 606us before the end
+    tc = chain_tc(4, [(100, 100)], cycle_T=F(100))
+    for horizon in (1000, 10000):
+        report = sim.simulate_cqf(tc, sim.SimConfig(
+            horizon=F(horizon), release_policy=sim.RELEASE_JITTERED))
+        assert report.per_flow_frame_count[0] == (horizon - 606) // 100 + 1
+        assert report.per_flow_max_delay[0] == frac("413.36")
+
+
+def test_cqf_horizon_shorter_than_drain_margin_raises():
+    # eight switches: the 910us bound + T leaves no full period in 1000us
+    tc = chain_tc(8, [(100, 64)], cycle_T=F(100))
+    with pytest.raises(HorizonError, match="drain margin of 1010.0us"):
+        sim.simulate_cqf(tc, sim.SimConfig(horizon=F(1000)))
 
 
 def test_cqf_jittered_dominated_by_bound():
@@ -601,15 +628,63 @@ def test_cbs_dominance_random(seed, payload, period):
         assert physical_minimum(tc, fid) <= delay <= bound.e2e_wcd[fid]
 
 
-@settings(max_examples=8, deadline=None)
-@given(seed=st.integers(0, 2 ** 32), payload=st.integers(64, 300))
-def test_cqf_dominance_random(seed, payload):
-    tc = chain_tc(2, [(1000, payload), (1000, 100)], cycle_T=F(100))
-    wcd = {fid: row["wcd_us"] for fid, row in cqf.solve(tc).per_flow.items()}
-    report = sim.simulate_cqf(tc, sim.SimConfig(
-        horizon=F(10000), seed=seed, release_policy=sim.RELEASE_JITTERED))
-    for fid, delay in report.per_flow_max_delay.items():
-        assert physical_minimum(tc, fid) <= delay <= wcd[fid]
+@st.composite
+def cqf_parts(draw):
+    """Topology, flows, routes and constants of a generated CQF case: T is
+    drawn first and every period is a multiple of it."""
+    T = F(draw(st.integers(1, 5)) * 50)
+    kind = draw(st.sampled_from(TOPOLOGY_KINDS))
+    switches = (1 if kind == ONE_SWITCH
+                else draw(st.integers(3 if kind == RING else 1, 4)))
+    hosts = switches * draw(st.integers(2, 3))
+    spec = GenSpec(kind, switches, hosts // switches,
+                   min(draw(st.integers(1, 5)), hosts * (hosts - 1) // 2),
+                   period_choices=tuple(T * k for k in draw(st.lists(
+                       st.integers(1, 20), min_size=1, max_size=3))),
+                   payload_range=(64, draw(st.integers(64, 1500))),
+                   seed=draw(st.integers(0, 2 ** 16)))
+    constants = NetworkConstants(
+        propagation=draw(st.sampled_from([F(0), F(1, 3), F(1), F(5)])),
+        switching=draw(st.sampled_from([F(0), F(1), F(2)])),
+        sync_error=draw(st.sampled_from([F(0), F(1)])), cycle_T=T)
+    topo = gen_topology(spec)
+    flows = gen_flows(spec, topo)
+    return topo, flows, shortest_routes(topo, flows), constants
+
+
+@settings(max_examples=50, deadline=None)
+@given(parts=cqf_parts(), seed=st.integers(0, 2 ** 32))
+# T = 60 divides neither period: synchronized release measures 189.36us for
+# flow 0, above the 184us closed form, unless the case is rejected
+@example(parts=(*chain_parts(2, [(100, 300), (75, 64)]),
+                NetworkConstants(cycle_T=F(60))), seed=0)
+# a phase-0 replay of the cycles passes this case; jittered seed 4 puts
+# both frames into one cycle of s1->es2 unless the case is rejected
+@example(parts=fork_parts(), seed=4)
+def test_cqf_dominance_random(parts, seed):
+    """An accepted CQF case never overfills a cycle in simulation, and
+    physical minimum <= simulated <= bound under both release policies; a
+    case is rejected at build time exactly when T fails to divide a
+    period, with one diagnostic naming those flows."""
+    topo, flows, routes, constants = parts
+    off = [f.id for f in flows if f.period % constants.cycle_T]
+    if off:
+        with pytest.raises(ValidationError) as exc:
+            TestCase("cqf", topo, flows, routes, CQF, constants)
+        assert all(f"flow {fid} (" in str(exc.value) for fid in off)
+        return
+    tc = TestCase("cqf", topo, flows, routes, CQF, constants)
+    try:
+        wcd = {fid: row["wcd_us"]
+               for fid, row in cqf.solve(tc).per_flow.items()}
+    except CapacityError:
+        return
+    horizon = 10 * max(f.period for f in flows)
+    for policy in (sim.RELEASE_SYNCHRONIZED, sim.RELEASE_JITTERED):
+        report = sim.simulate_cqf(tc, sim.SimConfig(
+            horizon=horizon, seed=seed, release_policy=policy))
+        for fid, delay in report.per_flow_max_delay.items():
+            assert physical_minimum(tc, fid) <= delay <= wcd[fid], policy
 
 
 # report serialization
