@@ -51,6 +51,7 @@ from .netmodel import (
     TestCase,
     frame_bits,
     json_num,
+    port_table,
     wire_bits,
 )
 
@@ -261,12 +262,12 @@ def default_lower_frame_bits(constants: NetworkConstants) -> Fraction:
 
 
 def _topological_order(
-        flow_ports: dict[int, tuple[Port, ...]]) -> Optional[list[Port]]:
+        path: dict[int, tuple[int, ...]]) -> Optional[list[int]]:
     """Ports ordered so that each comes after every port upstream of it on
     some flow's path; None when some port's delay (transitively) feeds back
     into itself via the prefix-shift propagation."""
-    upstream: dict[Port, set[Port]] = {}
-    for ports in flow_ports.values():
+    upstream: dict[int, set[int]] = {}
+    for ports in path.values():
         for i, p in enumerate(ports):
             upstream.setdefault(p, set())
             if i:
@@ -295,7 +296,9 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     point, while the rounded map reaches its own in finitely many
     evaluations.  Either way an evaluation runs on ints (see evaluate
     below), cheaper than Fraction arithmetic.  iterations is the number of
-    evaluations per port, rounded up.
+    evaluations per port, rounded up.  Every port is its index in
+    netmodel.port_table's sorted ports; it turns back into a (node, next)
+    pair only in the report and in error messages.
     Raises InstabilityError naming every port whose aggregate rate reaches
     the idle slope, ConvergenceError naming a port evaluated more than
     MAX_ITERATIONS times.
@@ -306,21 +309,12 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     idsl = consts.idle_slope_fraction * C
     l_lower = default_lower_frame_bits(consts)
 
-    flow_ports: dict[int, tuple[Port, ...]] = {
-        f.id: tc.route_for(f.id).ports for f in tc.flows}
-    # (flow id, hop index) of every flow through each port, by flow id
-    hops: dict[Port, list[tuple[int, int]]] = {}
-    for f in sorted(tc.flows, key=lambda f: f.id):
-        for k, p in enumerate(flow_ports[f.id]):
-            hops.setdefault(p, []).append((f.id, k))
-    ports = sorted(hops)
-
-    if not ports:
+    ports, path, members, frame = port_table(tc)
+    n = len(ports)
+    if not n:
         return CbsReport(tc.name, {}, {}, {}, 1, True)
 
-    # each flow's source bucket (source_arrival): its frame in bits, whole
-    # as payload and frame_overhead are ints, and its rate
-    frame = {f.id: frame_bits(f, consts).numerator for f in tc.flows}
+    # each flow's source bucket (source_arrival): its frame and its rate
     rate = {f.id: frame[f.id] / f.period for f in tc.flows}
     rate_den = math.lcm(idsl.denominator, C.denominator,
                         *(r.denominator for r in rate.values()))
@@ -328,16 +322,16 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     # No credit term depends on a delay, and only c_min on the port, via its
     # largest class frame: bounds are taken once per frame size, and every
     # port shares one service, idleSlope after c_max / idleSlope.
-    l_max = {p: max(frame[fid] for fid, _ in hops[p]) for p in ports}
+    l_max = [max(frame[fid] for fid, _ in hops) for hops in members]
     credit_range = {}
-    for l_class in set(l_max.values()):
+    for l_class in set(l_max):
         cfg = CbsClassConfig(1, idsl, idsl - C, l_class, l_lower)
         c_min, c_max = credit_bounds(cfg, C)
         credit_range[l_class] = c_max - c_min
     service = cbs_service_curve(cfg, C)      # the same for any frame size
     service_curve = service.curve()
 
-    order = _topological_order(flow_ports)
+    order = _topological_order(path)
     cyclic = order is None
     # Every evaluation works on ints: rates in units of 1/rate_den bits/us,
     # bursts in units of 1/(scale * m) bits, with scale making every frame
@@ -350,7 +344,7 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     # burst is an int and m is 1.
     scale = math.lcm(*(r.denominator for r in credit_range.values()))
     if cyclic:
-        order = ports
+        order = range(n)
         scale = CYCLIC_GRID.denominator * math.lcm(rate_den, scale)
         # a burst moves by weight * (upstream delay / CYCLIC_GRID)
         weight = {fid: _on_scale(r, scale // CYCLIC_GRID.denominator)
@@ -366,43 +360,42 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     # predecessor's flows are capped by the link line (link_shaping) and,
     # behind a switch, by the CBS shaping line (cbs_shaping).  No delay
     # moves the long-run rate, the sum of each group's shallowest line.
-    layout, unstable = {}, []
-    for p in ports:
-        local = tuple((fid, k) for fid, k in hops[p] if k == 0)
-        by_pred: dict[Port, list[tuple[int, int]]] = {}   # predecessor port
-        for fid, k in hops[p]:
+    layout, unstable = [], []
+    for p, hops in enumerate(members):
+        local = tuple((fid, k) for fid, k in hops if k == 0)
+        by_pred: dict[int, list[tuple[int, int]]] = {}   # predecessor port
+        for fid, k in hops:
             if k:
-                by_pred.setdefault(flow_ports[fid][k - 1], []).append((fid, k))
+                by_pred.setdefault(path[fid][k - 1], []).append((fid, k))
         groups = [(local, ())] if local else []
         for q in sorted(by_pred):
             l_link = max(frame[fid] for fid, _ in by_pred[q]) * scale
             caps: tuple[Line, ...] = ((l_link, C_at),)
-            if tc.topology.is_switch(q[0]):
+            if tc.topology.is_switch(ports[q][0]):
                 caps += ((range_at[l_max[q]] + l_link, idsl_at),)
             groups.append((tuple(by_pred[q]), caps))
-        layout[p] = [(members, sum(rate_at[fid] for fid, _ in members), caps)
-                     for members, caps in groups]
+        layout.append([(group, sum(rate_at[fid] for fid, _ in group), caps)
+                       for group, caps in groups])
         if sum(min([r, *(cap_r for _, cap_r in caps)])
                for _, r, caps in layout[p]) >= idsl_at:
-            unstable.append(p)
+            unstable.append(ports[p])
     if unstable:
         names = ", ".join(f"{a}->{b}" for a, b in unstable)
         raise InstabilityError(
             f"{tc.name}: aggregate rate reaches the idle slope at "
             f"port(s) {names}")
 
-    burst = {fid: [frame[fid] * scale] * len(ports_f)
-             for fid, ports_f in flow_ports.items()}
+    burst = {fid: [frame[fid] * scale] * len(path_f)
+             for fid, path_f in path.items()}
     # per port: each group's envelope, None until it is computed and again
     # once a member's burst moves, and the factor m of its bursts; and the
     # group of each (flow id, hop index)
-    envelopes = {p: [None] * len(layout[p]) for p in ports}
-    port_scale = dict.fromkeys(ports, 1)
-    group_at = {member: i for p in ports
-                for i, (members, _, _) in enumerate(layout[p])
-                for member in members}
+    envelopes = [[None] * len(groups) for groups in layout]
+    port_scale = [1] * n
+    group_at = {member: i for groups in layout
+                for i, (group, _, _) in enumerate(groups) for member in group}
 
-    def evaluate(p: Port) -> Fraction:
+    def evaluate(p: int) -> Fraction:
         """Exact delay bound of port p from the current bursts: the latency
         plus the peak backlog above the idle slope, over the idle slope.
         Only the groups whose bursts moved get new envelopes; the others
@@ -425,10 +418,10 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     # a heap of the queued ports' ranks in the order; each evaluation
     # queues only ports that rank after it on a feed-forward graph
     rank = {p: i for i, p in enumerate(order)}
-    queue = list(range(len(order)))
+    queue = list(range(n))
     queued = set(queue)
-    delays: dict[Port, Number] = {}
-    evaluations = dict.fromkeys(ports, 0)
+    delays: list[Number] = [0] * n
+    evaluations = [0] * n
     while queue:
         i = heapq.heappop(queue)
         queued.discard(i)
@@ -436,49 +429,49 @@ def tfa_solve(tc: TestCase) -> CbsReport:
         evaluations[p] += 1
         if evaluations[p] > MAX_ITERATIONS:
             raise ConvergenceError(
-                f"{tc.name}: port {p[0]}->{p[1]} still moving after "
+                f"{tc.name}: port {'->'.join(ports[p])} still moving after "
                 f"{MAX_ITERATIONS} evaluations")
         d = evaluate(p)
         if cyclic:
             # in CYCLIC_GRID units, rounded up
             d = math.ceil(d / CYCLIC_GRID)
         delays[p] = d
-        for fid, k in hops[p]:
+        for fid, k in members[p]:
             row = burst[fid]
             if k + 1 == len(row):
                 continue
             b = row[k] + weight[fid] * d
             if b != row[k + 1]:
                 row[k + 1] = b
-                q = flow_ports[fid][k + 1]
+                q = path[fid][k + 1]
                 envelopes[q][group_at[fid, k + 1]] = None
                 if rank[q] not in queued:
                     queued.add(rank[q])
                     heapq.heappush(queue, rank[q])
-    iterations = -(-sum(evaluations.values()) // len(ports))
+    iterations = -(-sum(evaluations) // n)
     if cyclic:
-        delays = {p: d * CYCLIC_GRID for p, d in delays.items()}
+        delays = [d * CYCLIC_GRID for d in delays]
 
     # every group is fresh once nothing is queued: each port's aggregate,
     # back in bits and us, comes from its last envelopes
     rate_unit = Fraction(1, rate_den)
     per_port = {
-        p: PortAnalysis(
-            p, Curve.from_canonical(aggregate_segments(
+        port: PortAnalysis(
+            port, Curve.from_canonical(aggregate_segments(
                 envelopes[p], Fraction(1, scale * port_scale[p]), rate_unit)),
-            service_curve, delays[p], tuple(fid for fid, _ in hops[p]))
-        for p in ports
+            service_curve, delays[p], tuple(fid for fid, _ in members[p]))
+        for p, port in enumerate(ports)
     }
     per_flow_hops = {
-        fid: [(p, delays[p]) for p in flow_ports[fid]]
-        for fid in sorted(flow_ports)
+        fid: [(ports[p], delays[p]) for p in path[fid]]
+        for fid in sorted(path)
     }
-    # the constant term once per route length n: n links, n - 1 switches
-    fixed = {n: consts.propagation * n + consts.switching * (n - 1)
-             + consts.sync_error for n in set(map(len, flow_ports.values()))}
-    e2e = {fid: _exact_sum([fixed[len(flow_ports[fid])],
-                            *(delays[p] for p in flow_ports[fid])])
-           for fid in sorted(flow_ports)}
+    # the constant term once per route length: its links and switches
+    fixed = {k: consts.propagation * k + consts.switching * (k - 1)
+             + consts.sync_error for k in set(map(len, path.values()))}
+    e2e = {fid: _exact_sum([fixed[len(path[fid])],
+                            *(delays[p] for p in path[fid])])
+           for fid in sorted(path)}
     return CbsReport(tc.name, per_port, per_flow_hops, e2e, iterations, True)
 
 

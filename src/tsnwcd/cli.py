@@ -85,9 +85,11 @@ def _emit(summary: dict) -> None:
 
 
 def _domain(fn):
+    """fn(); a domain error, or an OSError such as an output directory
+    that cannot be made, ends in its message on stderr and exit code 1."""
     try:
         return fn()
-    except ToolkitError as exc:
+    except (ToolkitError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(1)
 
@@ -131,7 +133,8 @@ def gen(ctx, manifest, out_dir, truth_dir, jobs):
         def write(tc, truth):
             testgen.emit_testcase(tc, out_dir)
             if truth is not None:
-                (Path(truth_out) / f"{tc.name}_truth.json").write_text(truth)
+                netmodel.write_file(Path(truth_out) / f"{tc.name}_truth.json",
+                                    truth)
 
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         if truth_out:
@@ -156,7 +159,7 @@ def analyze(tc_dir, mechanism, out_path):
         tc = netmodel.load_testcase(tc_dir)
         tc.require(mechanism.upper())
         text = _solve_text(tc)
-        Path(out_path).write_text(text)
+        netmodel.write_file(out_path, text)
         return {"command": "analyze", "testcase": tc.name,
                 "mechanism": tc.mechanism, "flows": len(tc.flows),
                 "out": str(out_path)}
@@ -193,7 +196,7 @@ def sim_cmd(ctx, tc_dir, seed, horizon, release_policy, out_path):
                             release_policy=policy)
         report = (sim.simulate_cbs(tc, cfg) if tc.mechanism == netmodel.CBS
                   else sim.simulate_cqf(tc, cfg))
-        Path(out_path).write_text(sim.report_to_json(report))
+        netmodel.write_file(out_path, sim.report_to_json(report))
         frames = sum(report.per_flow_frame_count.values())
         return {"command": "sim", "testcase": tc.name, "seed": seed_v,
                 "release": policy, "frames": frames, "out": str(out_path)}
@@ -211,7 +214,7 @@ def prompt(tc_dir, mechanism, out_path):
     def body():
         tc = netmodel.load_testcase(tc_dir)
         text = evalharness.build_open_prompt(tc, mechanism.upper())
-        Path(out_path).write_text(text)
+        netmodel.write_file(out_path, text)
         return {"command": "prompt", "testcase": tc.name,
                 "mechanism": tc.mechanism, "bytes": len(text.encode()),
                 "out": str(out_path)}
@@ -245,8 +248,8 @@ def score(truth_dir, pred_dir, out_path):
         if not preds:
             raise ValidationError(f"no reply files (*.txt) in {pred_dir}")
         open_score = evalharness.score_open(preds, truths)
-        Path(out_path).write_text(
-            evalharness.metrics_to_json(open_ended=open_score))
+        netmodel.write_file(
+            out_path, evalharness.metrics_to_json(open_ended=open_score))
         mae = open_score.overall_mae
         return {"command": "score", "testcases": len(preds),
                 "scored": open_score.scored_testcases,
@@ -281,8 +284,8 @@ def score_mcqa(ctx, items_path, runs_path, bins, out_path):
         except ValidationError as exc:
             log.warning("calibration skipped: %s", exc)
             calib = None
-        Path(out_path).write_text(
-            evalharness.metrics_to_json(mcqa=mcqa, calib=calib))
+        netmodel.write_file(
+            out_path, evalharness.metrics_to_json(mcqa=mcqa, calib=calib))
         acc = mcqa.accuracy
         return {"command": "score-mcqa", "items": len(items),
                 "answered": mcqa.answered_items,
@@ -310,7 +313,7 @@ def report(metrics_path, csv_path):
         if not cal:
             raise ValidationError(
                 f"{metrics_path} has no calibration section")
-        Path(csv_path).write_text(evalharness.reliability_to_csv(
+        netmodel.write_file(csv_path, evalharness.reliability_to_csv(
             evalharness.calibration_from_json(cal)))
         return {"command": "report", "bins": len(cal["bins"]),
                 "ece": cal["ece"], "out": str(csv_path)}

@@ -24,9 +24,9 @@ from .netmodel import (
     NetworkConstants,
     Route,
     TestCase,
-    frame_bits,
     json_num,
     json_text,
+    port_table,
 )
 
 
@@ -88,15 +88,12 @@ def cycle_capacity_check(tc: TestCase) -> list[CapacityDiagnostic]:
     the cycle that forwards them opens, and a last hop has the whole cycle.
     """
     tc.require(CQF)
-    T = tc.constants.cycle_T
-    margin = tc.constants.propagation + tc.constants.switching
-    load: dict[tuple[str, str], Fraction] = {}
-    for f in tc.flows:
-        tx = frame_bits(f, tc.constants) / tc.constants.link_rate
-        for port in tc.route_for(f.id).ports:
-            load[port] = load.get(port, Fraction(0)) + tx
+    consts = tc.constants
+    T, margin = consts.cycle_T, consts.propagation + consts.switching
+    ports, _, members, bits = port_table(tc)
     out = []
-    for port, total in sorted(load.items()):
+    for port, hops in zip(ports, members):
+        total = sum(bits[fid] for fid, _ in hops) / consts.link_rate
         limit = T - margin if tc.topology.is_switch(port[1]) else T
         if total > limit:
             out.append(CapacityDiagnostic(port, total, limit))

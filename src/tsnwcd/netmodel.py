@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Optional, TypeVar, Union
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ToolkitError, ValidationError
 from .minplus import frac
 
 MTU_BYTES = 1500
@@ -299,6 +299,23 @@ def frame_bits(flow: Flow, constants: NetworkConstants) -> Fraction:
     return wire_bits(flow.payload_bytes, constants)
 
 
+def port_table(tc: TestCase) -> tuple[list, dict, list, dict]:
+    """(ports, path, members, bits): the sorted egress ports (node, next)
+    of tc's routes, a port's index in ports standing for it; per flow id,
+    its port indices in route order; per port index, the (flow id, hop
+    index) of each flow crossing it, by flow id; per flow id, frame_bits
+    as an int."""
+    ports = sorted({p for r in tc.routes for p in r.ports})
+    index = {p: i for i, p in enumerate(ports)}
+    path = {r.flow_id: tuple(index[p] for p in r.ports) for r in tc.routes}
+    members: list[list[tuple[int, int]]] = [[] for _ in ports]
+    for fid in sorted(path):
+        for k, i in enumerate(path[fid]):
+            members[i].append((fid, k))
+    bits = {f.id: frame_bits(f, tc.constants).numerator for f in tc.flows}
+    return ports, path, members, bits
+
+
 # ======================================================================
 # parsers
 
@@ -551,6 +568,15 @@ def parse_file(path: Union[str, Path], parse: Callable[[str], T] = str) -> T:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def write_file(path: Union[str, Path], text: str) -> None:
+    """Write text to path as UTF-8 with LF endings, whatever the locale;
+    a file that cannot be written raises a ToolkitError that names it."""
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ToolkitError(f"{path}: {exc.strerror}") from exc
+
+
 def bundle_paths(directory: Union[str, Path], name: str) -> dict[str, Path]:
     d = Path(directory)
     return {
@@ -598,5 +624,5 @@ def save_testcase(tc: TestCase, directory: Union[str, Path]) -> dict[str, Path]:
         "config": constants_to_json(tc.mechanism, tc.constants),
     }
     for key, path in paths.items():
-        path.write_text(payloads[key], encoding="utf-8", newline="\n")
+        write_file(path, payloads[key])
     return paths

@@ -71,9 +71,9 @@ from .netmodel import (
     CQF,
     MTU_BYTES,
     TestCase,
-    frame_bits,
     json_num,
     json_text,
+    port_table,
     wire_bits,
 )
 
@@ -337,6 +337,10 @@ def _phases(tc, cfg, rng, cycle=None):
             raise ValidationError(
                 f"flow {fid}: release offset {float(phase)}us outside "
                 f"[0, {float(period[fid])}us)")
+        if cycle is not None and phase % cycle:
+            raise ValidationError(
+                f"flow {fid}: release offset {float(phase)}us is not a "
+                f"multiple of the {float(cycle)}us cycle")
     phases = {}
     for f in sorted(tc.flows, key=lambda f: f.id):
         if cfg.phases is not None and f.id in cfg.phases:
@@ -371,19 +375,6 @@ def _grid_durations(tc, cfg, phases, tx):
             *(f.period for f in tc.flows), *tx.values()]
 
 
-def _port_tables(tc):
-    """Sorted port keys; per flow id the index of its first port, and per
-    hop the index of the port the next node sends it on (None at the
-    listener)."""
-    keys = sorted({p for r in tc.routes for p in r.ports})
-    index = {k: i for i, k in enumerate(keys)}
-    first = {r.flow_id: index[r.ports[0]] for r in tc.routes}
-    nxt = {r.flow_id: [index[(b, r.hops[h + 2])] if tc.topology.is_switch(b)
-                       else None for h, b in enumerate(r.hops[1:])]
-           for r in tc.routes}
-    return keys, first, nxt
-
-
 def _empty_report(tc, cfg):
     return SimReport(tc.name, tc.mechanism, cfg.seed, cfg.horizon,
                      cfg.release_policy, {}, {}, None)
@@ -416,9 +407,9 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
     """Credit-based shaper run; reports max delay per flow.  Each frame's
     start at a port is fixed when it arrives there (module docstring)."""
     tc.require(CBS)
-    used = {p for r in tc.routes for p in r.ports}
+    ports, path, _, bits = port_table(tc)
     for port in cfg.trace_ports:
-        if port not in used:
+        if port not in ports:
             raise ValidationError(
                 f"trace port {'->'.join(map(str, port))}: no route uses it")
     if not tc.flows:
@@ -429,7 +420,7 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
     C = consts.link_rate
     idle = consts.idle_slope_fraction * C
     send = idle - C
-    tx = {f.id: frame_bits(f, consts) / C for f in tc.flows}
+    tx = {fid: b / C for fid, b in bits.items()}
     be_tx = wire_bits(MTU_BYTES, consts) / C
     durations = _grid_durations(tc, cfg, phases, tx)
     durations += [d * -send / idle for d in tx.values()]
@@ -437,7 +428,8 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
         durations.append(be_tx)
     grid = _Grid(durations, (idle, send))
 
-    port_keys, first, nxt = _port_tables(tc)
+    # per flow and hop, the next port's index; None at the listener
+    nxt = {fid: [*p[1:], None] for fid, p in path.items()}
     idle, send = grid.slope(idle), grid.slope(send)   # units per tick
     be = grid.ticks(be_tx) if cfg.be_saturate else None
     horizon = grid.ticks(cfg.horizon)
@@ -448,18 +440,18 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
 
     # per port: end tick and end credit of the last scheduled frame, and
     # the start of the best-effort run after it (None: no run)
-    n = len(port_keys)
+    n = len(ports)
     end = [-1] * n
     credit = [0] * n
     run = [0 if be is not None else None] * n
-    records = [[] if k in cfg.trace_ports else None for k in port_keys]
+    records = [[] if k in cfg.trace_ports else None for k in ports]
 
     heap = []
     push, pop = heapq.heappush, heapq.heappop
     release_of = {}
     for r, f, seq in _releases(tc, cfg, grid, phases, drain):
         release_of[(f.id, seq)] = r
-        push(heap, (r, 1, first[f.id], f.id, seq, 0))
+        push(heap, (r, 1, path[f.id][0], f.id, seq, 0))
     deliveries = []
     while heap:
         t, batch, p, flow, seq, hop = pop(heap)
@@ -533,7 +525,7 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
                     rec += ((e, 0), (e, 0))
                 elif c < 0:
                     rec.append((e + _exact_div(-c, idle), 0))
-            key = port_keys[p]
+            key = ports[p]
             raw += [(tick, key, units) for tick, units in rec]
         raw.sort(key=lambda r: (r[0], r[1]))
         trace = [(grid.us(t), key, grid.bits(c)) for t, key, c in raw]
@@ -604,7 +596,9 @@ def simulate_cqf(tc: TestCase, cfg: SimConfig) -> SimReport:
     asked to carry more serialization time than T, or when a frame reaches
     a switch after the cycle that must forward it has opened.  A CQF
     port has no credit and no best-effort queue, so a config asking for
-    best-effort saturation or a credit trace raises ValidationError.
+    best-effort saturation or a credit trace raises ValidationError; so
+    does a release offset in cfg.phases that is not a multiple of T, since
+    the bound counts from the cycle boundary a release opens.
     """
     tc.require(CQF)
     if cfg.be_saturate:
@@ -616,16 +610,17 @@ def simulate_cqf(tc: TestCase, cfg: SimConfig) -> SimReport:
     T = tc.constants.cycle_T
     phases = _phases(tc, cfg, random.Random(cfg.seed), cycle=T)
     consts = tc.constants
-    # + T: a phase given in cfg.phases may wait up to T for its cycle
     drain = max(2 * max(f.period for f in tc.flows),
-                max(cqf_wcd(r, T, consts) for r in tc.routes) + T)
-    tx = {f.id: frame_bits(f, consts) / consts.link_rate for f in tc.flows}
+                max(cqf_wcd(r, T, consts) for r in tc.routes))
+    ports, path, _, bits = port_table(tc)
+    tx = {fid: b / consts.link_rate for fid, b in bits.items()}
     grid = _Grid(_grid_durations(tc, cfg, phases, tx) + [T])
     T_t = grid.ticks(T)
     tx_t = {fid: grid.ticks(d) for fid, d in tx.items()}
     hop_t = grid.ticks(consts.propagation + consts.switching)
     prop_t = grid.ticks(consts.propagation)
-    port_keys, first, nxt = _port_tables(tc)
+    # per flow and hop, the next port's index; None at the listener
+    nxt = {fid: [*p[1:], None] for fid, p in path.items()}
 
     load: dict = {}                       # (port index, cycle) -> ticks
     heap = []
@@ -633,7 +628,7 @@ def simulate_cqf(tc: TestCase, cfg: SimConfig) -> SimReport:
     release_of = {}
     for r, f, seq in _releases(tc, cfg, grid, phases, drain):
         release_of[(f.id, seq)] = r
-        heapq.heappush(heap, (r, _RANK_ARRIVE, first[f.id], 0, f.id, seq, 0))
+        heapq.heappush(heap, (r, _RANK_ARRIVE, path[f.id][0], 0, f.id, seq, 0))
 
     while heap:
         t, rank, pidx, cyc_hint, flow, seq, hop = heapq.heappop(heap)
@@ -642,7 +637,7 @@ def simulate_cqf(tc: TestCase, cfg: SimConfig) -> SimReport:
         else:
             cycle = cyc_hint
             if t > cycle * T_t:
-                a, b = port_keys[pidx]
+                a, b = ports[pidx]
                 raise CapacityError(
                     f"port {a}->{b} cycle {cycle}: a frame of flow {flow} "
                     f"arrives at {float(grid.us(t))}us, after the cycle "
@@ -650,7 +645,7 @@ def simulate_cqf(tc: TestCase, cfg: SimConfig) -> SimReport:
         key = (pidx, cycle)
         total = load.get(key, 0) + tx_t[flow]
         if total > T_t:
-            a, b = port_keys[pidx]
+            a, b = ports[pidx]
             raise CapacityError(
                 f"port {a}->{b} cycle {cycle}: {float(grid.us(total))}us "
                 f"of traffic in a {float(T)}us cycle")

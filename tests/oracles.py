@@ -51,6 +51,7 @@ from tsnwcd.netmodel import (
     frame_bits,
     json_num,
     json_text,
+    port_table,
 )
 
 
@@ -416,7 +417,8 @@ def reference_simulate_cbs(tc, cfg):
         durations.append(be_tx)
     grid = sim._Grid(durations, (idle, send))
 
-    port_keys, first, nxt = sim._port_tables(tc)
+    port_keys, path, _, _ = port_table(tc)
+    nxt = {fid: [*p[1:], None] for fid, p in path.items()}
     slopes = [(grid.slope(idle), grid.slope(send))]
     be = grid.ticks(be_tx) if cfg.be_saturate else None
     ports = [RunPort(i, k, slopes, be, k in cfg.trace_ports)
@@ -445,7 +447,7 @@ def reference_simulate_cbs(tc, cfg):
     drain = 2 * max(f.period for f in tc.flows)
     for r, f, seq in sim._releases(tc, cfg, grid, phases, drain):
         release_of[(f.id, seq)] = r
-        eng.push((r, sim._RANK_ARRIVE, first[f.id], 0, f.id, seq, 0))
+        eng.push((r, sim._RANK_ARRIVE, path[f.id][0], 0, f.id, seq, 0))
     eng.run()
 
     max_delay, counts = sim._fold_deliveries(tc, cfg, grid, eng.deliveries,

@@ -1,12 +1,16 @@
 """End-to-end subcommand tests through CliRunner: exit codes, stdout
 summary lines, file outputs, and flag/config precedence."""
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import tsnwcd
 from test_cbs import ring_tc
 from tsnwcd import cbs, testgen
 from tsnwcd.cli import main
@@ -251,6 +255,43 @@ def test_prompt_contains_template(runner, tmp_path):
     assert "Only Credit-Based Shaper (CBS, IEEE 802.1Qav) is allowed" in text
 
 
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def test_prompt_bytes_do_not_depend_on_the_locale(tmp_path):
+    # the prompt says "µs": run in a child interpreter under an ASCII
+    # locale, the CLI must still write it as UTF-8
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env["PYTHONPATH"] = str(Path(tsnwcd.__file__).parents[1])
+    outs = []
+    for locale in ({"PYTHONUTF8": "1"},
+                   {"LC_ALL": "C", "PYTHONUTF8": "0",
+                    "PYTHONCOERCECLOCALE": "0"}):
+        out = tmp_path / f"p{len(outs)}.txt"
+        res = subprocess.run(
+            [sys.executable, "-m", "tsnwcd.cli", "prompt", "--tc",
+             str(CORPUS / "TC1"), "--mechanism", "cbs", "--out", str(out)],
+            env={**env, **locale}, capture_output=True, timeout=120)
+        assert res.returncode == 0, res.stderr.decode(errors="replace")
+        outs.append(out.read_bytes())
+    assert "µs".encode() in outs[0]
+    assert outs[1] == outs[0]
+
+
+@pytest.mark.parametrize("command", ["analyze", "sim", "prompt", "gen"])
+def test_unwritable_out_is_domain_error(runner, tmp_path, command):
+    if command == "gen":
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "bundles"   # a directory below a file
+        args = ["gen", "--manifest", str(write_manifest(tmp_path, 1))]
+    else:
+        out = tmp_path / "missing" / "out.txt"
+        args = [command, "--tc", str(chain_tc_dir(tmp_path))]
+        args += [] if command == "sim" else ["--mechanism", "cqf"]
+    res = runner.invoke(main, args + ["--out", str(out)])
+    assert_clean_domain_error(res, str(out))
+
+
 def reply(answer):
     """A model's raw reply: the answer object in a JSON block amid prose."""
     return ("Mapping each egress port first, then summing the delays.\n"
@@ -338,7 +379,7 @@ def test_score_classifies_replies_by_what_they_answer(runner, tmp_path):
     assert (counts["ok"], counts["partial"], counts["empty"]) == (1, 1, 1)
 
 
-CORPUS_TRUTH = Path(__file__).resolve().parent.parent / "corpus" / "truth"
+CORPUS_TRUTH = CORPUS / "truth"
 
 
 def strict_json(text):

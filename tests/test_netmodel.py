@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tsnwcd.errors import ParseError, ValidationError
-from tsnwcd import netmodel as nm
+from tsnwcd import netmodel as nm, testgen
 
 F = Fraction
 
@@ -208,6 +208,41 @@ def test_validate_route_endpoint_mismatch():
                     tc.mechanism, tc.constants)
     assert "starts at h2" in str(err.value)
     assert "ends at h1" in str(err.value)
+
+
+# ======================================================================
+# port table
+
+@st.composite
+def generated_testcases(draw):
+    kind = draw(st.sampled_from(testgen.TOPOLOGY_KINDS))
+    switches = 1 if kind == testgen.ONE_SWITCH else draw(st.integers(3, 6))
+    hosts = draw(st.integers(1, 3)) if switches > 1 else draw(st.integers(2, 4))
+    n_hosts = switches * hosts
+    spec = testgen.GenSpec(
+        kind, switches, hosts,
+        draw(st.integers(1, min(20, n_hosts * (n_hosts - 1) // 2))),
+        seed=draw(st.integers(0, 10**6)))
+    consts = nm.NetworkConstants(frame_overhead=draw(st.integers(0, 60)))
+    return testgen.build_testcase(kind, spec, nm.CBS, consts)
+
+
+@given(generated_testcases())
+def test_port_table_is_the_routes_port_view(tc):
+    ports, path, members, bits = nm.port_table(tc)
+    assert ports == sorted(set(ports))
+    for r in tc.routes:
+        assert [ports[i] for i in path[r.flow_id]] == list(r.ports)
+        # hop k has a next port exactly when the node it reaches is a
+        # switch; otherwise that node is the listener
+        for k in range(r.link_count):
+            assert (k + 1 < len(path[r.flow_id])) == \
+                tc.topology.is_switch(r.hops[k + 1])
+    for i in range(len(ports)):
+        assert members[i] == [(fid, k) for fid in sorted(path)
+                              for k, j in enumerate(path[fid]) if j == i]
+    assert bits == {f.id: nm.frame_bits(f, tc.constants) for f in tc.flows}
+    assert all(type(b) is int for b in bits.values())
 
 
 # ======================================================================

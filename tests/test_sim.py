@@ -520,15 +520,23 @@ def test_cqf_two_flows_serialize_within_cycle():
     assert report.per_flow_max_delay[1] == frac("74.72")
 
 
-def test_cqf_boundary_straddle_costs_one_cycle():
-    tc = chain_tc(1, [(1000, 100)], cycle_T=F(50))
-    before = sim.simulate_cqf(
-        tc, sim.SimConfig(horizon=F(10000), phases={0: frac("49.9")}))
-    after = sim.simulate_cqf(
-        tc, sim.SimConfig(horizon=F(10000), phases={0: frac("50.1")}))
-    d1 = before.per_flow_max_delay[0]
-    d2 = after.per_flow_max_delay[0]
-    assert d2 - d1 == F(50) - frac("0.2")
+def test_cqf_rejects_release_offset_off_the_cycle_grid():
+    # The closed form counts from the cycle boundary a release opens.  A
+    # frame released 0.1us into a 100us cycle waits for the next one and
+    # was measured at 482.46us against the 405us bound; on the grid the
+    # bound holds.
+    tc = chain_tc(3, [(1000, 965)], cycle_T=F(100))
+    assert cqf.solve(tc).per_flow[0]["wcd_us"] == 405
+    for phase in ("0.1", "49.9", "50.1", "999.9"):
+        with pytest.raises(ValidationError, match=(
+                f"flow 0: release offset {phase}us is not a multiple of "
+                "the 100.0us cycle")):
+            sim.simulate_cqf(tc, sim.SimConfig(horizon=F(10000),
+                                               phases={0: frac(phase)}))
+    for phase in (0, 100, 900):
+        report = sim.simulate_cqf(tc, sim.SimConfig(horizon=F(10000),
+                                                    phases={0: F(phase)}))
+        assert report.per_flow_max_delay[0] == frac("382.56")
 
 
 def test_cqf_overfull_cycle_raises():
@@ -565,19 +573,19 @@ def test_cqf_zero_flows_empty_report():
 
 def test_cqf_drains_a_bound_longer_than_twice_the_period():
     # period = T = 100us over four switches: the 506us bound exceeds the
-    # 200us that two periods drain, so releases stop 606us before the end
+    # 200us that two periods drain, so releases stop 506us before the end
     tc = chain_tc(4, [(100, 100)], cycle_T=F(100))
     for horizon in (1000, 10000):
         report = sim.simulate_cqf(tc, sim.SimConfig(
             horizon=F(horizon), release_policy=sim.RELEASE_JITTERED))
-        assert report.per_flow_frame_count[0] == (horizon - 606) // 100 + 1
+        assert report.per_flow_frame_count[0] == (horizon - 506) // 100 + 1
         assert report.per_flow_max_delay[0] == frac("413.36")
 
 
 def test_cqf_horizon_shorter_than_drain_margin_raises():
-    # eight switches: the 910us bound + T leaves no full period in 1000us
+    # eight switches: the 910us bound leaves less than a period in 1000us
     tc = chain_tc(8, [(100, 64)], cycle_T=F(100))
-    with pytest.raises(HorizonError, match="drain margin of 1010.0us"):
+    with pytest.raises(HorizonError, match="drain margin of 910.0us"):
         sim.simulate_cqf(tc, sim.SimConfig(horizon=F(1000)))
 
 
