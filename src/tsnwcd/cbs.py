@@ -10,9 +10,10 @@ evaluations only the bursts move.  Each group is then the lower envelope of
 at most three lines and the aggregate is concave, a sorted (start, value,
 slope) breakpoint list built straight from (burst, rate) pairs, with no
 general min-plus curve algebra.  No credit term depends on a delay, and
-only c_min on the port, through its largest class frame: a solve takes the
-credit bounds once per frame size, and one rate-latency service serves
-every port.
+only c_min on the port, through its largest class frame l: a solve takes
+the credit bounds of one class config, and each port's credit range
+c_max - c_min is the line c_max + l * (C - idleSlope) / C.  One rate-latency
+service serves every port.
 
 The port delays are the least fixed point of the port-delay map, the
 cyclic TFA of Thomas, Le Boudec & Mifdaoui (RTSS 2019), which one worklist
@@ -21,8 +22,10 @@ out once, as ints, and one integer evaluator reads each delay bound off
 the aggregate's peak backlog above the service rate, at the first slope
 change that brings the aggregate's slope down to that rate.  A
 feed-forward graph takes one pass, each port on its own scale, so every
-delay is exact.  With cyclic port dependencies each delay is rounded up to
-CYCLIC_GRID, and one scale serves every port.  Each port's reported
+delay is exact.  With cyclic port dependencies one scale serves every
+port and each delay is a count of CYCLIC_GRID ticks, rounded up: an
+evaluation ends in one integer ceiling division, and the delays and the
+end-to-end sums stay in ticks until the report.  Each port's reported
 aggregate is built once, from its last envelopes, and the report's JSON
 text in one pass.  The end-to-end bound adds the constant
 propagation/switching/sync terms to the per-port queueing bounds.
@@ -218,6 +221,13 @@ def max_backlog(envelopes: Sequence[Envelope], rate: Number) -> Fraction:
     positive bursts keep it from waiting for less than the latency.  Raises
     InstabilityError when alpha's final slope exceeds rate.
     """
+    return Fraction(*_peak_excess(envelopes, rate))
+
+
+def _peak_excess(envelopes: Sequence[Envelope], rate: Number
+                 ) -> tuple[Number, int]:
+    """max_backlog as (excess, den), the backlog being excess / den: an int
+    pair when the envelopes' lines and rate are ints."""
     slope = sum(r for _, r, _ in envelopes)
     pending = [drop for _, _, drops in envelopes for drop in drops]
     num, den = 0, 1
@@ -234,7 +244,7 @@ def max_backlog(envelopes: Sequence[Envelope], rate: Number) -> Fraction:
     # alpha(num/den) - rate*num/den, times den
     excess = sum(min(b * den + r * num for b, r in lines)
                  for lines, _, _ in envelopes) - rate * num
-    return Fraction(excess, den)
+    return excess, den
 
 
 @dataclass
@@ -295,10 +305,13 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     rounded up to CYCLIC_GRID: exact delays would only approach the fixed
     point, while the rounded map reaches its own in finitely many
     evaluations.  Either way an evaluation runs on ints (see evaluate
-    below), cheaper than Fraction arithmetic.  iterations is the number of
-    evaluations per port, rounded up.  Every port is its index in
-    netmodel.port_table's sorted ports; it turns back into a (node, next)
-    pair only in the report and in error messages.
+    below), cheaper than Fraction arithmetic; a cyclic one ends in one
+    integer ceiling division, giving the delay as a count of CYCLIC_GRID
+    ticks, and the delays stay in ticks until the report, where each port's
+    delay and each flow's end-to-end sum becomes a Fraction once.
+    iterations is the number of evaluations per port, rounded up.  Every
+    port is its index in netmodel.port_table's sorted ports; it turns back
+    into a (node, next) pair only in the report and in error messages.
     Raises InstabilityError naming every port whose aggregate rate reaches
     the idle slope, ConvergenceError naming a port evaluated more than
     MAX_ITERATIONS times.
@@ -319,17 +332,17 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     rate_den = math.lcm(idsl.denominator, C.denominator,
                         *(r.denominator for r in rate.values()))
     rate_at = {fid: _on_scale(r, rate_den) for fid, r in rate.items()}
-    # No credit term depends on a delay, and only c_min on the port, via its
-    # largest class frame: bounds are taken once per frame size, and every
-    # port shares one service, idleSlope after c_max / idleSlope.
+    # No credit term depends on a delay, and only c_min on the port, as
+    # sendSlope * l / C with l its largest class frame: one config gives
+    # c_max and the service every port shares, idleSlope after
+    # c_max / idleSlope, and a port's credit range is c_max - c_min.
     l_max = [max(frame[fid] for fid, _ in hops) for hops in members]
-    credit_range = {}
-    for l_class in set(l_max):
-        cfg = CbsClassConfig(1, idsl, idsl - C, l_class, l_lower)
-        c_min, c_max = credit_bounds(cfg, C)
-        credit_range[l_class] = c_max - c_min
-    service = cbs_service_curve(cfg, C)      # the same for any frame size
+    cfg = CbsClassConfig(1, idsl, idsl - C, max(l_max), l_lower)
+    _, c_max = credit_bounds(cfg, C)
+    service = cbs_service_curve(cfg, C)
     service_curve = service.curve()
+    drain = (C - idsl) / C
+    credit_range = {l: c_max + drain * l for l in set(l_max)}
 
     order = _topological_order(path)
     cyclic = order is None
@@ -345,10 +358,19 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     scale = math.lcm(*(r.denominator for r in credit_range.values()))
     if cyclic:
         order = range(n)
-        scale = CYCLIC_GRID.denominator * math.lcm(rate_den, scale)
-        # a burst moves by weight * (upstream delay / CYCLIC_GRID)
-        weight = {fid: _on_scale(r, scale // CYCLIC_GRID.denominator)
+        ticks_per_us = CYCLIC_GRID.denominator
+        scale = ticks_per_us * math.lcm(rate_den, scale)
+        # a burst moves by weight * (upstream delay in ticks)
+        weight = {fid: _on_scale(r, scale // ticks_per_us)
                   for fid, r in rate.items()}
+        # a delay in ticks is lat + per_unit * excess / den, for a backlog
+        # of excess / den units of 1/scale bits: over one denominator,
+        # (lat_num * den + exc_num * excess) / (tick_den * den), rounded up
+        lat = service.latency * ticks_per_us
+        per_unit = Fraction(ticks_per_us, scale) / idsl
+        lat_num = lat.numerator * per_unit.denominator
+        exc_num = per_unit.numerator * lat.denominator
+        tick_den = lat.denominator * per_unit.denominator
     else:
         weight = {fid: r * scale for fid, r in rate.items()}
     range_at = {l: _on_scale(r, scale) for l, r in credit_range.items()}
@@ -395,14 +417,22 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     group_at = {member: i for groups in layout
                 for i, (group, _, _) in enumerate(groups) for member in group}
 
-    def evaluate(p: int) -> Fraction:
-        """Exact delay bound of port p from the current bursts: the latency
-        plus the peak backlog above the idle slope, over the idle slope.
-        Only the groups whose bursts moved get new envelopes; the others
-        exist only on a cyclic graph, where m is always 1, since a
-        feed-forward pass evaluates each port once."""
+    def evaluate(p: int) -> Number:
+        """Delay bound of port p from the current bursts: the latency plus
+        the peak backlog above the idle slope, over the idle slope; exact on
+        a feed-forward graph, in CYCLIC_GRID ticks rounded up on a cyclic
+        one.  Only the groups whose bursts moved get new envelopes; the
+        others exist only on a cyclic graph, since a feed-forward pass
+        evaluates each port once."""
         envs, groups = envelopes[p], layout[p]
         stale = [g for g, env in enumerate(envs) if env is None]
+        if cyclic:     # every burst an int on scale: m is 1
+            for g in stale:
+                group, rate, caps = groups[g]
+                envs[g] = group_envelope(
+                    ((sum(burst[fid][k] for fid, k in group), rate), *caps))
+            excess, den = _peak_excess(envs, idsl_at)
+            return -(-(lat_num * den + exc_num * excess) // (tick_den * den))
         bursts = [_exact_sum([burst[fid][k] for fid, k in groups[g][0]])
                   for g in stale]
         m = math.lcm(*(b.denominator for b in bursts))
@@ -432,9 +462,6 @@ def tfa_solve(tc: TestCase) -> CbsReport:
                 f"{tc.name}: port {'->'.join(ports[p])} still moving after "
                 f"{MAX_ITERATIONS} evaluations")
         d = evaluate(p)
-        if cyclic:
-            # in CYCLIC_GRID units, rounded up
-            d = math.ceil(d / CYCLIC_GRID)
         delays[p] = d
         for fid, k in members[p]:
             row = burst[fid]
@@ -449,8 +476,18 @@ def tfa_solve(tc: TestCase) -> CbsReport:
                     queued.add(rank[q])
                     heapq.heappush(queue, rank[q])
     iterations = -(-sum(evaluations) // n)
+    # the constant term once per route length: its links and switches
+    fixed = {k: consts.propagation * k + consts.switching * (k - 1)
+             + consts.sync_error for k in set(map(len, path.values()))}
     if cyclic:
-        delays = [d * CYCLIC_GRID for d in delays]
+        e2e = {fid: fixed[len(path[fid])]
+               + Fraction(sum(delays[p] for p in path[fid]), ticks_per_us)
+               for fid in sorted(path)}
+        delays = [Fraction(d, ticks_per_us) for d in delays]
+    else:
+        e2e = {fid: _exact_sum([fixed[len(path[fid])],
+                                *(delays[p] for p in path[fid])])
+               for fid in sorted(path)}
 
     # every group is fresh once nothing is queued: each port's aggregate,
     # back in bits and us, comes from its last envelopes
@@ -466,12 +503,6 @@ def tfa_solve(tc: TestCase) -> CbsReport:
         fid: [(ports[p], delays[p]) for p in path[fid]]
         for fid in sorted(path)
     }
-    # the constant term once per route length: its links and switches
-    fixed = {k: consts.propagation * k + consts.switching * (k - 1)
-             + consts.sync_error for k in set(map(len, path.values()))}
-    e2e = {fid: _exact_sum([fixed[len(path[fid])],
-                            *(delays[p] for p in path[fid])])
-           for fid in sorted(path)}
     return CbsReport(tc.name, per_port, per_flow_hops, e2e, iterations, True)
 
 

@@ -6,8 +6,10 @@ against the general horizontal deviation, a fully hand-computed
 single-switch fixed point, every port's delay as the fixed point of its
 rebuilt aggregate (one pass on feed-forward cases, the least fixed point of
 the rounded map on cyclic ones, under default and non-default constants
-and periods), the evaluation cap, instability detection, report
-serialization against the reference writer and pinned report bytes.
+and periods), the cyclic evaluator's grid ticks against plain sweeps and
+the end-to-end sums of the reported delays on generated one-way rings, the
+evaluation cap, instability detection, report serialization against the
+reference writer and pinned report bytes.
 """
 import hashlib
 import json
@@ -16,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from tsnwcd import cbs, minplus, netmodel as nm, testgen
@@ -571,6 +573,53 @@ def test_tfa_ring_delays_are_the_least_fixed_point(case):
     assert report.iterations > 1         # cyclic: ports evaluated again
     assert ({p: pa.delay_bound for p, pa in report.per_port.items()}
             == oracles.reference_tfa(tc, cbs.CYCLIC_GRID))
+
+
+@st.composite
+def one_way_rings(draw):
+    """Generated rings of 3-6 switches and 8-24 flows, under the default
+    constants or under ODD_CONSTANTS with ODD_PERIODS, with every flow
+    routed one way round the ring: on rings this small shortest routes
+    seldom make the port graph cyclic, and one-way routes mostly do."""
+    switches = draw(st.integers(3, 6))
+    odd = draw(st.booleans())
+    spec = testgen.GenSpec(
+        "ring", switches, 3, draw(st.integers(8, 24)),
+        payload_range=(64, 700), seed=draw(st.integers(0, 2**31 - 1)),
+        **({"period_choices": ODD_PERIODS} if odd else {}))
+    consts = ODD_CONSTANTS if odd else nm.NetworkConstants()
+    tc = testgen.build_testcase("one_way", spec, nm.CBS, consts)
+    routes = []
+    for f in tc.flows:
+        # the ring switches sw1..swK, each end station on exactly one
+        a, b = (int(tc.topology.neighbors(h)[0][2:]) for h in (f.src, f.dst))
+        ring = [a]
+        while ring[-1] != b:
+            ring.append(ring[-1] % switches + 1)
+        routes.append(
+            nm.Route(f.id, (f.src, *(f"sw{j}" for j in ring), f.dst)))
+    return nm.TestCase(tc.name, tc.topology, tc.flows, tuple(routes), nm.CBS,
+                       consts)
+
+
+@settings(max_examples=25, deadline=None)
+@given(one_way_rings())
+def test_tfa_ring_ticks_are_the_sweeps_and_sum_to_e2e(tc):
+    # the cyclic evaluator's rounded-up ticks are the plain Jacobi sweeps'
+    # delays, and each flow's bound is its constant term plus the exact sum
+    # of its route's reported delays
+    assume(cbs._topological_order(
+        {f.id: tc.route_for(f.id).ports for f in tc.flows}) is None)
+    report = cbs.tfa_solve(tc)
+    delay = {p: pa.delay_bound for p, pa in report.per_port.items()}
+    assert delay == oracles.reference_tfa(tc, cbs.CYCLIC_GRID)
+    consts = tc.constants
+    for fid, hops in report.per_flow_hops.items():
+        assert all(d == delay[p] for p, d in hops)
+        k = len(hops)
+        fixed = (consts.propagation * k + consts.switching * (k - 1)
+                 + consts.sync_error)
+        assert report.e2e_wcd[fid] == fixed + sum(d for _, d in hops)
 
 
 def test_tfa_evaluation_cap_names_case_and_port(monkeypatch):
