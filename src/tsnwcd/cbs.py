@@ -16,19 +16,24 @@ c_max - c_min is the line c_max + l * (C - idleSlope) / C.  One rate-latency
 service serves every port.
 
 The port delays are the least fixed point of the port-delay map, the
-cyclic TFA of Thomas, Le Boudec & Mifdaoui (RTSS 2019), which one worklist
-loop finds on any port graph (tfa_solve).  A solve lays every port's lines
-out once, as ints, and one integer evaluator reads each delay bound off
-the aggregate's peak backlog above the service rate, at the first slope
-change that brings the aggregate's slope down to that rate.  A
-feed-forward graph takes one pass, each port on its own scale, so every
-delay is exact.  With cyclic port dependencies one scale serves every
-port and each delay is a count of CYCLIC_GRID ticks, rounded up: an
-evaluation ends in one integer ceiling division, and the delays and the
-end-to-end sums stay in ticks until the report.  Each port's reported
-aggregate is built once, from its last envelopes, and the report's JSON
-text in one pass.  The end-to-end bound adds the constant
-propagation/switching/sync terms to the per-port queueing bounds.
+cyclic TFA of Thomas, Le Boudec & Mifdaoui (RTSS 2019), which tfa_solve
+finds on any port graph by evaluating the ports in one order: the strongly
+connected components of the port graph in topological order.  A solve
+lays every port's lines out once, as ints, and one integer evaluator reads
+each delay bound off the aggregate's peak backlog above the service rate,
+at the first slope change that brings the aggregate's slope down to that
+rate.  A feed-forward graph takes one pass in that order, each port on its
+own scale, so every delay is exact: each port's delay and each flow's
+summed delay upstream of each hop stay reduced (num, den) int pairs.  With
+cyclic port dependencies a worklist evaluates each component's ports again
+until it settles; one scale serves every port and each delay is a count of
+CYCLIC_GRID ticks, rounded up: an evaluation ends in one integer ceiling
+division, and the delays and the end-to-end sums stay in ticks.  Either
+way each delay and each end-to-end sum becomes a Fraction once, in the
+report.  Each port's reported aggregate is built once, from its last
+envelopes, and the report's JSON text in one pass.  The end-to-end bound
+adds the constant propagation/switching/sync terms to the per-port
+queueing bounds.
 
 No time-triggered traffic exists in these test cases, so the TAS terms of
 the underlying model are identically zero: the service latency reduces to
@@ -40,9 +45,8 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from graphlib import CycleError, TopologicalSorter
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ConvergenceError, InstabilityError, ValidationError
 from .minplus import Curve, RateLatency, Seg, TokenBucket, frac
@@ -271,44 +275,89 @@ def default_lower_frame_bits(constants: NetworkConstants) -> Fraction:
     return wire_bits(MTU_BYTES, constants)
 
 
-def _topological_order(
-        path: dict[int, tuple[int, ...]]) -> Optional[list[int]]:
-    """Ports ordered so that each comes after every port upstream of it on
-    some flow's path; None when some port's delay (transitively) feeds back
-    into itself via the prefix-shift propagation."""
-    upstream: dict[int, set[int]] = {}
+def _port_order(path: dict[int, tuple[int, ...]], n: int
+                ) -> tuple[list[int], bool]:
+    """The n ports in the order TFA evaluates them, and whether some port's
+    delay (transitively) feeds back into itself.
+
+    The port graph has an edge from each port to the next on every flow's
+    path.  Its strongly connected components come in topological order, so
+    that every port comes after each upstream port outside its own
+    component, and each component's ports in ascending index.  No route
+    repeats a node, so no port feeds itself: the graph has a cycle exactly
+    when some component holds more than one port.
+    """
+    succ: list[set[int]] = [set() for _ in range(n)]
     for ports in path.values():
-        for i, p in enumerate(ports):
-            upstream.setdefault(p, set())
-            if i:
-                upstream[p].add(ports[i - 1])
-    try:
-        return list(TopologicalSorter(upstream).static_order())
-    except CycleError:
-        return None
+        for p, q in zip(ports, ports[1:]):
+            succ[p].add(q)
+    # Tarjan's algorithm, without recursion: a component closes only after
+    # every component downstream of it, so the closing order reversed is
+    # topological
+    index, low, on_stack = [-1] * n, [0] * n, [False] * n
+    stack: list[int] = []
+    components: list[list[int]] = []
+    visited = 0
+
+    def enter(v: int) -> tuple[int, Iterator[int]]:
+        nonlocal visited
+        index[v] = low[v] = visited
+        visited += 1
+        stack.append(v)
+        on_stack[v] = True
+        return v, iter(succ[v])
+
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        work = [enter(root)]
+        while work:
+            v, edges = work[-1]
+            w = next(edges, None)
+            if w is None:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    i = stack.index(v)
+                    for w in stack[i:]:
+                        on_stack[w] = False
+                    components.append(sorted(stack[i:]))
+                    del stack[i:]
+            elif index[w] < 0:
+                work.append(enter(w))
+            elif on_stack[w]:
+                low[v] = min(low[v], index[w])
+    order = [p for component in reversed(components) for p in component]
+    return order, len(components) < n
 
 
 def tfa_solve(tc: TestCase) -> CbsReport:
     """Total flow analysis over all ports carrying CBS traffic.
 
-    One worklist loop finds the port delays: every port starts queued and
-    every delay at zero; the loop evaluates the queued port that comes
-    first in the order below, moves the bursts of the flows it sends on and
-    queues each port where a burst moved, until nothing is queued.  Then
-    every port's delay is the bound its aggregate gives, a fixed point.
-    The port-delay map is monotone, so each evaluation stays at or below
-    its least fixed point, and the loop ends there whatever the order
-    (Cousot, 1977); the order sets only how many evaluations that takes.
-    On a feed-forward port graph the order is topological: every port is
-    evaluated once, after every port upstream of it, and its delay is
-    exact.  On a cyclic one it is the sorted port order, and each delay is
-    rounded up to CYCLIC_GRID: exact delays would only approach the fixed
-    point, while the rounded map reaches its own in finitely many
-    evaluations.  Either way an evaluation runs on ints (see evaluate
-    below), cheaper than Fraction arithmetic; a cyclic one ends in one
-    integer ceiling division, giving the delay as a count of CYCLIC_GRID
-    ticks, and the delays stay in ticks until the report, where each port's
-    delay and each flow's end-to-end sum becomes a Fraction once.
+    The port delays are the least fixed point of the port-delay map: from
+    zero delays, an evaluation sets a port's delay to the bound its
+    aggregate gives for the current bursts, and the bursts of the flows it
+    sends on move by that delay.  The map is monotone, so each evaluation
+    stays at or below its least fixed point, and evaluating until no burst
+    moves ends there whatever the order (Cousot, 1977); the order sets only
+    how many evaluations that takes.  The order is _port_order's: the
+    strongly connected components of the port graph in topological order,
+    so a port is evaluated once everything upstream of it outside its own
+    component is final.  On a feed-forward port graph every component is
+    one port, so one pass evaluates each port once and its delay is exact;
+    each port's delay and each flow's delay upstream of each hop are
+    reduced (num, den) int pairs in us.  On a cyclic one a worklist loop
+    evaluates the queued port that comes first in the order and queues
+    each port where a burst moved, until nothing is queued, so a component
+    is evaluated again until it settles.  Each delay is then rounded up to
+    CYCLIC_GRID: exact delays would only approach the fixed point, while
+    the rounded map reaches its own in finitely many evaluations.  An
+    evaluation runs on ints either way (see evaluate below); a cyclic one
+    ends in one integer ceiling division, giving the delay as a count of
+    CYCLIC_GRID ticks.  Each port's delay and each flow's end-to-end sum
+    becomes a Fraction once, in the report.
     iterations is the number of evaluations per port, rounded up.  Every
     port is its index in netmodel.port_table's sorted ports; it turns back
     into a (node, next) pair only in the report and in error messages.
@@ -327,11 +376,13 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     if not n:
         return CbsReport(tc.name, {}, {}, {}, 1, True)
 
-    # each flow's source bucket (source_arrival): its frame and its rate
-    rate = {f.id: frame[f.id] / f.period for f in tc.flows}
+    # each flow's source bucket (source_arrival): its frame and its rate,
+    # a reduced (num, den) pair
+    rate = {f.id: _reduced(frame[f.id] * f.period.denominator,
+                           f.period.numerator) for f in tc.flows}
     rate_den = math.lcm(idsl.denominator, C.denominator,
-                        *(r.denominator for r in rate.values()))
-    rate_at = {fid: _on_scale(r, rate_den) for fid, r in rate.items()}
+                        *(rd for _, rd in rate.values()))
+    rate_at = {fid: rn * (rate_den // rd) for fid, (rn, rd) in rate.items()}
     # No credit term depends on a delay, and only c_min on the port, as
     # sendSlope * l / C with l its largest class frame: one config gives
     # c_max and the service every port shares, idleSlope after
@@ -344,35 +395,34 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     drain = (C - idsl) / C
     credit_range = {l: c_max + drain * l for l in set(l_max)}
 
-    order = _topological_order(path)
-    cyclic = order is None
+    order, cyclic = _port_order(path, n)
     # Every evaluation works on ints: rates in units of 1/rate_den bits/us,
     # bursts in units of 1/(scale * m) bits, with scale making every frame
-    # and credit range an int and m the port's own factor.  A flow's burst
-    # entering its k-th port is b + r*D, D the summed delays of the ports
-    # before it, kept in 1/scale bits.  On a feed-forward graph those are
-    # exact Fractions and m the lcm of the port's group-burst denominators,
-    # so each delay is exact.  On a cyclic graph the delays lie on
-    # CYCLIC_GRID, which scale covers together with the rates, so every
-    # burst is an int and m is 1.
+    # and credit range an int and m the port's own factor, and delays in
+    # units of 1/unit us.  A flow's burst entering its k-th port is
+    # b + r*D, D the summed delays of the ports before it.  On a
+    # feed-forward graph D is an exact pair, unit is 1 and m the lcm of the
+    # denominators of the port's bursts.  On a cyclic graph the delays are
+    # CYCLIC_GRID ticks, which scale covers together with the rates, so
+    # every burst is an int and m is 1.
     scale = math.lcm(*(r.denominator for r in credit_range.values()))
+    unit = 1
     if cyclic:
-        order = range(n)
-        ticks_per_us = CYCLIC_GRID.denominator
-        scale = ticks_per_us * math.lcm(rate_den, scale)
-        # a burst moves by weight * (upstream delay in ticks)
-        weight = {fid: _on_scale(r, scale // ticks_per_us)
-                  for fid, r in rate.items()}
-        # a delay in ticks is lat + per_unit * excess / den, for a backlog
-        # of excess / den units of 1/scale bits: over one denominator,
-        # (lat_num * den + exc_num * excess) / (tick_den * den), rounded up
-        lat = service.latency * ticks_per_us
-        per_unit = Fraction(ticks_per_us, scale) / idsl
-        lat_num = lat.numerator * per_unit.denominator
-        exc_num = per_unit.numerator * lat.denominator
-        tick_den = lat.denominator * per_unit.denominator
-    else:
-        weight = {fid: r * scale for fid, r in rate.items()}
+        unit = CYCLIC_GRID.denominator
+        scale = unit * math.lcm(rate_den, scale)
+    # a burst moves by weight * D, for D in 1/unit us: an int on a cyclic
+    # graph, a (num, den) pair on a feed-forward one
+    weight = {fid: rn * (scale // unit // rd) if cyclic
+              else _reduced(rn * scale, rd)
+              for fid, (rn, rd) in rate.items()}
+    # a delay is latency + backlog / idleSlope: for a backlog of
+    # excess / den units of 1/(scale * m) bits, over one denominator,
+    # (lat_num * den * m + exc_num * excess) / (delay_den * den * m) units
+    lat = service.latency * unit
+    per_unit = Fraction(unit, scale) / idsl
+    lat_num = lat.numerator * per_unit.denominator
+    exc_num = per_unit.numerator * lat.denominator
+    delay_den = lat.denominator * per_unit.denominator
     range_at = {l: _on_scale(r, scale) for l, r in credit_range.items()}
     C_at, idsl_at = _on_scale(C, rate_den), _on_scale(idsl, rate_den)
 
@@ -407,87 +457,111 @@ def tfa_solve(tc: TestCase) -> CbsReport:
             f"{tc.name}: aggregate rate reaches the idle slope at "
             f"port(s) {names}")
 
-    burst = {fid: [frame[fid] * scale] * len(path_f)
-             for fid, path_f in path.items()}
     # per port: each group's envelope, None until it is computed and again
-    # once a member's burst moves, and the factor m of its bursts; and the
-    # group of each (flow id, hop index)
+    # once a member's burst moves, and the factor m of its bursts
     envelopes = [[None] * len(groups) for groups in layout]
     port_scale = [1] * n
-    group_at = {member: i for groups in layout
-                for i, (group, _, _) in enumerate(groups) for member in group}
+    # per flow, from its first hop on: each burst, on a cyclic graph; the
+    # delay upstream of each hop and past the last, on a feed-forward one
+    burst = {fid: [frame[fid] * scale] * len(path_f)
+             for fid, path_f in path.items()}
+    upstream = {fid: [(0, 1)] * (len(path_f) + 1)
+                for fid, path_f in path.items()}
 
-    def evaluate(p: int) -> Number:
+    def evaluate(p: int) -> Union[int, tuple[int, int]]:
         """Delay bound of port p from the current bursts: the latency plus
-        the peak backlog above the idle slope, over the idle slope; exact on
-        a feed-forward graph, in CYCLIC_GRID ticks rounded up on a cyclic
-        one.  Only the groups whose bursts moved get new envelopes; the
-        others exist only on a cyclic graph, since a feed-forward pass
-        evaluates each port once."""
+        the peak backlog above the idle slope, over the idle slope; in
+        CYCLIC_GRID ticks rounded up on a cyclic graph, where only the
+        groups whose bursts moved get new envelopes, and an exact reduced
+        (num, den) pair in us on a feed-forward one."""
         envs, groups = envelopes[p], layout[p]
-        stale = [g for g, env in enumerate(envs) if env is None]
-        if cyclic:     # every burst an int on scale: m is 1
-            for g in stale:
-                group, rate, caps = groups[g]
+        m = 1
+        if cyclic:
+            for g, env in enumerate(envs):
+                if env is None:
+                    group, rate, caps = groups[g]
+                    envs[g] = group_envelope(
+                        ((sum(burst[fid][k] for fid, k in group), rate),
+                         *caps))
+        else:
+            # each member's burst frame + weight * D, with D its delay
+            # upstream of p, as the frame and a reduced pair
+            shares = []
+            for group, _, _ in groups:
+                share = []
+                for fid, k in group:
+                    (wn, wd), (dn, dd) = weight[fid], upstream[fid][k]
+                    num, den = _reduced(wn * dn, wd * dd)
+                    share.append((frame[fid] * scale, num, den))
+                shares.append(share)
+            m = math.lcm(*(den for share in shares for _, _, den in share))
+            for g, (share, (_, rate, caps)) in enumerate(zip(shares, groups)):
+                b = sum(f * m + num * (m // den) for f, num, den in share)
                 envs[g] = group_envelope(
-                    ((sum(burst[fid][k] for fid, k in group), rate), *caps))
-            excess, den = _peak_excess(envs, idsl_at)
-            return -(-(lat_num * den + exc_num * excess) // (tick_den * den))
-        bursts = [_exact_sum([burst[fid][k] for fid, k in groups[g][0]])
-                  for g in stale]
-        m = math.lcm(*(b.denominator for b in bursts))
-        for g, b in zip(stale, bursts):
-            _, rate, caps = groups[g]
-            envs[g] = group_envelope(((_on_scale(b, m), rate),
-                                      *((cap_b * m, r) for cap_b, r in caps)))
-        port_scale[p] = m
-        # the backlog is in 1/(m * scale) bits
-        return (service.latency
-                + max_backlog(envs, idsl_at) / (m * scale * idsl))
+                    ((b, rate), *((cap_b * m, r) for cap_b, r in caps)))
+            port_scale[p] = m
+        excess, den = _peak_excess(envs, idsl_at)
+        num, den = lat_num * den * m + exc_num * excess, delay_den * den * m
+        return -(-num // den) if cyclic else _reduced(num, den)
 
-    # a heap of the queued ports' ranks in the order; each evaluation
-    # queues only ports that rank after it on a feed-forward graph
-    rank = {p: i for i, p in enumerate(order)}
-    queue = list(range(n))
-    queued = set(queue)
-    delays: list[Number] = [0] * n
-    evaluations = [0] * n
-    while queue:
-        i = heapq.heappop(queue)
-        queued.discard(i)
-        p = order[i]
-        evaluations[p] += 1
-        if evaluations[p] > MAX_ITERATIONS:
-            raise ConvergenceError(
-                f"{tc.name}: port {'->'.join(ports[p])} still moving after "
-                f"{MAX_ITERATIONS} evaluations")
-        d = evaluate(p)
-        delays[p] = d
-        for fid, k in members[p]:
-            row = burst[fid]
-            if k + 1 == len(row):
-                continue
-            b = row[k] + weight[fid] * d
-            if b != row[k + 1]:
-                row[k + 1] = b
-                q = path[fid][k + 1]
-                envelopes[q][group_at[fid, k + 1]] = None
-                if rank[q] not in queued:
-                    queued.add(rank[q])
-                    heapq.heappush(queue, rank[q])
-    iterations = -(-sum(evaluations) // n)
+    delays: list = [0] * n
     # the constant term once per route length: its links and switches
     fixed = {k: consts.propagation * k + consts.switching * (k - 1)
              + consts.sync_error for k in set(map(len, path.values()))}
     if cyclic:
+        group_at = {member: i for groups in layout
+                    for i, (group, _, _) in enumerate(groups)
+                    for member in group}
+        # a heap of the queued ports' ranks in the order
+        rank = {p: i for i, p in enumerate(order)}
+        queue = list(range(n))
+        queued = set(queue)
+        evaluations = [0] * n
+        while queue:
+            i = heapq.heappop(queue)
+            queued.discard(i)
+            p = order[i]
+            evaluations[p] += 1
+            if evaluations[p] > MAX_ITERATIONS:
+                raise ConvergenceError(
+                    f"{tc.name}: port {'->'.join(ports[p])} still moving "
+                    f"after {MAX_ITERATIONS} evaluations")
+            d = evaluate(p)
+            delays[p] = d
+            for fid, k in members[p]:
+                row = burst[fid]
+                if k + 1 == len(row):
+                    continue
+                b = row[k] + weight[fid] * d
+                if b != row[k + 1]:
+                    row[k + 1] = b
+                    q = path[fid][k + 1]
+                    envelopes[q][group_at[fid, k + 1]] = None
+                    if rank[q] not in queued:
+                        queued.add(rank[q])
+                        heapq.heappush(queue, rank[q])
+        iterations = -(-sum(evaluations) // n)
         e2e = {fid: fixed[len(path[fid])]
-               + Fraction(sum(delays[p] for p in path[fid]), ticks_per_us)
+               + Fraction(sum(delays[p] for p in path[fid]), unit)
                for fid in sorted(path)}
-        delays = [Fraction(d, ticks_per_us) for d in delays]
+        delays = [Fraction(d, unit) for d in delays]
     else:
-        e2e = {fid: _exact_sum([fixed[len(path[fid])],
-                                *(delays[p] for p in path[fid])])
-               for fid in sorted(path)}
+        # every port once, after each port upstream of it: its inputs are
+        # final
+        for p in order:
+            d = delays[p] = evaluate(p)
+            dn, dd = d
+            for fid, k in members[p]:
+                row = upstream[fid]
+                un, ud = row[k]
+                row[k + 1] = _reduced(un * dd + dn * ud, ud * dd)
+        iterations = 1
+        e2e = {}
+        for fid in sorted(path):
+            (un, ud), const = upstream[fid][-1], fixed[len(path[fid])]
+            e2e[fid] = Fraction(const.numerator * ud + un * const.denominator,
+                                const.denominator * ud)
+        delays = [Fraction(*d) for d in delays]
 
     # every group is fresh once nothing is queued: each port's aggregate,
     # back in bits and us, comes from its last envelopes
@@ -511,11 +585,10 @@ def _on_scale(x: Number, scale: int) -> int:
     return x.numerator * (scale // x.denominator)
 
 
-def _exact_sum(xs: Sequence[Number]) -> Fraction:
-    """The sum of xs, over the lcm of their denominators at once."""
-    den = math.lcm(*(x.denominator for x in xs))
-    return Fraction(sum(x.numerator * (den // x.denominator) for x in xs),
-                    den)
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num / den as a (num, den) pair in lowest terms, den > 0 given."""
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def report_to_json(report: CbsReport) -> str:

@@ -15,7 +15,8 @@ A network CBS port has one FIFO credit queue and, at most, a saturating
 best-effort source, so nothing that reaches a port after a frame can change
 when that frame starts (Lindley's single-server recursion).  simulate_cbs
 therefore fixes a frame's start the moment it pops off the heap at a port,
-and the heap holds arrivals only, one entry per frame-hop.  Each port keeps
+and the heap holds arrivals only: the frame-hops in flight plus one pending
+release per flow, whose next release is pushed when it pops.  Each port keeps
 the end tick and end credit of its last scheduled frame; the start of a new
 frame is a closed form of those and its arrival.  Queued behind that frame,
 it inherits the end credit; arriving later, it finds the credit reset to
@@ -356,17 +357,17 @@ def _phases(tc, cfg, rng, cycle=None):
 
 
 def _releases(tc, cfg, grid, phases, drain):
-    """(release tick, flow, seq) up to horizon minus the drain margin, which
-    must leave every flow a release."""
+    """({flow id: (first release tick, period in ticks)}, last): a flow's
+    seq-th release is at first + seq * period, for every such tick up to
+    last, the horizon minus the drain margin, which must leave every flow
+    a release."""
     if cfg.horizon - drain < max(f.period for f in tc.flows):
         raise HorizonError(f"horizon {float(cfg.horizon)}us leaves less than "
                            f"a period before the drain margin of "
                            f"{float(drain)}us; extend it")
-    end = math.floor((cfg.horizon - drain) * grid.den)
-    for f in sorted(tc.flows, key=lambda f: f.id):
-        ticks = range(grid.ticks(phases[f.id]), end + 1, grid.ticks(f.period))
-        for seq, r in enumerate(ticks):
-            yield r, f, seq
+    last = math.floor((cfg.horizon - drain) * grid.den)
+    return {f.id: (grid.ticks(phases[f.id]), grid.ticks(f.period))
+            for f in sorted(tc.flows, key=lambda f: f.id)}, last
 
 
 def _grid_durations(tc, cfg, phases, tx):
@@ -380,7 +381,7 @@ def _empty_report(tc, cfg):
                      cfg.release_policy, {}, {}, None)
 
 
-def _fold_deliveries(tc, cfg, grid, deliveries, release_of, drain):
+def _fold_deliveries(tc, cfg, grid, deliveries, releases, drain):
     horizon = grid.ticks(cfg.horizon)
     longest = {f.id: 0 for f in tc.flows}
     counts = {f.id: 0 for f in tc.flows}
@@ -390,7 +391,8 @@ def _fold_deliveries(tc, cfg, grid, deliveries, release_of, drain):
             late.add(flow)
             continue
         counts[flow] += 1
-        longest[flow] = max(longest[flow], t - release_of[(flow, seq)])
+        first, period = releases[flow]
+        longest[flow] = max(longest[flow], t - first - seq * period)
     if late:
         raise HorizonError(
             f"flows {sorted(late)}: a frame outlasts the horizon, its delay "
@@ -446,15 +448,17 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
     run = [0 if be is not None else None] * n
     records = [[] if k in cfg.trace_ports else None for k in ports]
 
+    # each flow's next release waits off the heap until its last is popped
     heap = []
     push, pop = heapq.heappush, heapq.heappop
-    release_of = {}
-    for r, f, seq in _releases(tc, cfg, grid, phases, drain):
-        release_of[(f.id, seq)] = r
-        push(heap, (r, 1, path[f.id][0], f.id, seq, 0))
+    releases, last = _releases(tc, cfg, grid, phases, drain)
+    for fid, (first, _) in releases.items():
+        push(heap, (first, 1, path[fid][0], fid, 0, 0))
     deliveries = []
     while heap:
         t, batch, p, flow, seq, hop = pop(heap)
+        if hop == 0 and t + releases[flow][1] <= last:
+            push(heap, (t + releases[flow][1], 1, p, flow, seq + 1, 0))
         e, c = end[p], credit[p]
         behind = t < e or (t == e and batch == 1)
         if behind and c >= 0:
@@ -510,7 +514,7 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
                         flow, seq, hop + 1))
 
     max_delay, counts = _fold_deliveries(tc, cfg, grid, deliveries,
-                                         release_of, drain)
+                                         releases, drain)
     trace = None
     if cfg.trace_ports:
         raw = []
@@ -625,14 +629,17 @@ def simulate_cqf(tc: TestCase, cfg: SimConfig) -> SimReport:
     load: dict = {}                       # (port index, cycle) -> ticks
     heap = []
     deliveries = []
-    release_of = {}
-    for r, f, seq in _releases(tc, cfg, grid, phases, drain):
-        release_of[(f.id, seq)] = r
-        heapq.heappush(heap, (r, _RANK_ARRIVE, path[f.id][0], 0, f.id, seq, 0))
+    # each flow's next release waits off the heap until its last is popped
+    releases, last = _releases(tc, cfg, grid, phases, drain)
+    for fid, (first, _) in releases.items():
+        heapq.heappush(heap, (first, _RANK_ARRIVE, path[fid][0], 0, fid, 0, 0))
 
     while heap:
         t, rank, pidx, cyc_hint, flow, seq, hop = heapq.heappop(heap)
         if hop == 0:
+            if t + releases[flow][1] <= last:
+                heapq.heappush(heap, (t + releases[flow][1], _RANK_ARRIVE,
+                                      pidx, 0, flow, seq + 1, 0))
             cycle = -(-t // T_t)
         else:
             cycle = cyc_hint
@@ -660,7 +667,7 @@ def simulate_cqf(tc: TestCase, cfg: SimConfig) -> SimReport:
                                   cycle + 1, flow, seq, hop + 1))
 
     max_delay, counts = _fold_deliveries(tc, cfg, grid, deliveries,
-                                         release_of, drain)
+                                         releases, drain)
     return SimReport(tc.name, CQF, cfg.seed, cfg.horizon, cfg.release_policy,
                      max_delay, counts, None)
 

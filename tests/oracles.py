@@ -443,15 +443,15 @@ def reference_simulate_cbs(tc, cfg):
         # wake every port at t=0 so the background source starts immediately
         for p in ports:
             eng.push((0, sim._RANK_WAKE, p.idx, 0, sim._NO_FLOW, -1, 0))
-    release_of = {}
     drain = 2 * max(f.period for f in tc.flows)
-    for r, f, seq in sim._releases(tc, cfg, grid, phases, drain):
-        release_of[(f.id, seq)] = r
-        eng.push((r, sim._RANK_ARRIVE, path[f.id][0], 0, f.id, seq, 0))
+    releases, last = sim._releases(tc, cfg, grid, phases, drain)
+    for fid, (first, period) in releases.items():
+        for seq, r in enumerate(range(first, last + 1, period)):
+            eng.push((r, sim._RANK_ARRIVE, path[fid][0], 0, fid, seq, 0))
     eng.run()
 
     max_delay, counts = sim._fold_deliveries(tc, cfg, grid, eng.deliveries,
-                                             release_of, drain)
+                                             releases, drain)
     trace = None
     if cfg.trace_ports:
         for p in ports:

@@ -498,12 +498,15 @@ def test_tfa_delays_are_the_fixed_point(case):
         spec = testgen.GenSpec("medium_mesh", 12, 4, 80,
                                payload_range=(64, 700), seed=1432080079)
         tc = testgen.build_testcase(case, spec, nm.CBS, nm.NetworkConstants())
-    flow_ports = {f.id: tc.route_for(f.id).ports for f in tc.flows}
-    cyclic = cbs._topological_order(flow_ports) is None
+    cyclic = port_order(tc)[1]
     assert cyclic == case.startswith("ring")
     report = cbs.tfa_solve(tc)
     assert report.converged
     assert (report.iterations == 1) != cyclic
+    if case.startswith("ring_") and not case.endswith("_odd"):
+        # component order: each ring port is evaluated about twice, where
+        # the sorted port order took 4, 4 and 5 evaluations per port
+        assert report.iterations == 2
     delay = {p: pa.delay_bound for p, pa in report.per_port.items()}
     for port, pa in report.per_port.items():
         alpha = oracles.rebuilt_aggregate(tc, delay, port)
@@ -536,14 +539,30 @@ def ring_tc():
                        nm.NetworkConstants())
 
 
+def port_order(tc):
+    """cbs._port_order on tc's port table, with (node, next) ports."""
+    ports, path, _, _ = nm.port_table(tc)
+    order, cyclic = cbs._port_order(path, len(ports))
+    return [ports[p] for p in order], cyclic
+
+
 def test_dependency_cycle_detection():
-    tc = ring_tc()
-    ports = {f.id: tc.route_for(f.id).ports for f in tc.flows}
-    assert cbs._topological_order(ports) is None
-    chain = {0: (("a", "s"), ("s", "b")), 1: (("c", "s"), ("s", "b"))}
-    order = cbs._topological_order(chain)
-    assert sorted(order) == [("a", "s"), ("c", "s"), ("s", "b")]
-    assert order[-1] == ("s", "b")
+    order, cyclic = port_order(ring_tc())
+    assert cyclic
+    # the three ring ports are one component, after the three talkers
+    assert order[3:6] == [("r1", "r2"), ("r2", "r3"), ("r3", "r1")]
+    # two talkers into one switch port
+    order, cyclic = cbs._port_order({0: (0, 2), 1: (1, 2)}, 3)
+    assert not cyclic
+    assert sorted(order) == [0, 1, 2] and order[-1] == 2
+    # a two-port cycle {1, 3} fed from 4 and 5 and feeding 0; port 2 apart
+    order, cyclic = cbs._port_order(
+        {0: (4, 5, 3, 1, 0), 1: (1, 3), 2: (2,)}, 6)
+    assert cyclic
+    assert sorted(order) == list(range(6))
+    at = {p: i for i, p in enumerate(order)}
+    assert at[4] < at[5] < at[1] < at[0]
+    assert at[3] == at[1] + 1        # one component, in ascending index
 
 
 def test_tfa_ring_converges_on_rounding_grid():
@@ -608,14 +627,88 @@ def test_tfa_ring_ticks_are_the_sweeps_and_sum_to_e2e(tc):
     # the cyclic evaluator's rounded-up ticks are the plain Jacobi sweeps'
     # delays, and each flow's bound is its constant term plus the exact sum
     # of its route's reported delays
-    assume(cbs._topological_order(
-        {f.id: tc.route_for(f.id).ports for f in tc.flows}) is None)
-    report = cbs.tfa_solve(tc)
+    assume(port_order(tc)[1])
+    try:
+        report = cbs.tfa_solve(tc)
+    except InstabilityError:
+        assume(False)      # an overloaded draw has no bound to compare
     delay = {p: pa.delay_bound for p, pa in report.per_port.items()}
     assert delay == oracles.reference_tfa(tc, cbs.CYCLIC_GRID)
     consts = tc.constants
     for fid, hops in report.per_flow_hops.items():
         assert all(d == delay[p] for p, d in hops)
+        k = len(hops)
+        fixed = (consts.propagation * k + consts.switching * (k - 1)
+                 + consts.sync_error)
+        assert report.e2e_wcd[fid] == fixed + sum(d for _, d in hops)
+
+
+@st.composite
+def meshes(draw, odd=None):
+    """Generated medium meshes of 4-8 switches x 3 hosts and 8-40 flows,
+    under the default constants or under ODD_CONSTANTS with ODD_PERIODS
+    (odd None: either)."""
+    if odd is None:
+        odd = draw(st.booleans())
+    spec = testgen.GenSpec(
+        "medium_mesh", draw(st.integers(4, 8)), 3, draw(st.integers(8, 40)),
+        payload_range=(64, 700), seed=draw(st.integers(0, 2**31 - 1)),
+        **({"period_choices": ODD_PERIODS} if odd else {}))
+    consts = ODD_CONSTANTS if odd else nm.NetworkConstants()
+    return testgen.build_testcase("mesh", spec, nm.CBS, consts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(one_way_rings(), meshes()))
+def test_port_order_is_topological_over_components(tc):
+    # every port comes after each port upstream of it outside its own
+    # component, a component's ports are adjacent and ascending, and the
+    # order reports a cycle exactly when some port precedes itself along
+    # the routes
+    ports = sorted({p for r in tc.routes for p in r.ports})
+    later = {p: set() for p in ports}      # ports after p on some route
+    for r in tc.routes:
+        for i, p in enumerate(r.ports):
+            later[p].update(r.ports[i + 1:])
+    reach = {}
+    for p in ports:
+        seen, todo = set(), [p]
+        while todo:
+            for q in later[todo.pop()] - seen:
+                seen.add(q)
+                todo.append(q)
+        reach[p] = seen
+    order, cyclic = port_order(tc)
+    assert sorted(order) == ports
+    assert cyclic == any(p in reach[p] for p in ports)
+    at = {p: i for i, p in enumerate(order)}
+    for p in ports:
+        for q in reach[p]:
+            if p not in reach[q]:
+                assert at[p] < at[q]
+    for p in ports:
+        component = sorted({p} | {q for q in reach[p] if p in reach[q]})
+        first = at[component[0]]
+        assert order[first:first + len(component)] == component
+
+
+@settings(max_examples=20, deadline=None)
+@given(meshes(odd=True))
+def test_feed_forward_pairs_add_no_rounding(tc):
+    # on a feed-forward graph every delay is the exact horizontal deviation
+    # of the port's aggregate from its service, and every end-to-end bound
+    # the constant term plus the exact sum of the route's delays
+    assume(not port_order(tc)[1])
+    try:
+        report = cbs.tfa_solve(tc)
+    except InstabilityError:
+        assume(False)      # an overloaded draw has no bound to compare
+    assert report.iterations == 1
+    for pa in report.per_port.values():
+        assert pa.delay_bound == h_dev(pa.arrival, pa.service)
+    consts = tc.constants
+    for fid, hops in report.per_flow_hops.items():
+        assert all(d == report.per_port[p].delay_bound for p, d in hops)
         k = len(hops)
         fixed = (consts.propagation * k + consts.switching * (k - 1)
                  + consts.sync_error)
