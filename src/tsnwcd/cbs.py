@@ -17,23 +17,23 @@ service serves every port.
 
 The port delays are the least fixed point of the port-delay map, the
 cyclic TFA of Thomas, Le Boudec & Mifdaoui (RTSS 2019), which tfa_solve
-finds on any port graph by evaluating the ports in one order: the strongly
-connected components of the port graph in topological order.  A solve
-lays every port's lines out once, as ints, and one integer evaluator reads
-each delay bound off the aggregate's peak backlog above the service rate,
-at the first slope change that brings the aggregate's slope down to that
-rate.  A feed-forward graph takes one pass in that order, each port on its
-own scale, so every delay is exact: each port's delay and each flow's
-summed delay upstream of each hop stay reduced (num, den) int pairs.  With
-cyclic port dependencies a worklist evaluates each component's ports again
-until it settles; one scale serves every port and each delay is a count of
-CYCLIC_GRID ticks, rounded up: an evaluation ends in one integer ceiling
-division, and the delays and the end-to-end sums stay in ticks.  Either
-way each delay and each end-to-end sum becomes a Fraction once, in the
-report.  Each port's reported aggregate is built once, from its last
-envelopes, and the report's JSON text in one pass.  The end-to-end bound
-adds the constant propagation/switching/sync terms to the per-port
-queueing bounds.
+finds on any port graph with one worklist.  It evaluates the queued port
+that comes first in one order, the strongly connected components of the
+port graph in topological order, and queues the next port of each flow
+whose summed delay upstream of it moved.  A solve lays every port's lines
+out once, as ints, and one integer evaluator reads each delay bound off the
+aggregate's peak backlog above the service rate, at the first slope change
+that brings the aggregate's slope down to that rate.  Every delay and
+every flow's summed delay upstream of each hop is a reduced (num, den) int
+pair.  On a feed-forward graph the worklist evaluates each port once, on
+its own scale, so every delay is exact.  With cyclic port dependencies it
+evaluates a component's ports again until they settle; one scale serves
+every port and each delay is a count of CYCLIC_GRID ticks, rounded up in
+one integer ceiling division.  Each delay and each end-to-end sum becomes
+a Fraction once, in the report.  Each port's reported aggregate is built
+once, from its last envelopes, and the report's JSON text in one pass.
+The end-to-end bound adds the constant propagation/switching/sync terms to
+the per-port queueing bounds.
 
 No time-triggered traffic exists in these test cases, so the TAS terms of
 the underlying model are identically zero: the service latency reduces to
@@ -213,25 +213,21 @@ def aggregate_segments(envelopes: Iterable[Envelope], burst_unit: Fraction,
             for t, value, slope in pieces]
 
 
-def max_backlog(envelopes: Sequence[Envelope], rate: Number) -> Fraction:
+def _peak_excess(envelopes: Sequence[Envelope], rate: Number
+                 ) -> tuple[Number, int]:
     """max over t > 0 of alpha(t) - rate*t, alpha the sum of envelopes
-    whose lines all have positive bursts; in their units.
+    whose lines all have positive bursts, as (excess, den): the backlog is
+    excess / den in the envelopes' units, an int pair when their lines and
+    rate are ints.
 
     alpha is concave, so alpha(t) - rate*t rises until the first slope
     change after which alpha's slope is at most rate, and falls from there
     on: only the changes up to that point are visited, earliest first, and
     alpha is evaluated there alone.  Its delay bound at a rate-latency
-    server, the horizontal deviation, is latency + max_backlog / rate: the
+    server, the horizontal deviation, is latency + backlog / rate: the
     positive bursts keep it from waiting for less than the latency.  Raises
     InstabilityError when alpha's final slope exceeds rate.
     """
-    return Fraction(*_peak_excess(envelopes, rate))
-
-
-def _peak_excess(envelopes: Sequence[Envelope], rate: Number
-                 ) -> tuple[Number, int]:
-    """max_backlog as (excess, den), the backlog being excess / den: an int
-    pair when the envelopes' lines and rate are ints."""
     slope = sum(r for _, r, _ in envelopes)
     pending = [drop for _, _, drops in envelopes for drop in drops]
     num, den = 0, 1
@@ -338,26 +334,26 @@ def tfa_solve(tc: TestCase) -> CbsReport:
 
     The port delays are the least fixed point of the port-delay map: from
     zero delays, an evaluation sets a port's delay to the bound its
-    aggregate gives for the current bursts, and the bursts of the flows it
-    sends on move by that delay.  The map is monotone, so each evaluation
-    stays at or below its least fixed point, and evaluating until no burst
-    moves ends there whatever the order (Cousot, 1977); the order sets only
-    how many evaluations that takes.  The order is _port_order's: the
-    strongly connected components of the port graph in topological order,
-    so a port is evaluated once everything upstream of it outside its own
-    component is final.  On a feed-forward port graph every component is
-    one port, so one pass evaluates each port once and its delay is exact;
-    each port's delay and each flow's delay upstream of each hop are
-    reduced (num, den) int pairs in us.  On a cyclic one a worklist loop
-    evaluates the queued port that comes first in the order and queues
-    each port where a burst moved, until nothing is queued, so a component
-    is evaluated again until it settles.  Each delay is then rounded up to
-    CYCLIC_GRID: exact delays would only approach the fixed point, while
-    the rounded map reaches its own in finitely many evaluations.  An
-    evaluation runs on ints either way (see evaluate below); a cyclic one
-    ends in one integer ceiling division, giving the delay as a count of
-    CYCLIC_GRID ticks.  Each port's delay and each flow's end-to-end sum
-    becomes a Fraction once, in the report.
+    aggregate gives for the current upstream delays, and the upstream
+    delays of the flows it sends on move by that delay.  The map is
+    monotone, so each evaluation stays at or below its least fixed point,
+    and evaluating until no upstream delay moves ends there whatever the
+    order (Cousot, 1977); the order sets only how many evaluations that
+    takes.  One worklist evaluates the queued port that comes first in
+    _port_order's order, the strongly connected components of the port
+    graph in topological order, rebuilds its envelopes from the upstream
+    rows, and queues the next port of each member flow whose upstream delay
+    moved, until nothing is queued.  A row can move because a row upstream
+    of it moved even when the port's delay did not.  On a feed-forward port
+    graph every component is one port and each port comes after every port
+    upstream of it, so each port is evaluated once and its delay is exact.
+    On a cyclic one a component is evaluated again until it settles, and
+    each delay is rounded up to CYCLIC_GRID: exact delays would only
+    approach the fixed point, while the rounded map reaches its own in
+    finitely many evaluations.  Each delay and each flow's delay upstream
+    of each hop is a reduced (num, den) int pair, in CYCLIC_GRID ticks on a
+    cyclic graph and in us on a feed-forward one, and each port's delay and
+    each flow's end-to-end sum becomes a Fraction once, in the report.
     iterations is the number of evaluations per port, rounded up.  Every
     port is its index in netmodel.port_table's sorted ports; it turns back
     into a (node, next) pair only in the report and in error messages.
@@ -401,19 +397,18 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     # and credit range an int and m the port's own factor, and delays in
     # units of 1/unit us.  A flow's burst entering its k-th port is
     # b + r*D, D the summed delays of the ports before it.  On a
-    # feed-forward graph D is an exact pair, unit is 1 and m the lcm of the
-    # denominators of the port's bursts.  On a cyclic graph the delays are
-    # CYCLIC_GRID ticks, which scale covers together with the rates, so
-    # every burst is an int and m is 1.
+    # feed-forward graph unit is 1 and m the lcm of the denominators of the
+    # port's burst moves r*D.  On a cyclic graph the delays are CYCLIC_GRID
+    # ticks, which scale covers together with the rates, so every burst is
+    # an int and m is 1.
     scale = math.lcm(*(r.denominator for r in credit_range.values()))
     unit = 1
     if cyclic:
         unit = CYCLIC_GRID.denominator
         scale = unit * math.lcm(rate_den, scale)
-    # a burst moves by weight * D, for D in 1/unit us: an int on a cyclic
-    # graph, a (num, den) pair on a feed-forward one
-    weight = {fid: rn * (scale // unit // rd) if cyclic
-              else _reduced(rn * scale, rd)
+    # a burst moves by weight * D, for D in 1/unit us, weight a reduced
+    # (num, den) pair: (int, 1) on a cyclic graph
+    weight = {fid: _reduced(rn * scale, rd * unit)
               for fid, (rn, rd) in rate.items()}
     # a delay is latency + backlog / idleSlope: for a backlog of
     # excess / den units of 1/(scale * m) bits, over one denominator,
@@ -426,8 +421,15 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     range_at = {l: _on_scale(r, scale) for l, r in credit_range.items()}
     C_at, idsl_at = _on_scale(C, rate_den), _on_scale(idsl, rate_den)
 
-    # The groups feeding each port, fixed for a solve, as (members, summed
-    # rate, caps): members are (flow id, hop index) pairs and caps (burst,
+    # per flow, from its first hop on: the delay upstream of each hop and
+    # past the last, a reduced (num, den) pair in 1/unit us
+    upstream = {fid: [(0, 1)] * (len(path_f) + 1)
+                for fid, path_f in path.items()}
+    # The groups feeding each port, fixed for a solve, as (shares, frame,
+    # rate, caps): a share (wn, wd, row, k) per member, the member being its
+    # flow's hop k and row that flow's upstream row, so that its burst
+    # moves by wn / wd times the delay row[k]; the members' summed frame,
+    # their bursts before any delay, and summed rate; and caps, (burst,
     # rate) lines.  The flows the port sources come uncapped; each
     # predecessor's flows are capped by the link line (link_shaping) and,
     # behind a switch, by the CBS shaping line (cbs_shaping).  No delay
@@ -446,10 +448,13 @@ def tfa_solve(tc: TestCase) -> CbsReport:
             if tc.topology.is_switch(ports[q][0]):
                 caps += ((range_at[l_max[q]] + l_link, idsl_at),)
             groups.append((tuple(by_pred[q]), caps))
-        layout.append([(group, sum(rate_at[fid] for fid, _ in group), caps)
+        layout.append([(tuple((*weight[fid], upstream[fid], k)
+                              for fid, k in group),
+                        sum(frame[fid] for fid, _ in group) * scale,
+                        sum(rate_at[fid] for fid, _ in group), caps)
                        for group, caps in groups])
         if sum(min([r, *(cap_r for _, cap_r in caps)])
-               for _, r, caps in layout[p]) >= idsl_at:
+               for _, _, r, caps in layout[p]) >= idsl_at:
             unstable.append(ports[p])
     if unstable:
         names = ", ".join(f"{a}->{b}" for a, b in unstable)
@@ -457,114 +462,72 @@ def tfa_solve(tc: TestCase) -> CbsReport:
             f"{tc.name}: aggregate rate reaches the idle slope at "
             f"port(s) {names}")
 
-    # per port: each group's envelope, None until it is computed and again
-    # once a member's burst moves, and the factor m of its bursts
-    envelopes = [[None] * len(groups) for groups in layout]
+    # per port: its envelopes from its last evaluation and their factor m
+    envelopes: list = [None] * n
     port_scale = [1] * n
-    # per flow, from its first hop on: each burst, on a cyclic graph; the
-    # delay upstream of each hop and past the last, on a feed-forward one
-    burst = {fid: [frame[fid] * scale] * len(path_f)
-             for fid, path_f in path.items()}
-    upstream = {fid: [(0, 1)] * (len(path_f) + 1)
-                for fid, path_f in path.items()}
 
-    def evaluate(p: int) -> Union[int, tuple[int, int]]:
-        """Delay bound of port p from the current bursts: the latency plus
-        the peak backlog above the idle slope, over the idle slope; in
-        CYCLIC_GRID ticks rounded up on a cyclic graph, where only the
-        groups whose bursts moved get new envelopes, and an exact reduced
-        (num, den) pair in us on a feed-forward one."""
-        envs, groups = envelopes[p], layout[p]
-        m = 1
-        if cyclic:
-            for g, env in enumerate(envs):
-                if env is None:
-                    group, rate, caps = groups[g]
-                    envs[g] = group_envelope(
-                        ((sum(burst[fid][k] for fid, k in group), rate),
-                         *caps))
-        else:
-            # each member's burst frame + weight * D, with D its delay
-            # upstream of p, as the frame and a reduced pair
-            shares = []
-            for group, _, _ in groups:
-                share = []
-                for fid, k in group:
-                    (wn, wd), (dn, dd) = weight[fid], upstream[fid][k]
-                    num, den = _reduced(wn * dn, wd * dd)
-                    share.append((frame[fid] * scale, num, den))
-                shares.append(share)
-            m = math.lcm(*(den for share in shares for _, _, den in share))
-            for g, (share, (_, rate, caps)) in enumerate(zip(shares, groups)):
-                b = sum(f * m + num * (m // den) for f, num, den in share)
-                envs[g] = group_envelope(
-                    ((b, rate), *((cap_b * m, r) for cap_b, r in caps)))
-            port_scale[p] = m
+    def evaluate(p: int) -> tuple[int, int]:
+        """Delay bound of port p from the current upstream rows: the latency
+        plus the peak backlog above the idle slope, over the idle slope, as
+        a reduced (num, den) pair in 1/unit us, rounded up to whole
+        CYCLIC_GRID ticks on a cyclic graph."""
+        groups = layout[p]
+        m = math.lcm(*(wd * row[k][1] for shares, _, _, _ in groups
+                       for _, wd, row, k in shares))
+        envs = envelopes[p] = [
+            group_envelope((
+                (frames * m + sum(wn * row[k][0] * (m // (wd * row[k][1]))
+                                  for wn, wd, row, k in shares),
+                 rate), *((cap_b * m, r) for cap_b, r in caps)))
+            for shares, frames, rate, caps in groups]
+        port_scale[p] = m
         excess, den = _peak_excess(envs, idsl_at)
         num, den = lat_num * den * m + exc_num * excess, delay_den * den * m
-        return -(-num // den) if cyclic else _reduced(num, den)
+        return (-(-num // den), 1) if cyclic else _reduced(num, den)
 
-    delays: list = [0] * n
+    # a heap of the queued ports' ranks in the order: each port first, then
+    # every port whose upstream row moved; on a feed-forward graph no port
+    # comes back, as each comes after every port upstream of it
+    delays: list = [None] * n
+    rank = {p: i for i, p in enumerate(order)}
+    queue = list(range(n))
+    queued = set(queue)
+    evaluations = [0] * n
+    while queue:
+        i = heapq.heappop(queue)
+        queued.discard(i)
+        p = order[i]
+        evaluations[p] += 1
+        if evaluations[p] > MAX_ITERATIONS:
+            raise ConvergenceError(
+                f"{tc.name}: port {'->'.join(ports[p])} still moving "
+                f"after {MAX_ITERATIONS} evaluations")
+        dn, dd = delays[p] = evaluate(p)
+        for fid, k in members[p]:
+            row = upstream[fid]
+            un, ud = row[k]
+            u = _reduced(un * dd + dn * ud, ud * dd)
+            if u != row[k + 1]:
+                row[k + 1] = u
+                if k + 1 < len(path[fid]):
+                    q = rank[path[fid][k + 1]]
+                    if q not in queued:
+                        queued.add(q)
+                        heapq.heappush(queue, q)
+    iterations = -(-sum(evaluations) // n)
     # the constant term once per route length: its links and switches
     fixed = {k: consts.propagation * k + consts.switching * (k - 1)
              + consts.sync_error for k in set(map(len, path.values()))}
-    if cyclic:
-        group_at = {member: i for groups in layout
-                    for i, (group, _, _) in enumerate(groups)
-                    for member in group}
-        # a heap of the queued ports' ranks in the order
-        rank = {p: i for i, p in enumerate(order)}
-        queue = list(range(n))
-        queued = set(queue)
-        evaluations = [0] * n
-        while queue:
-            i = heapq.heappop(queue)
-            queued.discard(i)
-            p = order[i]
-            evaluations[p] += 1
-            if evaluations[p] > MAX_ITERATIONS:
-                raise ConvergenceError(
-                    f"{tc.name}: port {'->'.join(ports[p])} still moving "
-                    f"after {MAX_ITERATIONS} evaluations")
-            d = evaluate(p)
-            delays[p] = d
-            for fid, k in members[p]:
-                row = burst[fid]
-                if k + 1 == len(row):
-                    continue
-                b = row[k] + weight[fid] * d
-                if b != row[k + 1]:
-                    row[k + 1] = b
-                    q = path[fid][k + 1]
-                    envelopes[q][group_at[fid, k + 1]] = None
-                    if rank[q] not in queued:
-                        queued.add(rank[q])
-                        heapq.heappush(queue, rank[q])
-        iterations = -(-sum(evaluations) // n)
-        e2e = {fid: fixed[len(path[fid])]
-               + Fraction(sum(delays[p] for p in path[fid]), unit)
-               for fid in sorted(path)}
-        delays = [Fraction(d, unit) for d in delays]
-    else:
-        # every port once, after each port upstream of it: its inputs are
-        # final
-        for p in order:
-            d = delays[p] = evaluate(p)
-            dn, dd = d
-            for fid, k in members[p]:
-                row = upstream[fid]
-                un, ud = row[k]
-                row[k + 1] = _reduced(un * dd + dn * ud, ud * dd)
-        iterations = 1
-        e2e = {}
-        for fid in sorted(path):
-            (un, ud), const = upstream[fid][-1], fixed[len(path[fid])]
-            e2e[fid] = Fraction(const.numerator * ud + un * const.denominator,
-                                const.denominator * ud)
-        delays = [Fraction(*d) for d in delays]
+    e2e = {}
+    for fid in sorted(path):
+        (un, ud), const = upstream[fid][-1], fixed[len(path[fid])]
+        e2e[fid] = Fraction(const.numerator * ud * unit
+                            + un * const.denominator,
+                            const.denominator * ud * unit)
+    delays = [Fraction(dn, dd * unit) for dn, dd in delays]
 
-    # every group is fresh once nothing is queued: each port's aggregate,
-    # back in bits and us, comes from its last envelopes
+    # every port's last envelopes are fresh once nothing is queued: its
+    # aggregate, back in bits and us, comes from them
     rate_unit = Fraction(1, rate_den)
     per_port = {
         port: PortAnalysis(

@@ -323,6 +323,7 @@ def parse_topology(text: str) -> Topology:
     nodes: list[Node] = []
     links: list[Link] = []
     declared: set[str] = set()
+    linked: set[frozenset] = set()
     for line_no, line in content_lines(text):
         fields = [f.strip() for f in line.split(",")]
         if fields[0] == "node":
@@ -333,8 +334,11 @@ def parse_topology(text: str) -> Topology:
                 raise ParseError(f"unknown node kind {kind!r}", line_no)
             if nid in declared:
                 raise ParseError(f"duplicate node {nid}", line_no)
+            try:
+                nodes.append(Node(nid, kind))
+            except ValidationError as exc:
+                raise ParseError(str(exc), line_no) from exc
             declared.add(nid)
-            nodes.append(Node(nid, kind))
         elif fields[0] == "link":
             if len(fields) != 3:
                 raise ParseError("link line needs link,<a>,<b>", line_no)
@@ -342,7 +346,14 @@ def parse_topology(text: str) -> Topology:
             for end in (a, b):
                 if end not in declared:
                     raise ParseError(f"link references unknown node {end}", line_no)
-            links.append(Link(a, b))
+            try:
+                link = Link(a, b)
+            except ValidationError as exc:
+                raise ParseError(str(exc), line_no) from exc
+            if link.pair in linked:
+                raise ParseError(f"duplicate link {a}-{b}", line_no)
+            linked.add(link.pair)
+            links.append(link)
         else:
             raise ParseError(f"unknown record type {fields[0]!r}", line_no)
     try:

@@ -19,6 +19,8 @@ The reference CBS network engine is the event loop simulate_cbs ran before
 it fixed each frame's start at its arrival: arrivals, transmission ends,
 credit wakeups, best-effort run ends and deliveries are all heap events.
 reference_simulate_cbs must give the same report and credit-trace bytes.
+reference_run also gives each flow's smallest and largest residence at each
+port, which the per-port delay bounds of TFA must cover.
 
 The routing oracle k_shortest_routes enumerates loop-free paths best-first,
 so it can give the 2nd and 3rd routes too; its first is the one
@@ -301,13 +303,18 @@ class RunPort(sim._CbsPort):
 
 
 class ReferenceEngine(sim._CbsEngine):
-    """The shared event loop plus saturating runs and delivery events."""
+    """The shared event loop plus saturating runs and delivery events.  It
+    records each class frame's residence at each port, from the tick it is
+    enqueued there to the end of its transmission there."""
 
     def __init__(self, ports, on_start, horizon):
         super().__init__(ports, on_start)
         self.horizon = horizon
         self.deliveries = []              # (t, flow, seq)
         self._serial = 0
+        self.enqueued = {}                # (port idx, flow, seq) -> tick
+        # (port idx, flow) -> (smallest, largest) residence in ticks
+        self.residence = {}
 
     def run(self):
         heap, ports = self.heap, self.ports
@@ -321,6 +328,7 @@ class ReferenceEngine(sim._CbsEngine):
                     continue
                 port = ports[pidx]
                 if rank == sim._RANK_ARRIVE:
+                    self.enqueued[pidx, flow, seq] = t
                     port.enqueue(t, cls, (flow, seq, hop))
                 elif rank == sim._RANK_TX_END:
                     if flow == sim._NO_FLOW and port.be_end != (t, -seq):
@@ -339,6 +347,10 @@ class ReferenceEngine(sim._CbsEngine):
         if port.busy[0] is None:
             port.busy = port.run = port.be_end = None
             return
+        _, flow, seq, _ = port.busy
+        stay = t - self.enqueued.pop((port.idx, flow, seq))
+        lo, hi = self.residence.get((port.idx, flow), (stay, stay))
+        self.residence[port.idx, flow] = (min(lo, stay), max(hi, stay))
         super()._tx_end(port, t)
 
     def _end_be_at(self, port, t):
@@ -401,9 +413,16 @@ class ReferenceEngine(sim._CbsEngine):
 
 def reference_simulate_cbs(tc, cfg):
     """simulate_cbs on the reference engine: same report, same trace."""
+    return reference_run(tc, cfg)[0]
+
+
+def reference_run(tc, cfg):
+    """(report, residence): reference_simulate_cbs's report, and per
+    ((node, next) port, flow id) the smallest and largest residence of the
+    flow's frames at that port, in us."""
     tc.require(CBS)
     if not tc.flows:
-        return sim._empty_report(tc, cfg)
+        return sim._empty_report(tc, cfg), {}
     phases = sim._phases(tc, cfg, random.Random(cfg.seed))
     consts = tc.constants
     C = consts.link_rate
@@ -460,8 +479,11 @@ def reference_simulate_cbs(tc, cfg):
         raw = [(t, p.key, c) for p in ports for t, _cls, c in p.trace]
         raw.sort(key=lambda e: (e[0], e[1]))
         trace = [(grid.us(t), key, grid.bits(c)) for t, key, c in raw]
+    residence = {(port_keys[pidx], flow): (grid.us(lo), grid.us(hi))
+                 for (pidx, flow), (lo, hi) in eng.residence.items()}
     return sim.SimReport(tc.name, CBS, cfg.seed, cfg.horizon,
-                         cfg.release_policy, max_delay, counts, trace)
+                         cfg.release_policy, max_delay, counts,
+                         trace), residence
 
 
 # routing

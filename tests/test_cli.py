@@ -2,6 +2,7 @@
 summary lines, file outputs, and flag/config precedence."""
 import json
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -291,6 +292,25 @@ def test_unwritable_out_is_domain_error(runner, tmp_path, command):
     res = runner.invoke(main, args + ["--out", str(out)])
     assert_clean_domain_error(res, str(out))
 
+
+
+@pytest.mark.parametrize("line,message", [
+    ("link,sw1,sw1", "link sw1-sw1: self-loop"),
+    ("link,node1_8,sw1", "duplicate link node1_8-sw1"),
+])
+def test_analyze_bad_topology_line_names_file_and_line(runner, tmp_path,
+                                                       line, message):
+    # appended to TC1's 17 topology lines
+    tc_dir = tmp_path / "TC1"
+    shutil.copytree(CORPUS / "TC1", tc_dir)
+    topo = tc_dir / "TC1_topo.txt"
+    topo.write_text(topo.read_text() + line + "\n")
+    out = tmp_path / "x.json"
+    res = runner.invoke(main, ["analyze", "--tc", str(tc_dir),
+                               "--mechanism", "cbs", "--out", str(out)])
+    assert_clean_domain_error(res)
+    assert res.stderr == f"error: {topo}: line 18: {message}\n"
+    assert not out.exists()
 
 def reply(answer):
     """A model's raw reply: the answer object in a JSON block amid prose."""

@@ -85,6 +85,17 @@ def test_parse_topology_duplicate_node():
         nm.parse_topology("node,a,es\nnode,a,sw\n")
 
 
+
+@pytest.mark.parametrize("line,message", [
+    ("node,,es", "node id must be non-empty"),
+    ("link,sw1,sw1", "link sw1-sw1: self-loop"),
+    ("link,sw1,h2", "duplicate link sw1-h2"),
+])
+def test_parse_topology_rejected_line_names_its_number(line, message):
+    # STAR_TOPO ends on its seventh line
+    with pytest.raises(ParseError, match=f"^line 8: {message}$"):
+        nm.parse_topology(STAR_TOPO + line + "\n")
+
 def test_parse_topology_disconnected():
     text = "node,a,es\nnode,b,es\nnode,s1,sw\nnode,s2,sw\nlink,a,s1\nlink,b,s2\n"
     with pytest.raises(ParseError, match="not connected"):
