@@ -196,6 +196,10 @@ def sim_cmd(ctx, tc_dir, seed, horizon, release_policy, out_path):
                             release_policy=policy)
         report = (sim.simulate_cbs(tc, cfg) if tc.mechanism == netmodel.CBS
                   else sim.simulate_cqf(tc, cfg))
+        log.info("%s: hypercycle %gus, periodic from boundary %s, "
+                 "%d hypercycles skipped", tc.name,
+                 cqf.hypercycle(tc.flows), report.periodic_from,
+                 report.hypercycles_skipped)
         netmodel.write_file(out_path, sim.report_to_json(report))
         frames = sum(report.per_flow_frame_count.values())
         return {"command": "sim", "testcase": tc.name, "seed": seed_v,

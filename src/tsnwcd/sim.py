@@ -39,6 +39,28 @@ is queued behind its predecessor when it arrives before that frame ends, or
 at its end tick in batch 1; one arriving at the tick a best-effort run
 started in a later batch waits at least one best-effort frame.
 
+Releases repeat every hypercycle H, the lcm of the periods, so both network
+simulators cut a run short once its state repeats (a feasibility interval of
+offset periodic tasks: Leung & Merrill, IPL 1980; Goossens, Grolleau &
+Cucu-Grosjean, Real-Time Systems 2016).  At the first release popped at or
+after each boundary kH they copy the state.  Its snapshot, relative to kH,
+holds each port's end credit and its end tick and best-effort run start
+less kH (CBS; a port whose last frame ended before kH with its credit back
+at zero by then is idle, up to its run's phase), or the load of every
+cycle opening at or after kH, re-indexed (CQF; the load of earlier cycles
+is dropped), and every heap entry with its tick less kH, its seq less k
+times its flow's releases per H and, on CQF, its cycle re-indexed.  When a snapshot
+equals the previous boundary's, the state moves m x H on, m being the most
+that keeps every release of the skipped hypercycles at or before the last
+release tick, every delivery in them by the horizon and, with best-effort
+saturation, every frame in them ending before the horizon; each flow
+gains m x its releases per H frames, and the tail runs exactly.  The
+skipped hypercycles repeat delays already seen, so the report is the
+uncut run's.  A credit trace is per-event output, so a traced run takes
+no snapshot; a saturated run shifts the phase of its best-effort runs
+against H and in practice never repeats, so it simply runs to the end.
+SimReport.periodic_from and hypercycles_skipped tell which happened.
+
 simulate_port drives one port with several credit queues and explicit
 best-effort frames through an event loop (arrivals, then transmission
 completions, then credit wakeups at each instant; among flows by ascending
@@ -64,7 +86,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .cqf import cqf_wcd
+from .cqf import cqf_wcd, hypercycle
 from .errors import CapacityError, HorizonError, ValidationError
 from .minplus import frac
 from .netmodel import (
@@ -124,6 +146,10 @@ class SimReport:
     per_flow_max_delay: dict
     per_flow_frame_count: dict
     credit_trace: Optional[list] = None       # (t, port, credit bits)
+    # the periodic cut, kept out of report_to_json: the boundary k whose
+    # snapshot repeated at k + 1 (None: none did), and the hypercycles skipped
+    periodic_from: Optional[int] = None
+    hypercycles_skipped: int = 0
 
 
 # the integer time base
@@ -381,10 +407,13 @@ def _empty_report(tc, cfg):
                      cfg.release_policy, {}, {}, None)
 
 
-def _fold_deliveries(tc, cfg, grid, deliveries, releases, drain):
+def _fold_deliveries(tc, cfg, grid, deliveries, releases, drain, cut=None):
     horizon = grid.ticks(cfg.horizon)
     longest = {f.id: 0 for f in tc.flows}
     counts = {f.id: 0 for f in tc.flows}
+    if cut is not None:
+        for fid, n in cut.per.items():
+            counts[fid] = cut.skipped * n
     late = set()
     for t, flow, seq in deliveries:
         if t > horizon:
@@ -401,6 +430,66 @@ def _fold_deliveries(tc, cfg, grid, deliveries, releases, drain):
     max_delay = {fid: grid.us(d) + sync if counts[fid] else Fraction(0)
                  for fid, d in longest.items()}
     return max_delay, counts
+
+
+# the periodic cut
+
+class _Cut:
+    """Hypercycle boundaries of one run and the state seen at the last.
+
+    H is the hypercycle in ticks and per[fid] the flow's releases per H.
+    A simulator copies its raw state, (k, kH, ...), at the first release it
+    pops at or after `due` (inf while tracing) and passes it to repeats();
+    after a repeat it jumps as far as jump() allows, and takes no more
+    copies."""
+
+    def __init__(self, tc, cfg, grid, releases, last):
+        self.H = grid.ticks(hypercycle(tc.flows))
+        self.per = {fid: self.H // period
+                    for fid, (_, period) in releases.items()}
+        self.last = last
+        self.horizon = grid.ticks(cfg.horizon)
+        self.due = math.inf if cfg.trace_ports else 0
+        self.seen = None            # (state, deliveries made by then)
+        self.made = 0               # deliveries made by the boundary repeated
+        self.periodic_from = None
+        self.skipped = 0
+
+    def boundary(self, t):
+        """k and kH of the last boundary at or before t."""
+        k = t // self.H
+        self.due = (k + 1) * self.H
+        return k, k * self.H
+
+    def repeats(self, state, made, view, *consts):
+        """True when state, taken after `made` deliveries, has the snapshot
+        of the state taken at the boundary before.  view(state, per,
+        *consts) yields a snapshot piece by piece; the two are compared up
+        to the first piece that differs, so a run that does not repeat
+        builds little of either."""
+        seen, self.seen = self.seen, (state, made)
+        if seen is None or seen[0][0] != state[0] - 1 or not all(
+                x == y for x, y in zip(view(seen[0], self.per, *consts),
+                                       view(state, self.per, *consts))):
+            return False
+        self.due = math.inf
+        self.periodic_from = seen[0][0]
+        self.made = seen[1]
+        return True
+
+    def jump(self, entries, deliveries, ends=()):
+        """Hypercycles to skip after a repeat, entries being the heap at the
+        boundary: the most that keep every release of them at or before
+        last, every delivery of them by the horizon and, given the ports'
+        end ticks (with best-effort runs, which stop at the horizon), every
+        frame of them ending before it."""
+        H, horizon = self.H, self.horizon
+        m = min((self.last - max(t for t, *_, h in entries if h == 0)) // H,
+                (horizon - max(d for d, _, _ in deliveries[self.made:])) // H)
+        if ends:
+            m = min(m, (horizon - 1 - max(ends)) // H)
+        self.skipped = max(0, m)
+        return self.skipped
 
 
 # network-level CBS simulation
@@ -455,10 +544,17 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
     for fid, (first, _) in releases.items():
         push(heap, (first, 1, path[fid][0], fid, 0, 0))
     deliveries = []
+    cut = _Cut(tc, cfg, grid, releases, last)
     while heap:
         t, batch, p, flow, seq, hop = pop(heap)
-        if hop == 0 and t + releases[flow][1] <= last:
-            push(heap, (t + releases[flow][1], 1, p, flow, seq + 1, 0))
+        if hop == 0:
+            if t >= cut.due:
+                m = _cbs_cut(cut, (t, batch, p, flow, seq, hop), heap, end,
+                             credit, run, idle, be, deliveries)
+                t += m * cut.H
+                seq += m * cut.per[flow]
+            if t + releases[flow][1] <= last:
+                push(heap, (t + releases[flow][1], 1, p, flow, seq + 1, 0))
         e, c = end[p], credit[p]
         behind = t < e or (t == e and batch == 1)
         if behind and c >= 0:
@@ -514,7 +610,7 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
                         flow, seq, hop + 1))
 
     max_delay, counts = _fold_deliveries(tc, cfg, grid, deliveries,
-                                         releases, drain)
+                                         releases, drain, cut)
     trace = None
     if cfg.trace_ports:
         raw = []
@@ -534,7 +630,42 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
         raw.sort(key=lambda r: (r[0], r[1]))
         trace = [(grid.us(t), key, grid.bits(c)) for t, key, c in raw]
     return SimReport(tc.name, CBS, cfg.seed, cfg.horizon, cfg.release_policy,
-                     max_delay, counts, trace)
+                     max_delay, counts, trace, cut.periodic_from, cut.skipped)
+
+
+def _cbs_view(state, per, idle, be):
+    """simulate_cbs's snapshot of a raw state, relative to its boundary."""
+    k, B, end, credit, run, entries = state
+    yield len(entries)
+    # a port whose last frame ended before B with its credit back at zero
+    # by then treats every later arrival alike, up to the phase of its
+    # best-effort run
+    for e, c, r in zip(end, credit, run):
+        if e < B and -c <= idle * (B - e):
+            yield None if r is None else (r - B) % be
+        else:
+            yield e - B, c, None if r is None else r - B
+    yield sorted([(t - B, b, p, f, s - k * per[f], h)
+                  for t, b, p, f, s, h in entries])
+
+
+def _cbs_cut(cut, entry, heap, end, credit, run, idle, be, deliveries):
+    """simulate_cbs at a hypercycle boundary, entry being the release just
+    popped: copy the state, and on a repeat shift the heap and the ports
+    past the hypercycles skipped.  Returns their count."""
+    k, B = cut.boundary(entry[0])
+    entries = [*heap, entry]
+    if not cut.repeats((k, B, end[:], credit[:], run[:], entries),
+                       len(deliveries), _cbs_view, idle, be):
+        return 0
+    m = cut.jump(entries, deliveries, end if be is not None else ())
+    if m:
+        shift, per = m * cut.H, cut.per
+        heap[:] = [(t + shift, b, p, f, s + m * per[f], h)
+                   for t, b, p, f, s, h in heap]
+        end[:] = [e + shift for e in end]
+        run[:] = [r if r is None else r + shift for r in run]
+    return m
 
 
 # single-port harness
@@ -634,9 +765,15 @@ def simulate_cqf(tc: TestCase, cfg: SimConfig) -> SimReport:
     for fid, (first, _) in releases.items():
         heapq.heappush(heap, (first, _RANK_ARRIVE, path[fid][0], 0, fid, 0, 0))
 
+    cut = _Cut(tc, cfg, grid, releases, last)
     while heap:
         t, rank, pidx, cyc_hint, flow, seq, hop = heapq.heappop(heap)
         if hop == 0:
+            if t >= cut.due:
+                m = _cqf_cut(cut, (t, rank, pidx, cyc_hint, flow, seq, hop),
+                             heap, load, T_t, deliveries)
+                t += m * cut.H
+                seq += m * cut.per[flow]
             if t + releases[flow][1] <= last:
                 heapq.heappush(heap, (t + releases[flow][1], _RANK_ARRIVE,
                                       pidx, 0, flow, seq + 1, 0))
@@ -667,9 +804,45 @@ def simulate_cqf(tc: TestCase, cfg: SimConfig) -> SimReport:
                                   cycle + 1, flow, seq, hop + 1))
 
     max_delay, counts = _fold_deliveries(tc, cfg, grid, deliveries,
-                                         releases, drain)
+                                         releases, drain, cut)
     return SimReport(tc.name, CQF, cfg.seed, cfg.horizon, cfg.release_policy,
-                     max_delay, counts, None)
+                     max_delay, counts, None, cut.periodic_from, cut.skipped)
+
+
+def _cqf_view(state, per, cycles_per_h):
+    """simulate_cqf's snapshot of a raw state, relative to its boundary: a
+    release carries no cycle, a forwarded frame its next port's cycle."""
+    k, B, load, entries = state
+    cycles = k * cycles_per_h
+    yield len(entries), len(load)
+    yield {(p, c - cycles): v for (p, c), v in load.items()}
+    yield sorted([(t - B, r, p, c - cycles if h else c, f, s - k * per[f], h)
+                  for t, r, p, c, f, s, h in entries])
+
+
+def _cqf_cut(cut, entry, heap, load, T_t, deliveries):
+    """simulate_cqf at a hypercycle boundary, entry being the release just
+    popped: drop the load of every cycle that opened before the boundary,
+    which no later frame can join, copy the state, and on a repeat shift
+    the heap and the load past the hypercycles skipped.  Returns their
+    count."""
+    k, B = cut.boundary(entry[0])
+    for key in [key for key in load if key[1] * T_t < B]:
+        del load[key]
+    entries = [*heap, entry]
+    cycles_per_h = cut.H // T_t
+    if not cut.repeats((k, B, dict(load), entries), len(deliveries),
+                       _cqf_view, cycles_per_h):
+        return 0
+    m = cut.jump(entries, deliveries)
+    if m:
+        shift, cycles, per = m * cut.H, m * cycles_per_h, cut.per
+        heap[:] = [(t + shift, r, p, c + cycles if h else c, f,
+                    s + m * per[f], h) for t, r, p, c, f, s, h in heap]
+        moved = {(p, c + cycles): v for (p, c), v in load.items()}
+        load.clear()
+        load.update(moved)
+    return m
 
 
 # tracing helpers

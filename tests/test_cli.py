@@ -245,6 +245,27 @@ def test_sim_short_horizon_is_domain_error(runner, tmp_path):
     assert "error:" in res.stderr
 
 
+@pytest.mark.parametrize("name", ["TC14", "TC28"])
+def test_verbose_sim_logs_the_cut_and_keeps_its_outputs(runner, tmp_path,
+                                                         name):
+    # One CBS and one CQF case, each with H = 5000us: -v adds one INFO line
+    # on stderr and changes neither the report bytes nor the summary.
+    out = tmp_path / "sim.json"
+    args = ["sim", "--tc", str(CORPUS / name), "--release", "jittered",
+            "--seed", "3", "--out", str(out)]
+    quiet = runner.invoke(main, args)
+    quiet_bytes = out.read_bytes()
+    loud = runner.invoke(main, ["-v", *args])
+    assert out.read_bytes() == quiet_bytes
+    assert summary(loud) == summary(quiet)
+    assert quiet.stderr == ""
+    lines = loud.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"INFO tsnwcd: {name}: hypercycle 5000us, "
+                               f"periodic from boundary ")
+    assert lines[0].endswith(" hypercycles skipped")
+
+
 def test_prompt_contains_template(runner, tmp_path):
     tc_dir = chain_tc_dir(tmp_path, mechanism="CBS")
     out = tmp_path / "p.txt"

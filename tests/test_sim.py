@@ -6,6 +6,7 @@ credit checkpoints, and exact end-to-end delays for small scenarios.
 import hashlib
 import heapq
 import json
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
@@ -499,6 +500,30 @@ def test_simulate_cbs_matches_reference_engine(propagation, switching):
     assert compared == 15 * 4
 
 
+@pytest.mark.parametrize("propagation,switching", HOP_DELAYS)
+def test_untraced_simulate_cbs_matches_reference_engine(propagation,
+                                                        switching):
+    # An untraced run takes the periodic cut; the reference engine has none.
+    compared = 0
+    for i in range(1, 31):
+        tc = load_testcase(CORPUS_DIR / f"TC{i}")
+        if tc.mechanism != CBS:
+            continue
+        tc = replace(tc, constants=replace(
+            tc.constants, propagation=F(propagation), switching=F(switching)))
+        for policy in (sim.RELEASE_SYNCHRONIZED, sim.RELEASE_JITTERED):
+            cfg = sim.SimConfig(
+                horizon=20 * max(f.period for f in tc.flows), seed=3,
+                release_policy=policy)
+            got = sim.simulate_cbs(tc, cfg)
+            want = oracles.reference_simulate_cbs(tc, cfg)
+            label = f"{tc.name}/{policy}"
+            assert got.periodic_from is not None, label
+            assert sim.report_to_json(got) == sim.report_to_json(want), label
+            compared += 1
+    assert compared == 15 * 2
+
+
 # network CQF simulation
 
 
@@ -693,6 +718,115 @@ def test_cqf_dominance_random(parts, seed):
             horizon=horizon, seed=seed, release_policy=policy))
         for fid, delay in report.per_flow_max_delay.items():
             assert physical_minimum(tc, fid) <= delay <= wcd[fid], policy
+
+
+# the periodic cut
+
+
+@settings(max_examples=30, deadline=None)
+@given(parts=cqf_parts(), seed=st.integers(0, 2 ** 32))
+@example(parts=fork_parts(), seed=0)
+def test_cqf_cut_matches_the_uncut_run(parts, seed):
+    """simulate_cqf reports the same bytes, or raises the same error, when
+    no snapshot may match; where H is short the horizon spans several."""
+    topo, flows, routes, constants = parts
+    if any(f.period % constants.cycle_T for f in flows):
+        return
+    tc = TestCase("cqf", topo, flows, routes, CQF, constants)
+    longest = max(f.period for f in flows)
+    H = cqf.hypercycle(flows)
+    horizon = 10 * longest + (4 * H if H <= 5 * longest else 0)
+
+    def outcome():
+        try:
+            return sim.report_to_json(sim.simulate_cqf(tc, cfg))
+        except CapacityError as exc:
+            return str(exc)
+
+    for policy in (sim.RELEASE_SYNCHRONIZED, sim.RELEASE_JITTERED):
+        cfg = sim.SimConfig(horizon=horizon, seed=seed, release_policy=policy)
+        cut = outcome()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim._Cut, "repeats", lambda self, *args: False)
+            assert outcome() == cut, policy
+
+
+def releases_up_to_last(tc, cfg):
+    """Per flow id, the releases first + seq x period at or before the
+    horizon less the drain margin, counted in closed form."""
+    longest = max(f.period for f in tc.flows)
+    if tc.mechanism == CBS:
+        phases = sim._phases(tc, cfg, random.Random(cfg.seed))
+        drain = 2 * longest
+    else:
+        T = tc.constants.cycle_T
+        phases = sim._phases(tc, cfg, random.Random(cfg.seed), cycle=T)
+        drain = max(2 * longest, max(cqf.cqf_wcd(r, T, tc.constants)
+                                     for r in tc.routes))
+    return {f.id: (cfg.horizon - drain - phases[f.id]) // f.period + 1
+            for f in tc.flows}
+
+
+def test_long_horizon_keeps_delays_and_counts_every_release():
+    # At 10^4 x the longest period a run skips thousands of hypercycles.
+    # Later releases never delay an earlier frame, so the maxima are the
+    # 20x run's and every release up to the last is delivered.
+    for i in range(1, 31):
+        tc = load_testcase(CORPUS_DIR / f"TC{i}")
+        run = sim.simulate_cbs if tc.mechanism == CBS else sim.simulate_cqf
+        longest = max(f.period for f in tc.flows)
+        for policy in (sim.RELEASE_SYNCHRONIZED, sim.RELEASE_JITTERED):
+            short, long = (run(tc, sim.SimConfig(
+                horizon=n * longest, seed=3, release_policy=policy))
+                for n in (20, 10 ** 4))
+            label = f"{tc.name}/{policy}"
+            assert long.per_flow_max_delay == short.per_flow_max_delay, label
+            assert long.per_flow_frame_count == releases_up_to_last(
+                tc, sim.SimConfig(horizon=10 ** 4 * longest, seed=3,
+                                  release_policy=policy)), label
+            assert long.periodic_from is not None, label
+            assert long.hypercycles_skipped > short.hypercycles_skipped, label
+
+
+def test_saturated_and_traced_runs_take_no_cut():
+    # Best-effort runs drift against H, so the saturated star of the heap
+    # test never repeats; a traced run takes no snapshot at all.
+    tc = star_tc([("h1", "h2", 2500, 965)])
+    saturated = sim.simulate_cbs(tc, sim.SimConfig(horizon=F(250000),
+                                                   be_saturate=True))
+    assert saturated.periodic_from is None
+    assert saturated.hypercycles_skipped == 0
+    plain = sim.simulate_cbs(tc, sim.SimConfig(horizon=F(250000)))
+    traced = sim.simulate_cbs(tc, sim.SimConfig(
+        horizon=F(250000), trace_ports=(("h1", "s1"),)))
+    assert plain.periodic_from is not None and plain.hypercycles_skipped > 0
+    assert (traced.periodic_from, traced.hypercycles_skipped) == (None, 0)
+    assert sim.report_to_json(traced) == sim.report_to_json(plain)
+
+
+def test_cqf_load_keeps_only_cycles_still_open(monkeypatch):
+    # With no snapshot allowed to match, a run 10x longer holds no more
+    # cycle loads at any boundary.
+    monkeypatch.setattr(sim._Cut, "repeats", lambda self, *args: False)
+    tc = load_testcase(CORPUS_DIR / "TC28")
+    cut = sim._cqf_cut
+    sizes = []
+
+    def watched(cut_, entry, heap, load, *args):
+        m = cut(cut_, entry, heap, load, *args)
+        sizes.append(len(load))
+        return m
+
+    monkeypatch.setattr(sim, "_cqf_cut", watched)
+    peaks = []
+    for n in (20, 200):
+        sizes.clear()
+        sim.simulate_cqf(tc, sim.SimConfig(
+            horizon=n * max(f.period for f in tc.flows), seed=3,
+            release_policy=sim.RELEASE_JITTERED))
+        peaks.append(max(sizes))
+    assert len(sizes) > 150
+    assert peaks[1] == peaks[0]
 
 
 # report serialization
