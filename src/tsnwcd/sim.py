@@ -39,27 +39,31 @@ is queued behind its predecessor when it arrives before that frame ends, or
 at its end tick in batch 1; one arriving at the tick a best-effort run
 started in a later batch waits at least one best-effort frame.
 
-Releases repeat every hypercycle H, the lcm of the periods, so both network
-simulators cut a run short once its state repeats (a feasibility interval of
-offset periodic tasks: Leung & Merrill, IPL 1980; Goossens, Grolleau &
-Cucu-Grosjean, Real-Time Systems 2016).  At the first release popped at or
-after each boundary kH they copy the state.  Its snapshot, relative to kH,
-holds each port's end credit and its end tick and best-effort run start
-less kH (CBS; a port whose last frame ended before kH with its credit back
-at zero by then is idle, up to its run's phase), or the load of every
-cycle opening at or after kH, re-indexed (CQF; the load of earlier cycles
-is dropped), and every heap entry with its tick less kH, its seq less k
-times its flow's releases per H and, on CQF, its cycle re-indexed.  When a snapshot
-equals the previous boundary's, the state moves m x H on, m being the most
-that keeps every release of the skipped hypercycles at or before the last
-release tick, every delivery in them by the horizon and, with best-effort
-saturation, every frame in them ending before the horizon; each flow
-gains m x its releases per H frames, and the tail runs exactly.  The
-skipped hypercycles repeat delays already seen, so the report is the
-uncut run's.  A credit trace is per-event output, so a traced run takes
-no snapshot; a saturated run shifts the phase of its best-effort runs
-against H and in practice never repeats, so it simply runs to the end.
-SimReport.periodic_from and hypercycles_skipped tell which happened.
+Both network simulators run on one core, _Cut: one heap of that layout
+(CQF entries keep batch 1), each flow's releases, and each delivery folded
+into its flow's longest delay and count as it is made.  Releases repeat
+every hypercycle H, the lcm of the periods, so the core cuts a run short
+once its state repeats (a feasibility interval of offset periodic tasks:
+Leung & Merrill, IPL 1980; Goossens, Grolleau & Cucu-Grosjean, Real-Time
+Systems 2016).  At the first release popped at or after each boundary kH
+it copies the state.  Its snapshot, relative to kH, holds each port's end
+credit and its end tick and best-effort run start less kH (CBS; a port
+whose last frame ended before kH with its credit back at zero by then is
+idle, up to its run's phase), or the open tick less kH and the load of the
+port's latest cycle (CQF; a cycle that opened before kH takes no later
+frame), and every heap entry with its tick less kH and its seq less k
+times its flow's releases per H.  When a snapshot equals the previous
+boundary's, the state moves m x H on, m being the most that keeps every
+release of the skipped hypercycles at or before the last release tick,
+every delivery in them by the horizon and, with best-effort saturation,
+every frame in them ending before the horizon; each flow gains m x its
+releases per H frames, and the tail runs exactly.  The skipped
+hypercycles repeat delays already seen, so the report is the uncut run's.
+A credit trace is per-event output, so a traced run takes no snapshot; a
+saturated run shifts the phase of its best-effort runs against H and in
+practice never repeats, so it runs to the end in memory that does not
+grow with the horizon.  SimReport.periodic_from and hypercycles_skipped
+tell which happened.
 
 simulate_port drives one port with several credit queues and explicit
 best-effort frames through an event loop (arrivals, then transmission
@@ -407,89 +411,121 @@ def _empty_report(tc, cfg):
                      cfg.release_policy, {}, {}, None)
 
 
-def _fold_deliveries(tc, cfg, grid, deliveries, releases, drain, cut=None):
-    horizon = grid.ticks(cfg.horizon)
-    longest = {f.id: 0 for f in tc.flows}
-    counts = {f.id: 0 for f in tc.flows}
-    if cut is not None:
-        for fid, n in cut.per.items():
-            counts[fid] = cut.skipped * n
-    late = set()
-    for t, flow, seq in deliveries:
-        if t > horizon:
-            late.add(flow)
-            continue
-        counts[flow] += 1
-        first, period = releases[flow]
-        longest[flow] = max(longest[flow], t - first - seq * period)
-    if late:
-        raise HorizonError(
-            f"flows {sorted(late)}: a frame outlasts the horizon, its delay "
-            f"exceeding the drain margin of {float(drain)}us")
-    sync = tc.constants.sync_error
-    max_delay = {fid: grid.us(d) + sync if counts[fid] else Fraction(0)
-                 for fid, d in longest.items()}
-    return max_delay, counts
-
-
-# the periodic cut
+# the run core
 
 class _Cut:
-    """Hypercycle boundaries of one run and the state seen at the last.
+    """The run core (module docstring).  release() pushes a flow's next
+    release when one pops, deliver() folds a delivery.  H is the hypercycle
+    in ticks and per[fid] the flow's releases per H.  A boundary copies the
+    heap and the simulator's per-port lists; view(B, *lists) yields the
+    ports relative to the boundary tick B, the lists in `ticks` move on
+    with the heap, and `ends` holds the ports' end ticks when best-effort
+    runs stop at the horizon."""
 
-    H is the hypercycle in ticks and per[fid] the flow's releases per H.
-    A simulator copies its raw state, (k, kH, ...), at the first release it
-    pops at or after `due` (inf while tracing) and passes it to repeats();
-    after a repeat it jumps as far as jump() allows, and takes no more
-    copies."""
-
-    def __init__(self, tc, cfg, grid, releases, last):
+    def __init__(self, tc, cfg, grid, phases, drain, path, lists, view,
+                 ticks, ends=()):
+        self.releases, self.last = _releases(tc, cfg, grid, phases, drain)
         self.H = grid.ticks(hypercycle(tc.flows))
         self.per = {fid: self.H // period
-                    for fid, (_, period) in releases.items()}
-        self.last = last
+                    for fid, (_, period) in self.releases.items()}
         self.horizon = grid.ticks(cfg.horizon)
+        self.drain = drain
+        self.lists, self.view, self.ticks, self.ends = lists, view, ticks, ends
         self.due = math.inf if cfg.trace_ports else 0
-        self.seen = None            # (state, deliveries made by then)
-        self.made = 0               # deliveries made by the boundary repeated
+        self.seen = None            # the state copied at the last boundary
         self.periodic_from = None
         self.skipped = 0
+        # per flow, the longest delay in ticks and the frames delivered by
+        # the horizon; flows delivered after it; the latest delivery since
+        # the last copy
+        self.longest = {f.id: 0 for f in tc.flows}
+        self.count = {f.id: 0 for f in tc.flows}
+        self.late = set()
+        self.latest = -1
+        self.heap = []
+        for fid, (first, _) in self.releases.items():
+            heapq.heappush(self.heap, (first, 1, path[fid][0], fid, 0, 0))
 
-    def boundary(self, t):
-        """k and kH of the last boundary at or before t."""
-        k = t // self.H
-        self.due = (k + 1) * self.H
-        return k, k * self.H
+    def release(self, t, p, flow, seq):
+        """The flow's seq-th release popped at t at port p.  At the first
+        one at or after a boundary, copy the state and, on a repeat, skip
+        the most hypercycles that keep every release of them at or before
+        last, every delivery of them by the horizon and every port's end
+        before it.  Pushes the next release; returns t and seq moved on
+        past the hypercycles skipped."""
+        if t >= self.due:
+            H, heap = self.H, self.heap
+            k = t // H
+            self.due = (k + 1) * H
+            entries = [*heap, (t, 1, p, flow, seq, 0)]
+            latest, self.latest = self.latest, -1
+            if self.repeats((k, k * H, entries,
+                             [values[:] for values in self.lists])):
+                m = min(self.last - max(u for u, *_, h in entries if h == 0),
+                        self.horizon - latest)
+                if self.ends:
+                    m = min(m, self.horizon - 1 - max(self.ends))
+                m //= H
+                if m > 0:
+                    self.skipped, shift, per = m, m * H, self.per
+                    heap[:] = [(u + shift, b, q, f, s + m * per[f], h)
+                               for u, b, q, f, s, h in heap]
+                    for values in self.ticks:
+                        values[:] = [v if v is None else v + shift
+                                     for v in values]
+                    for fid, n in per.items():
+                        self.count[fid] += m * n
+                    t += shift
+                    seq += m * per[flow]
+        period = self.releases[flow][1]
+        if t + period <= self.last:
+            heapq.heappush(self.heap, (t + period, 1, p, flow, seq + 1, 0))
+        return t, seq
 
-    def repeats(self, state, made, view, *consts):
-        """True when state, taken after `made` deliveries, has the snapshot
-        of the state taken at the boundary before.  view(state, per,
-        *consts) yields a snapshot piece by piece; the two are compared up
-        to the first piece that differs, so a run that does not repeat
-        builds little of either."""
-        seen, self.seen = self.seen, (state, made)
-        if seen is None or seen[0][0] != state[0] - 1 or not all(
-                x == y for x, y in zip(view(seen[0], self.per, *consts),
-                                       view(state, self.per, *consts))):
+    def deliver(self, t, flow, seq):
+        """The flow's seq-th frame reaches its listener at t."""
+        if t > self.latest:
+            self.latest = t
+        if t > self.horizon:
+            self.late.add(flow)
+            return
+        self.count[flow] += 1
+        first, period = self.releases[flow]
+        if t - first - seq * period > self.longest[flow]:
+            self.longest[flow] = t - first - seq * period
+
+    def repeats(self, state):
+        """True when state, (k, kH, heap entries, port lists), has the
+        snapshot of the state copied at the boundary before.  Snapshots are
+        built piece by piece and compared up to the first piece that
+        differs, so a run that does not repeat builds little of either."""
+        def snapshot(k, B, entries, lists):
+            yield len(entries)
+            yield from self.view(B, *lists)
+            yield sorted([(t - B, b, p, f, s - k * self.per[f], h)
+                          for t, b, p, f, s, h in entries])
+
+        seen, self.seen = self.seen, state
+        if seen is None or seen[0] != state[0] - 1 or not all(
+                x == y for x, y in zip(snapshot(*seen), snapshot(*state))):
             return False
         self.due = math.inf
-        self.periodic_from = seen[0][0]
-        self.made = seen[1]
+        self.periodic_from = seen[0]
         return True
 
-    def jump(self, entries, deliveries, ends=()):
-        """Hypercycles to skip after a repeat, entries being the heap at the
-        boundary: the most that keep every release of them at or before
-        last, every delivery of them by the horizon and, given the ports'
-        end ticks (with best-effort runs, which stop at the horizon), every
-        frame of them ending before it."""
-        H, horizon = self.H, self.horizon
-        m = min((self.last - max(t for t, *_, h in entries if h == 0)) // H,
-                (horizon - max(d for d, _, _ in deliveries[self.made:])) // H)
-        if ends:
-            m = min(m, (horizon - 1 - max(ends)) // H)
-        self.skipped = max(0, m)
-        return self.skipped
+    def report(self, tc, cfg, grid):
+        """The run's report; HorizonError if a frame outlasted the horizon."""
+        if self.late:
+            raise HorizonError(
+                f"flows {sorted(self.late)}: a frame outlasts the horizon, "
+                f"its delay exceeding the drain margin of "
+                f"{float(self.drain)}us")
+        sync = tc.constants.sync_error
+        max_delay = {fid: grid.us(d) + sync if self.count[fid]
+                     else Fraction(0) for fid, d in self.longest.items()}
+        return SimReport(tc.name, tc.mechanism, cfg.seed, cfg.horizon,
+                         cfg.release_policy, max_delay, self.count, None,
+                         self.periodic_from, self.skipped)
 
 
 # network-level CBS simulation
@@ -537,24 +573,24 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
     run = [0 if be is not None else None] * n
     records = [[] if k in cfg.trace_ports else None for k in ports]
 
-    # each flow's next release waits off the heap until its last is popped
-    heap = []
+    def view(B, end, credit, run):
+        # a port whose last frame ended before B with its credit back at
+        # zero by then treats every later arrival alike, up to the phase of
+        # its best-effort run
+        for e, c, r in zip(end, credit, run):
+            if e < B and -c <= idle * (B - e):
+                yield None if r is None else (r - B) % be
+            else:
+                yield e - B, c, None if r is None else r - B
+
+    cut = _Cut(tc, cfg, grid, phases, drain, path, (end, credit, run), view,
+               (end, run), end if be is not None else ())
+    heap, release, deliver = cut.heap, cut.release, cut.deliver
     push, pop = heapq.heappush, heapq.heappop
-    releases, last = _releases(tc, cfg, grid, phases, drain)
-    for fid, (first, _) in releases.items():
-        push(heap, (first, 1, path[fid][0], fid, 0, 0))
-    deliveries = []
-    cut = _Cut(tc, cfg, grid, releases, last)
     while heap:
         t, batch, p, flow, seq, hop = pop(heap)
         if hop == 0:
-            if t >= cut.due:
-                m = _cbs_cut(cut, (t, batch, p, flow, seq, hop), heap, end,
-                             credit, run, idle, be, deliveries)
-                t += m * cut.H
-                seq += m * cut.per[flow]
-            if t + releases[flow][1] <= last:
-                push(heap, (t + releases[flow][1], 1, p, flow, seq + 1, 0))
+            t, seq = release(t, p, flow, seq)
         e, c = end[p], credit[p]
         behind = t < e or (t == e and batch == 1)
         if behind and c >= 0:
@@ -602,16 +638,14 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
         run[p] = fin if be is not None and fin < horizon else None
         nxt_p = nxt[flow][hop]
         if nxt_p is None:
-            deliveries.append((fin + prop_t, flow, seq))
+            deliver(fin + prop_t, flow, seq)
         elif hop_t:
             push(heap, (start + hop_t, 1, nxt_p, flow, seq, hop + 1))
         else:
             push(heap, (start, (batch if start == t else 1) + 1, nxt_p,
                         flow, seq, hop + 1))
 
-    max_delay, counts = _fold_deliveries(tc, cfg, grid, deliveries,
-                                         releases, drain, cut)
-    trace = None
+    report = cut.report(tc, cfg, grid)
     if cfg.trace_ports:
         raw = []
         for p, rec in enumerate(records):
@@ -628,44 +662,9 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
             key = ports[p]
             raw += [(tick, key, units) for tick, units in rec]
         raw.sort(key=lambda r: (r[0], r[1]))
-        trace = [(grid.us(t), key, grid.bits(c)) for t, key, c in raw]
-    return SimReport(tc.name, CBS, cfg.seed, cfg.horizon, cfg.release_policy,
-                     max_delay, counts, trace, cut.periodic_from, cut.skipped)
-
-
-def _cbs_view(state, per, idle, be):
-    """simulate_cbs's snapshot of a raw state, relative to its boundary."""
-    k, B, end, credit, run, entries = state
-    yield len(entries)
-    # a port whose last frame ended before B with its credit back at zero
-    # by then treats every later arrival alike, up to the phase of its
-    # best-effort run
-    for e, c, r in zip(end, credit, run):
-        if e < B and -c <= idle * (B - e):
-            yield None if r is None else (r - B) % be
-        else:
-            yield e - B, c, None if r is None else r - B
-    yield sorted([(t - B, b, p, f, s - k * per[f], h)
-                  for t, b, p, f, s, h in entries])
-
-
-def _cbs_cut(cut, entry, heap, end, credit, run, idle, be, deliveries):
-    """simulate_cbs at a hypercycle boundary, entry being the release just
-    popped: copy the state, and on a repeat shift the heap and the ports
-    past the hypercycles skipped.  Returns their count."""
-    k, B = cut.boundary(entry[0])
-    entries = [*heap, entry]
-    if not cut.repeats((k, B, end[:], credit[:], run[:], entries),
-                       len(deliveries), _cbs_view, idle, be):
-        return 0
-    m = cut.jump(entries, deliveries, end if be is not None else ())
-    if m:
-        shift, per = m * cut.H, cut.per
-        heap[:] = [(t + shift, b, p, f, s + m * per[f], h)
-                   for t, b, p, f, s, h in heap]
-        end[:] = [e + shift for e in end]
-        run[:] = [r if r is None else r + shift for r in run]
-    return m
+        report.credit_trace = [(grid.us(t), key, grid.bits(c))
+                               for t, key, c in raw]
+    return report
 
 
 # single-port harness
@@ -757,92 +756,52 @@ def simulate_cqf(tc: TestCase, cfg: SimConfig) -> SimReport:
     # per flow and hop, the next port's index; None at the listener
     nxt = {fid: [*p[1:], None] for fid, p in path.items()}
 
-    load: dict = {}                       # (port index, cycle) -> ticks
-    heap = []
-    deliveries = []
-    # each flow's next release waits off the heap until its last is popped
-    releases, last = _releases(tc, cfg, grid, phases, drain)
-    for fid, (first, _) in releases.items():
-        heapq.heappush(heap, (first, _RANK_ARRIVE, path[fid][0], 0, fid, 0, 0))
+    # per port: the open tick of its latest cycle and that cycle's load; a
+    # port carries releases only (an end station) or forwarded frames only
+    # (a switch), so its cycles open in the order its frames pop
+    opened, load = [-1] * len(ports), [0] * len(ports)
 
-    cut = _Cut(tc, cfg, grid, releases, last)
+    def view(B, opened, load):
+        # a cycle that opened before B takes no frame popped after it
+        for o, w in zip(opened, load):
+            yield None if o < B else (o - B, w)
+
+    cut = _Cut(tc, cfg, grid, phases, drain, path, (opened, load), view,
+               (opened,))
+    heap, release, deliver = cut.heap, cut.release, cut.deliver
+    push, pop = heapq.heappush, heapq.heappop
     while heap:
-        t, rank, pidx, cyc_hint, flow, seq, hop = heapq.heappop(heap)
+        t, _, p, flow, seq, hop = pop(heap)
         if hop == 0:
-            if t >= cut.due:
-                m = _cqf_cut(cut, (t, rank, pidx, cyc_hint, flow, seq, hop),
-                             heap, load, T_t, deliveries)
-                t += m * cut.H
-                seq += m * cut.per[flow]
-            if t + releases[flow][1] <= last:
-                heapq.heappush(heap, (t + releases[flow][1], _RANK_ARRIVE,
-                                      pidx, 0, flow, seq + 1, 0))
-            cycle = -(-t // T_t)
+            t, seq = release(t, p, flow, seq)
+            start = t                     # a multiple of T: its own cycle
         else:
-            cycle = cyc_hint
-            if t > cycle * T_t:
-                a, b = ports[pidx]
+            # the sender's cycle carried a load in (0, T], so the cycle
+            # that forwards the frame opens at the first multiple of T at
+            # or after its send end, hop_t before t
+            start = -((hop_t - t) // T_t) * T_t
+            if t > start:
+                a, b = ports[p]
                 raise CapacityError(
-                    f"port {a}->{b} cycle {cycle}: a frame of flow {flow} "
-                    f"arrives at {float(grid.us(t))}us, after the cycle "
-                    f"opened at {float(grid.us(cycle * T_t))}us")
-        key = (pidx, cycle)
-        total = load.get(key, 0) + tx_t[flow]
+                    f"port {a}->{b} cycle {start // T_t}: a frame of flow "
+                    f"{flow} arrives at {float(grid.us(t))}us, after the "
+                    f"cycle opened at {float(grid.us(start))}us")
+        total = tx_t[flow] + (load[p] if opened[p] == start else 0)
         if total > T_t:
-            a, b = ports[pidx]
+            a, b = ports[p]
             raise CapacityError(
-                f"port {a}->{b} cycle {cycle}: {float(grid.us(total))}us "
-                f"of traffic in a {float(T)}us cycle")
-        load[key] = total
+                f"port {a}->{b} cycle {start // T_t}: "
+                f"{float(grid.us(total))}us of traffic in a {float(T)}us "
+                f"cycle")
+        opened[p], load[p] = start, total
         # every frame of this cycle arrived by its start: back to back
-        end = cycle * T_t + total
-        nxt_pidx = nxt[flow][hop]
-        if nxt_pidx is None:
-            deliveries.append((end + prop_t, flow, seq))
+        end = start + total
+        nxt_p = nxt[flow][hop]
+        if nxt_p is None:
+            deliver(end + prop_t, flow, seq)
         else:
-            heapq.heappush(heap, (end + hop_t, _RANK_ARRIVE, nxt_pidx,
-                                  cycle + 1, flow, seq, hop + 1))
-
-    max_delay, counts = _fold_deliveries(tc, cfg, grid, deliveries,
-                                         releases, drain, cut)
-    return SimReport(tc.name, CQF, cfg.seed, cfg.horizon, cfg.release_policy,
-                     max_delay, counts, None, cut.periodic_from, cut.skipped)
-
-
-def _cqf_view(state, per, cycles_per_h):
-    """simulate_cqf's snapshot of a raw state, relative to its boundary: a
-    release carries no cycle, a forwarded frame its next port's cycle."""
-    k, B, load, entries = state
-    cycles = k * cycles_per_h
-    yield len(entries), len(load)
-    yield {(p, c - cycles): v for (p, c), v in load.items()}
-    yield sorted([(t - B, r, p, c - cycles if h else c, f, s - k * per[f], h)
-                  for t, r, p, c, f, s, h in entries])
-
-
-def _cqf_cut(cut, entry, heap, load, T_t, deliveries):
-    """simulate_cqf at a hypercycle boundary, entry being the release just
-    popped: drop the load of every cycle that opened before the boundary,
-    which no later frame can join, copy the state, and on a repeat shift
-    the heap and the load past the hypercycles skipped.  Returns their
-    count."""
-    k, B = cut.boundary(entry[0])
-    for key in [key for key in load if key[1] * T_t < B]:
-        del load[key]
-    entries = [*heap, entry]
-    cycles_per_h = cut.H // T_t
-    if not cut.repeats((k, B, dict(load), entries), len(deliveries),
-                       _cqf_view, cycles_per_h):
-        return 0
-    m = cut.jump(entries, deliveries)
-    if m:
-        shift, cycles, per = m * cut.H, m * cycles_per_h, cut.per
-        heap[:] = [(t + shift, r, p, c + cycles if h else c, f,
-                    s + m * per[f], h) for t, r, p, c, f, s, h in heap]
-        moved = {(p, c + cycles): v for (p, c), v in load.items()}
-        load.clear()
-        load.update(moved)
-    return m
+            push(heap, (end + hop_t, 1, nxt_p, flow, seq, hop + 1))
+    return cut.report(tc, cfg, grid)
 
 
 # tracing helpers

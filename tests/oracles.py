@@ -45,7 +45,7 @@ from tsnwcd.minplus import (
     shift_delay,
     sum_of,
 )
-from tsnwcd.errors import InstabilityError, ValidationError
+from tsnwcd.errors import HorizonError, InstabilityError, ValidationError
 from tsnwcd.netmodel import (
     CBS,
     MTU_BYTES,
@@ -469,8 +469,24 @@ def reference_run(tc, cfg):
             eng.push((r, sim._RANK_ARRIVE, path[fid][0], 0, fid, seq, 0))
     eng.run()
 
-    max_delay, counts = sim._fold_deliveries(tc, cfg, grid, eng.deliveries,
-                                             releases, drain)
+    # the delivery events folded here, apart from simulate_cbs's fold
+    horizon = grid.ticks(cfg.horizon)
+    delays = {f.id: [] for f in tc.flows}
+    late = set()
+    for t, flow, seq in eng.deliveries:
+        if t > horizon:
+            late.add(flow)
+        else:
+            first, period = releases[flow]
+            delays[flow].append(t - first - seq * period)
+    if late:
+        raise HorizonError(
+            f"flows {sorted(late)}: a frame outlasts the horizon, its delay "
+            f"exceeding the drain margin of {float(drain)}us")
+    sync = consts.sync_error
+    max_delay = {fid: grid.us(max(d)) + sync if d else Fraction(0)
+                 for fid, d in delays.items()}
+    counts = {fid: len(d) for fid, d in delays.items()}
     trace = None
     if cfg.trace_ports:
         for p in ports:

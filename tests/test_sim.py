@@ -7,6 +7,7 @@ import hashlib
 import heapq
 import json
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
@@ -804,29 +805,84 @@ def test_saturated_and_traced_runs_take_no_cut():
     assert sim.report_to_json(traced) == sim.report_to_json(plain)
 
 
-def test_cqf_load_keeps_only_cycles_still_open(monkeypatch):
-    # With no snapshot allowed to match, a run 10x longer holds no more
-    # cycle loads at any boundary.
-    monkeypatch.setattr(sim._Cut, "repeats", lambda self, *args: False)
-    tc = load_testcase(CORPUS_DIR / "TC28")
-    cut = sim._cqf_cut
-    sizes = []
+def peak_traced_bytes(run):
+    """The peak of tracemalloc-traced memory while run() runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    def watched(cut_, entry, heap, load, *args):
-        m = cut(cut_, entry, heap, load, *args)
-        sizes.append(len(load))
-        return m
 
-    monkeypatch.setattr(sim, "_cqf_cut", watched)
-    peaks = []
-    for n in (20, 200):
-        sizes.clear()
-        sim.simulate_cqf(tc, sim.SimConfig(
-            horizon=n * max(f.period for f in tc.flows), seed=3,
-            release_policy=sim.RELEASE_JITTERED))
-        peaks.append(max(sizes))
-    assert len(sizes) > 150
-    assert peaks[1] == peaks[0]
+def test_memory_stays_flat_in_a_run_that_never_repeats(monkeypatch):
+    # Each delivery is folded as it is made and a CQF port keeps only its
+    # latest cycle, so a 10x horizon peaks no higher: the saturated star
+    # (its best-effort runs drift against H) and TC28 with no snapshot
+    # allowed to match.
+    star = star_tc([("h1", "h3", 1000, 965), ("h2", "h3", 2500, 965)])
+    tc28 = load_testcase(CORPUS_DIR / "TC28")
+    runs = {
+        "star": lambda n: sim.simulate_cbs(star, sim.SimConfig(
+            horizon=F(n * 250000), be_saturate=True)),
+        "TC28": lambda n: sim.simulate_cqf(tc28, sim.SimConfig(
+            horizon=n * 20 * max(f.period for f in tc28.flows), seed=3,
+            release_policy=sim.RELEASE_JITTERED)),
+    }
+    for name, run in runs.items():
+        if name == "TC28":
+            monkeypatch.setattr(sim._Cut, "repeats", lambda self, *args: False)
+        short, long = (peak_traced_bytes(lambda: run(n)) for n in (1, 10))
+        assert long - short <= 16 * 1024, (name, short, long)
+
+
+@st.composite
+def cbs_cases(draw):
+    """A generated CBS star, ring or mesh, with or without hop delays."""
+    kind = draw(st.sampled_from(TOPOLOGY_KINDS))
+    switches = (1 if kind == ONE_SWITCH
+                else draw(st.integers(3 if kind == RING else 1, 4)))
+    hosts = switches * draw(st.integers(2, 3))
+    spec = GenSpec(kind, switches, hosts // switches,
+                   min(draw(st.integers(1, 6)), hosts * (hosts - 1) // 2),
+                   period_choices=tuple(draw(st.lists(
+                       st.sampled_from([500, 1000, 1250, 2500, 5000]),
+                       min_size=1, max_size=3, unique=True))),
+                   payload_range=(64, draw(st.integers(64, 1500))),
+                   seed=draw(st.integers(0, 2 ** 16)))
+    constants = NetworkConstants(
+        propagation=draw(st.sampled_from([F(0), F(1, 3), F(1)])),
+        switching=draw(st.sampled_from([F(0), F(1)])))
+    topo = gen_topology(spec)
+    flows = gen_flows(spec, topo)
+    return TestCase("cbs", topo, flows, shortest_routes(topo, flows), CBS,
+                    constants)
+
+
+@settings(max_examples=30, deadline=None)
+@given(tc=cbs_cases(), seed=st.integers(0, 2 ** 32), saturate=st.booleans())
+@example(tc=star_tc([("h1", "h3", 1000, 965), ("h2", "h3", 2500, 965)],
+                    propagation=F(0), switching=F(0)), seed=0, saturate=False)
+def test_cbs_cut_matches_the_uncut_run(tc, seed, saturate):
+    """simulate_cbs reports the same bytes, or raises the same error, when
+    no snapshot may match; where H is short the horizon spans several."""
+    longest = max(f.period for f in tc.flows)
+    H = cqf.hypercycle(tc.flows)
+    horizon = 10 * longest + (4 * H if H <= 5 * longest else 0)
+
+    def outcome():
+        try:
+            return sim.report_to_json(sim.simulate_cbs(tc, cfg))
+        except HorizonError as exc:
+            return str(exc)
+
+    for policy in (sim.RELEASE_SYNCHRONIZED, sim.RELEASE_JITTERED):
+        cfg = sim.SimConfig(horizon=horizon, seed=seed, release_policy=policy,
+                            be_saturate=saturate)
+        cut = outcome()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim._Cut, "repeats", lambda self, *args: False)
+            assert outcome() == cut, policy
 
 
 # report serialization
