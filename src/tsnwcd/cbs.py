@@ -21,12 +21,13 @@ finds on any port graph with one worklist.  It evaluates the queued port
 that comes first in one order, the strongly connected components of the
 port graph in topological order, and queues the next port of each flow
 whose summed delay upstream of it moved.  A solve lays every port's lines
-out once, as ints, and one integer evaluator reads each delay bound off the
-aggregate's peak backlog above the service rate, at the first slope change
-that brings the aggregate's slope down to that rate.  Every delay and
-every flow's summed delay upstream of each hop is a reduced (num, den) int
-pair.  On a feed-forward graph the worklist evaluates each port once, on
-its own scale, so every delay is exact.  With cyclic port dependencies it
+out once, as ints, and one integer evaluator builds each group's envelope
+in closed form and reads each delay bound off the aggregate's peak backlog
+above the service rate, at the first slope change that brings the
+aggregate's slope down to that rate.  Every delay and every flow's summed
+delay upstream of each hop is a reduced (num, den) int pair.  On a
+feed-forward graph the worklist evaluates each port once, on its own
+scale, so every delay is exact.  With cyclic port dependencies it
 evaluates a component's ports again until they settle; one scale serves
 every port and each delay is a count of CYCLIC_GRID ticks, rounded up in
 one integer ceiling division.  Each delay and each end-to-end sum becomes
@@ -142,7 +143,7 @@ def cbs_shaping(cfg_prev_port: CbsClassConfig, C: Fraction,
 Line = tuple[Number, Number]     # (burst, rate): burst + rate*t for t > 0
 # a concave curve on t > 0, the lower envelope of its lines: those lines,
 # its first slope and its slope drops (num, den, drop) at the times
-# num/den, in time order
+# num/den >= 0, in time order (a drop at 0 takes effect at once)
 Envelope = tuple[Sequence[Line], Number, list[tuple[Number, Number, Number]]]
 
 
@@ -157,6 +158,8 @@ def group_envelope(lines: Sequence[Line]) -> Envelope:
     Where three lines meet, two changes may share one time;
     aggregate_segments merges them.  Crossing times stay quotients, so the
     lines may be given in Fractions or, on a common scale, in ints.
+    tfa_solve's evaluator builds the envelopes of its groups, whose lines
+    it knows in burst order, in closed form instead.
     """
     b, r = min(lines)
     slope = r
@@ -228,8 +231,10 @@ def _peak_excess(envelopes: Sequence[Envelope], rate: Number
     positive bursts keep it from waiting for less than the latency.  Raises
     InstabilityError when alpha's final slope exceeds rate.
     """
-    slope = sum(r for _, r, _ in envelopes)
-    pending = [drop for _, _, drops in envelopes for drop in drops]
+    slope, pending = 0, []
+    for _, r, drops in envelopes:
+        slope += r
+        pending += drops
     num, den = 0, 1
     while slope > rate:
         if not pending:
@@ -242,8 +247,14 @@ def _peak_excess(envelopes: Sequence[Envelope], rate: Number
         num, den, drop = pending.pop(first)
         slope -= drop
     # alpha(num/den) - rate*num/den, times den
-    excess = sum(min(b * den + r * num for b, r in lines)
-                 for lines, _, _ in envelopes) - rate * num
+    excess = -rate * num
+    for lines, _, _ in envelopes:
+        low = None
+        for b, r in lines:
+            value = b * den + r * num
+            if low is None or value < low:
+                low = value
+        excess += low
     return excess, den
 
 
@@ -425,36 +436,53 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     # past the last, a reduced (num, den) pair in 1/unit us
     upstream = {fid: [(0, 1)] * (len(path_f) + 1)
                 for fid, path_f in path.items()}
-    # The groups feeding each port, fixed for a solve, as (shares, frame,
-    # rate, caps): a share (wn, wd, row, k) per member, the member being its
-    # flow's hop k and row that flow's upstream row, so that its burst
-    # moves by wn / wd times the delay row[k]; the members' summed frame,
-    # their bursts before any delay, and summed rate; and caps, (burst,
-    # rate) lines.  The flows the port sources come uncapped; each
-    # predecessor's flows are capped by the link line (link_shaping) and,
-    # behind a switch, by the CBS shaping line (cbs_shaping).  No delay
-    # moves the long-run rate, the sum of each group's shallowest line.
+    # The groups feeding each port, fixed for a solve.  The flows the port
+    # sources come uncapped, and no delay moves their bursts: one line
+    # (frames, rate), or None when it sources none.  Each predecessor's
+    # flows come as (shares, frames, rate, link, shaping): a share
+    # (wn, wd, row, k) per member, the member being its flow's hop k and
+    # row that flow's upstream row, so that its burst moves by wn / wd
+    # times the delay row[k]; the members' summed frame, their bursts
+    # before any delay, and summed rate; and the bursts of the caps, the
+    # link line (link_shaping) at rate C and, behind a switch, the CBS
+    # shaping line (cbs_shaping) at idleSlope, else None.  No delay moves
+    # the long-run rate, the sum of each group's shallowest line.
     layout, unstable = [], []
     for p, hops in enumerate(members):
-        local = tuple((fid, k) for fid, k in hops if k == 0)
-        by_pred: dict[int, list[tuple[int, int]]] = {}   # predecessor port
+        own_frames = own_rate = 0
+        by_pred: dict[int, list] = {}   # predecessor port -> its group
         for fid, k in hops:
-            if k:
-                by_pred.setdefault(path[fid][k - 1], []).append((fid, k))
-        groups = [(local, ())] if local else []
+            if not k:
+                own_frames += frame[fid]
+                own_rate += rate_at[fid]
+                continue
+            q = path[fid][k - 1]
+            group = by_pred.get(q)
+            if group is None:
+                group = by_pred[q] = [[], 0, 0, 0]
+            wn, wd = weight[fid]
+            group[0].append((wn, wd, upstream[fid], k))
+            group[1] += frame[fid]
+            group[2] += rate_at[fid]
+            if frame[fid] > group[3]:
+                group[3] = frame[fid]
+        own = (own_frames * scale, own_rate) if own_frames else None
+        groups, total = [], own_rate
         for q in sorted(by_pred):
-            l_link = max(frame[fid] for fid, _ in by_pred[q]) * scale
-            caps: tuple[Line, ...] = ((l_link, C_at),)
+            shares, frames, group_rate, l_link = by_pred[q]
+            shaping = None
             if tc.topology.is_switch(ports[q][0]):
-                caps += ((range_at[l_max[q]] + l_link, idsl_at),)
-            groups.append((tuple(by_pred[q]), caps))
-        layout.append([(tuple((*weight[fid], upstream[fid], k)
-                              for fid, k in group),
-                        sum(frame[fid] for fid, _ in group) * scale,
-                        sum(rate_at[fid] for fid, _ in group), caps)
-                       for group, caps in groups])
-        if sum(min([r, *(cap_r for _, cap_r in caps)])
-               for _, _, r, caps in layout[p]) >= idsl_at:
+                shaping = range_at[l_max[q]] + l_link * scale
+            groups.append((tuple(shares), frames * scale, group_rate,
+                           l_link * scale, shaping))
+            if shaping is not None and idsl_at < group_rate:
+                total += idsl_at
+            elif C_at < group_rate:
+                total += C_at
+            else:
+                total += group_rate
+        layout.append((own, groups))
+        if total >= idsl_at:
             unstable.append(ports[p])
     if unstable:
         names = ", ".join(f"{a}->{b}" for a, b in unstable)
@@ -465,37 +493,75 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     # per port: its envelopes from its last evaluation and their factor m
     envelopes: list = [None] * n
     port_scale = [1] * n
+    to_shaping = C_at - idsl_at     # slope drop from link onto shaping line
 
     def evaluate(p: int) -> tuple[int, int]:
         """Delay bound of port p from the current upstream rows: the latency
         plus the peak backlog above the idle slope, over the idle slope, as
         a reduced (num, den) pair in 1/unit us, rounded up to whole
-        CYCLIC_GRID ticks on a cyclic graph."""
-        groups = layout[p]
-        m = math.lcm(*(wd * row[k][1] for shares, _, _, _ in groups
-                       for _, wd, row, k in shares))
-        envs = envelopes[p] = [
-            group_envelope((
-                (frames * m + sum(wn * row[k][0] * (m // (wd * row[k][1]))
-                                  for wn, wd, row, k in shares),
-                 rate), *((cap_b * m, r) for cap_b, r in caps)))
-            for shares, frames, rate, caps in groups]
+        CYCLIC_GRID ticks on a cyclic graph.  A member whose upstream delay
+        is zero moves nothing.  Each predecessor group's envelope is built
+        in closed form: the link line's burst is the lowest, as the bucket
+        holds at least the group's largest frame and the shaping line adds
+        a credit range to it, so the envelope starts on the link line, at
+        rate C (with a change at time 0 when the bucket starts there too),
+        moves on to the line crossing it first, and from there to the last
+        line if that is shallower still."""
+        own, groups = layout[p]
+        m = 1
+        if not cyclic:
+            for shares, _, _, _, _ in groups:
+                for _, wd, row, k in shares:
+                    un, ud = row[k]
+                    if un and m % (wd * ud):
+                        m = m // math.gcd(m, wd * ud) * wd * ud
+        envs = envelopes[p] = []
+        if own is not None:
+            b, r = own
+            envs.append((((b * m, r),), r, []))
+        for shares, frames, r, link, shaping in groups:
+            b = frames * m
+            for wn, wd, row, k in shares:
+                un, ud = row[k]
+                if un:
+                    b += wn * un * (m // (wd * ud))
+            l = link * m
+            if shaping is None:
+                lines = ((b, r), (l, C_at))
+                drops = [(b - l, C_at - r, C_at - r)] if r < C_at else []
+            else:
+                s = shaping * m
+                lines = ((b, r), (l, C_at), (s, idsl_at))
+                if r < C_at and (b - l) * to_shaping < (s - l) * (C_at - r):
+                    drops = [(b - l, C_at - r, C_at - r)]
+                    if idsl_at < r:
+                        drops.append((s - b, r - idsl_at, r - idsl_at))
+                else:
+                    drops = [(s - l, to_shaping, to_shaping)]
+                    if r < idsl_at:
+                        drops.append((b - s, idsl_at - r, idsl_at - r))
+            envs.append((lines, C_at, drops))
         port_scale[p] = m
         excess, den = _peak_excess(envs, idsl_at)
         num, den = lat_num * den * m + exc_num * excess, delay_den * den * m
-        return (-(-num // den), 1) if cyclic else _reduced(num, den)
+        if cyclic:
+            return -(-num // den), 1
+        g = math.gcd(num, den)
+        return num // g, den // g
 
     # a heap of the queued ports' ranks in the order: each port first, then
     # every port whose upstream row moved; on a feed-forward graph no port
     # comes back, as each comes after every port upstream of it
     delays: list = [None] * n
-    rank = {p: i for i, p in enumerate(order)}
+    rank = [0] * n
+    for i, p in enumerate(order):
+        rank[p] = i
     queue = list(range(n))
-    queued = set(queue)
+    queued = [True] * n
     evaluations = [0] * n
     while queue:
         i = heapq.heappop(queue)
-        queued.discard(i)
+        queued[i] = False
         p = order[i]
         evaluations[p] += 1
         if evaluations[p] > MAX_ITERATIONS:
@@ -506,13 +572,18 @@ def tfa_solve(tc: TestCase) -> CbsReport:
         for fid, k in members[p]:
             row = upstream[fid]
             un, ud = row[k]
-            u = _reduced(un * dd + dn * ud, ud * dd)
+            if cyclic:
+                u = (un + dn, 1)
+            else:
+                num, den = un * dd + dn * ud, ud * dd
+                g = math.gcd(num, den)
+                u = (num // g, den // g)
             if u != row[k + 1]:
                 row[k + 1] = u
                 if k + 1 < len(path[fid]):
                     q = rank[path[fid][k + 1]]
-                    if q not in queued:
-                        queued.add(q)
+                    if not queued[q]:
+                        queued[q] = True
                         heapq.heappush(queue, q)
     iterations = -(-sum(evaluations) // n)
     # the constant term once per route length: its links and switches

@@ -112,7 +112,8 @@ _MECH_CHOICE = click.Choice(["cbs", "cqf"], case_sensitive=False)
 @click.option("--jobs", type=int, default=None,
               help="Worker threads; they overlap file writes only, since "
                    "generation and analysis are pure Python. Defaults to "
-                   "available cores.")
+                   "os.cpu_count(), every CPU of the machine, including "
+                   "any this process may not run on.")
 @click.pass_context
 def gen(ctx, manifest, out_dir, truth_dir, jobs):
     """Generate test-case bundles from a manifest; nothing is written

@@ -5,11 +5,17 @@ end-to-end delays must never exceed them.  Time and credit are exact
 integers.  Each run picks one tick of 1/den us for its inputs, den being the
 least common multiple of the denominators of every duration the run can
 produce (constants, horizon, cycle, periods, phases, frame transmission
-times and CBS credit recovery times), and one credit unit of 1/scale bits
-that makes every slope a whole number of units per tick.  The loops then
-work on Python ints; values turn back into Fraction only where they leave
-the simulator (reports, traces, transmissions, error messages).  For a
-fixed (test case, config, seed) the report is bit-identical across runs.
+times and CBS credit recovery times).  simulate_port counts credit in units
+of 1/scale bits (_Grid.scale), which make every slope a whole number of
+units per tick.  simulate_cbs needs no such unit: a port's credit there is
+always a whole number of ticks of recovery at the idle slope, since a
+frame starts with the credit gathered over the ticks it waited and its
+transmission spends what the idle slope recovers in a whole number of
+ticks, so it holds each credit as that count, and a credit turns into bits
+only where a trace records it.  The loops then work on Python ints; values
+turn back into Fraction only where they leave the simulator (reports,
+traces, transmissions, error messages).  For a fixed (test case, config,
+seed) the report is bit-identical across runs.
 
 A network CBS port has one FIFO credit queue and, at most, a saturating
 best-effort source, so nothing that reaches a port after a frame can change
@@ -17,17 +23,18 @@ when that frame starts (Lindley's single-server recursion).  simulate_cbs
 therefore fixes a frame's start the moment it pops off the heap at a port,
 and the heap holds arrivals only: the frame-hops in flight plus one pending
 release per flow, whose next release is pushed when it pops.  Each port keeps
-the end tick and end credit of its last scheduled frame; the start of a new
-frame is a closed form of those and its arrival.  Queued behind that frame,
-it inherits the end credit; arriving later, it finds the credit reset to
-zero or recovering towards it.  It is eligible once the credit is >= 0.  A
-saturating source sends a run of back-to-back MTU frames from the end of
-each class frame (or from 0) until the first boundary at or past the
-horizon, and an eligible frame waits for the first of the run's frame
-boundaries at or after it became eligible.  Credit-trace records of a frame
-are written when it is scheduled; those of its transmission end wait until
-the next frame at the port (or the end of the simulation) shows whether a
-frame was queued behind it.
+the end tick e and end credit c of its last scheduled frame; the start of a
+new frame is a closed form of those and its arrival.  Queued behind that
+frame, it inherits the end credit; arriving later, it finds the credit
+reset to zero or recovering towards it.  It is eligible once the credit is
+>= 0: at tick e - c, or on arrival if that is later.  A saturating source
+sends a run of back-to-back MTU frames from the end of each class frame (or
+from 0) until the first boundary at or past the horizon, and an eligible
+frame waits for the first of the run's frame boundaries at or after it
+became eligible.  Credit-trace records of a frame are written when it is
+scheduled; those of its transmission end wait until the next frame at the
+port (or the end of the simulation) shows whether a frame was queued
+behind it.
 
 The heap orders entries by (tick, batch, port, flow, seq, hop).  With a
 positive propagation plus switching delay every batch is 1.  Without one, a
@@ -41,29 +48,31 @@ started in a later batch waits at least one best-effort frame.
 
 Both network simulators run on one core, _Cut: one heap of that layout
 (CQF entries keep batch 1), each flow's releases, and each delivery folded
-into its flow's longest delay and count as it is made.  Releases repeat
-every hypercycle H, the lcm of the periods, so the core cuts a run short
-once its state repeats (a feasibility interval of offset periodic tasks:
-Leung & Merrill, IPL 1980; Goossens, Grolleau & Cucu-Grosjean, Real-Time
-Systems 2016).  At the first release popped at or after each boundary kH
-it copies the state.  Its snapshot, relative to kH, holds each port's end
-credit and its end tick and best-effort run start less kH (CBS; a port
-whose last frame ended before kH with its credit back at zero by then is
-idle, up to its run's phase), or the open tick less kH and the load of the
-port's latest cycle (CQF; a cycle that opened before kH takes no later
-frame), and every heap entry with its tick less kH and its seq less k
-times its flow's releases per H.  When a snapshot equals the previous
-boundary's, the state moves m x H on, m being the most that keeps every
-release of the skipped hypercycles at or before the last release tick,
-every delivery in them by the horizon and, with best-effort saturation,
-every frame in them ending before the horizon; each flow gains m x its
-releases per H frames, and the tail runs exactly.  The skipped
-hypercycles repeat delays already seen, so the report is the uncut run's.
-A credit trace is per-event output, so a traced run takes no snapshot; a
-saturated run shifts the phase of its best-effort runs against H and in
-practice never repeats, so it runs to the end in memory that does not
-grow with the horizon.  SimReport.periodic_from and hypercycles_skipped
-tell which happened.
+into its flow's longest delay and count as it is made.  The loops push a
+flow's next release themselves and call the core for a release only at a
+hypercycle boundary, so an event costs its heap operations and, at the
+listener, the fold.  Releases repeat every hypercycle H, the lcm of the
+periods, so the core cuts a run short once its state repeats (a
+feasibility interval of offset periodic tasks: Leung & Merrill, IPL 1980;
+Goossens, Grolleau & Cucu-Grosjean, Real-Time Systems 2016).  At the first
+release popped at or after each boundary kH it copies the state.  Its
+snapshot, relative to kH, holds each port's end credit and its end tick
+and best-effort run start less kH (CBS; a port whose last frame ended
+before kH with its credit back at zero by then is idle, up to its run's
+phase), or the open tick less kH and the load of the port's latest cycle
+(CQF; a cycle that opened before kH takes no later frame), and every heap
+entry with its tick less kH and its seq less k times its flow's releases
+per H.  When a snapshot equals the previous boundary's, the state moves
+m x H on, m being the most that keeps every release of the skipped
+hypercycles at or before the last release tick, every delivery in them by
+the horizon and, with best-effort saturation, every frame in them ending
+before the horizon; each flow gains m x its releases per H frames, and
+the tail runs exactly.  The skipped hypercycles repeat delays already
+seen, so the report is the uncut run's.  A credit trace is per-event
+output, so a traced run takes no snapshot; a saturated run shifts the
+phase of its best-effort runs against H and in practice never repeats, so
+it runs to the end in memory that does not grow with the horizon.
+SimReport.periodic_from and hypercycles_skipped tell which happened.
 
 simulate_port drives one port with several credit queues and explicit
 best-effort frames through an event loop (arrivals, then transmission
@@ -414,20 +423,24 @@ def _empty_report(tc, cfg):
 # the run core
 
 class _Cut:
-    """The run core (module docstring).  release() pushes a flow's next
-    release when one pops, deliver() folds a delivery.  H is the hypercycle
-    in ticks and per[fid] the flow's releases per H.  A boundary copies the
-    heap and the simulator's per-port lists; view(B, *lists) yields the
-    ports relative to the boundary tick B, the lists in `ticks` move on
-    with the heap, and `ends` holds the ports' end ticks when best-effort
-    runs stop at the horizon."""
+    """The run core (module docstring).  The simulator pushes a flow's next
+    release, period[fid] ticks on, while it lies at or before last, and
+    calls boundary() for a release popped at or after due; deliver() folds
+    a delivery.  H is the hypercycle in ticks and per[fid] the flow's
+    releases per H.  A boundary copies the heap and the simulator's
+    per-port lists; view(B, *lists) yields the ports relative to the
+    boundary tick B, the lists in `ticks` move on with the heap, and `ends`
+    holds the ports' end ticks when best-effort runs stop at the
+    horizon."""
 
     def __init__(self, tc, cfg, grid, phases, drain, path, lists, view,
                  ticks, ends=()):
         self.releases, self.last = _releases(tc, cfg, grid, phases, drain)
+        self.period = {fid: period
+                       for fid, (_, period) in self.releases.items()}
         self.H = grid.ticks(hypercycle(tc.flows))
         self.per = {fid: self.H // period
-                    for fid, (_, period) in self.releases.items()}
+                    for fid, period in self.period.items()}
         self.horizon = grid.ticks(cfg.horizon)
         self.drain = drain
         self.lists, self.view, self.ticks, self.ends = lists, view, ticks, ends
@@ -446,40 +459,36 @@ class _Cut:
         for fid, (first, _) in self.releases.items():
             heapq.heappush(self.heap, (first, 1, path[fid][0], fid, 0, 0))
 
-    def release(self, t, p, flow, seq):
-        """The flow's seq-th release popped at t at port p.  At the first
-        one at or after a boundary, copy the state and, on a repeat, skip
+    def boundary(self, t, p, flow, seq):
+        """The flow's seq-th release popped at t >= due at port p, the
+        first at or after a boundary: copy the state and, on a repeat, skip
         the most hypercycles that keep every release of them at or before
         last, every delivery of them by the horizon and every port's end
-        before it.  Pushes the next release; returns t and seq moved on
-        past the hypercycles skipped."""
-        if t >= self.due:
-            H, heap = self.H, self.heap
-            k = t // H
-            self.due = (k + 1) * H
-            entries = [*heap, (t, 1, p, flow, seq, 0)]
-            latest, self.latest = self.latest, -1
-            if self.repeats((k, k * H, entries,
-                             [values[:] for values in self.lists])):
-                m = min(self.last - max(u for u, *_, h in entries if h == 0),
-                        self.horizon - latest)
-                if self.ends:
-                    m = min(m, self.horizon - 1 - max(self.ends))
-                m //= H
-                if m > 0:
-                    self.skipped, shift, per = m, m * H, self.per
-                    heap[:] = [(u + shift, b, q, f, s + m * per[f], h)
-                               for u, b, q, f, s, h in heap]
-                    for values in self.ticks:
-                        values[:] = [v if v is None else v + shift
-                                     for v in values]
-                    for fid, n in per.items():
-                        self.count[fid] += m * n
-                    t += shift
-                    seq += m * per[flow]
-        period = self.releases[flow][1]
-        if t + period <= self.last:
-            heapq.heappush(self.heap, (t + period, 1, p, flow, seq + 1, 0))
+        before it.  Returns t and seq moved on past the hypercycles
+        skipped; due moves to the next boundary, or past every tick."""
+        H, heap = self.H, self.heap
+        k = t // H
+        self.due = (k + 1) * H
+        entries = [*heap, (t, 1, p, flow, seq, 0)]
+        latest, self.latest = self.latest, -1
+        if self.repeats((k, k * H, entries,
+                         [values[:] for values in self.lists])):
+            m = min(self.last - max(u for u, *_, h in entries if h == 0),
+                    self.horizon - latest)
+            if self.ends:
+                m = min(m, self.horizon - 1 - max(self.ends))
+            m //= H
+            if m > 0:
+                self.skipped, shift, per = m, m * H, self.per
+                heap[:] = [(u + shift, b, q, f, s + m * per[f], h)
+                           for u, b, q, f, s, h in heap]
+                for values in self.ticks:
+                    values[:] = [v if v is None else v + shift
+                                 for v in values]
+                for fid, n in per.items():
+                    self.count[fid] += m * n
+                t += shift
+                seq += m * per[flow]
         return t, seq
 
     def deliver(self, t, flow, seq):
@@ -546,27 +555,30 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
     consts = tc.constants
     C = consts.link_rate
     idle = consts.idle_slope_fraction * C
-    send = idle - C
     tx = {fid: b / C for fid, b in bits.items()}
+    # a frame's send slope spends what the idle slope recovers in this time
+    recovery = {fid: d * (C - idle) / idle for fid, d in tx.items()}
     be_tx = wire_bits(MTU_BYTES, consts) / C
     durations = _grid_durations(tc, cfg, phases, tx)
-    durations += [d * -send / idle for d in tx.values()]
+    durations += recovery.values()
     if cfg.be_saturate:
         durations.append(be_tx)
-    grid = _Grid(durations, (idle, send))
+    grid = _Grid(durations)
 
     # per flow and hop, the next port's index; None at the listener
     nxt = {fid: [*p[1:], None] for fid, p in path.items()}
-    idle, send = grid.slope(idle), grid.slope(send)   # units per tick
     be = grid.ticks(be_tx) if cfg.be_saturate else None
     horizon = grid.ticks(cfg.horizon)
+    # a best-effort run starts after each frame that ends before this
+    run_until = horizon if be is not None else 0
     tx_t = {fid: grid.ticks(d) for fid, d in tx.items()}
-    spent = {fid: send * d for fid, d in tx_t.items()}
+    recovery_t = {fid: grid.ticks(d) for fid, d in recovery.items()}
     hop_t = grid.ticks(consts.propagation + consts.switching)
     prop_t = grid.ticks(consts.propagation)
 
-    # per port: end tick and end credit of the last scheduled frame, and
-    # the start of the best-effort run after it (None: no run)
+    # per port: end tick and end credit of the last scheduled frame, the
+    # credit in ticks of recovery at the idle slope, and the start of the
+    # best-effort run after it (None: no run)
     n = len(ports)
     end = [-1] * n
     credit = [0] * n
@@ -578,31 +590,36 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
         # zero by then treats every later arrival alike, up to the phase of
         # its best-effort run
         for e, c, r in zip(end, credit, run):
-            if e < B and -c <= idle * (B - e):
+            if e < B and e - c <= B:
                 yield None if r is None else (r - B) % be
             else:
                 yield e - B, c, None if r is None else r - B
 
     cut = _Cut(tc, cfg, grid, phases, drain, path, (end, credit, run), view,
                (end, run), end if be is not None else ())
-    heap, release, deliver = cut.heap, cut.release, cut.deliver
+    heap, deliver, due = cut.heap, cut.deliver, cut.due
+    period, last = cut.period, cut.last
     push, pop = heapq.heappush, heapq.heappop
     while heap:
         t, batch, p, flow, seq, hop = pop(heap)
         if hop == 0:
-            t, seq = release(t, p, flow, seq)
+            if t >= due:
+                t, seq = cut.boundary(t, p, flow, seq)
+                due = cut.due
+            again = t + period[flow]
+            if again <= last:
+                push(heap, (again, 1, p, flow, seq + 1, 0))
         e, c = end[p], credit[p]
         behind = t < e or (t == e and batch == 1)
         if behind and c >= 0:
             start = e                     # starts the moment e ends
             c_start = c
         else:
-            if behind:
-                ready = e + _exact_div(-c, idle)
-            elif c < 0:
-                ready = max(t, e + _exact_div(-c, idle))
-            else:
-                ready = t                 # credit reset to zero at e
+            # eligible once the credit is back at zero, at e - c; arriving
+            # later, it finds it there already (reset at e, or recovered)
+            ready = e - c
+            if ready < t:
+                ready = t
             start = ready
             s0 = run[p]
             if s0 is not None:
@@ -613,9 +630,12 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
                 frames = -((s0 - ready) // be)
                 if frames == 0 and batch > 1:
                     frames = 1
-                to_stop = -((s0 - horizon) // be)
-                start = max(ready, s0 + min(frames, to_stop) * be)
-            c_start = idle * (start - ready)
+                bound = s0 + frames * be
+                if bound >= horizon:
+                    bound = s0 - ((s0 - horizon) // be) * be
+                if bound > ready:
+                    start = bound
+            c_start = start - ready
         rec = records[p]
         if rec is not None:
             # the last frame's end; with nothing queued behind it a
@@ -629,13 +649,13 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
             if not behind:
                 if c >= 0:
                     rec.append((t, 0))
-                elif t >= (cross := e + _exact_div(-c, idle)):
-                    rec += ((cross, 0), (t, 0))
+                elif t >= e - c:
+                    rec += ((e - c, 0), (t, 0))
             rec.append((start, c_start))
         fin = start + tx_t[flow]
         end[p] = fin
-        credit[p] = c_start + spent[flow]
-        run[p] = fin if be is not None and fin < horizon else None
+        credit[p] = c_start - recovery_t[flow]
+        run[p] = fin if fin < run_until else None
         nxt_p = nxt[flow][hop]
         if nxt_p is None:
             deliver(fin + prop_t, flow, seq)
@@ -658,11 +678,12 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
                 if c > 0:
                     rec += ((e, 0), (e, 0))
                 elif c < 0:
-                    rec.append((e + _exact_div(-c, idle), 0))
+                    rec.append((e - c, 0))
             key = ports[p]
-            raw += [(tick, key, units) for tick, units in rec]
+            raw += [(tick, key, c) for tick, c in rec]
         raw.sort(key=lambda r: (r[0], r[1]))
-        report.credit_trace = [(grid.us(t), key, grid.bits(c))
+        # a credit of c ticks of recovery is c ticks times the idle slope
+        report.credit_trace = [(grid.us(t), key, grid.us(c) * idle)
                                for t, key, c in raw]
     return report
 
@@ -768,12 +789,18 @@ def simulate_cqf(tc: TestCase, cfg: SimConfig) -> SimReport:
 
     cut = _Cut(tc, cfg, grid, phases, drain, path, (opened, load), view,
                (opened,))
-    heap, release, deliver = cut.heap, cut.release, cut.deliver
+    heap, deliver, due = cut.heap, cut.deliver, cut.due
+    period, last = cut.period, cut.last
     push, pop = heapq.heappush, heapq.heappop
     while heap:
         t, _, p, flow, seq, hop = pop(heap)
         if hop == 0:
-            t, seq = release(t, p, flow, seq)
+            if t >= due:
+                t, seq = cut.boundary(t, p, flow, seq)
+                due = cut.due
+            again = t + period[flow]
+            if again <= last:
+                push(heap, (again, 1, p, flow, seq + 1, 0))
             start = t                     # a multiple of T: its own cycle
         else:
             # the sender's cycle carried a load in (0, T], so the cycle

@@ -38,6 +38,7 @@ from tsnwcd.netmodel import (
     load_testcase,
 )
 from tsnwcd.testgen import (
+    MEDIUM_MESH,
     ONE_SWITCH,
     RING,
     TOPOLOGY_KINDS,
@@ -523,6 +524,36 @@ def test_untraced_simulate_cbs_matches_reference_engine(propagation,
             assert sim.report_to_json(got) == sim.report_to_json(want), label
             compared += 1
     assert compared == 15 * 2
+
+
+# generated saturated rings and meshes on link rates and idle slopes the
+# corpus does not use, traced on every port, against the reference engine:
+# the credit held in ticks of recovery must come back as the same bits
+
+@pytest.mark.parametrize("kind,switches,flows,seed,rate,fraction,hop", [
+    (RING, 5, 30, 2, F(1000), F(2, 5), 1),
+    (RING, 4, 24, 11, F(1000, 3), F(5, 7), 0),
+    (MEDIUM_MESH, 4, 40, 5, F(1000, 3), F(5, 7), 1),
+    (MEDIUM_MESH, 5, 36, 9, F(250), F(3, 10), F(1, 2)),
+])
+def test_generated_saturated_runs_match_reference_engine(
+        kind, switches, flows, seed, rate, fraction, hop):
+    spec = GenSpec(kind, switches, 3, flows, payload_range=(64, 1500),
+                   seed=seed)
+    tc = build_testcase(f"{kind}{seed}", spec, CBS, NetworkConstants(
+        link_rate=rate, idle_slope_fraction=fraction, propagation=hop,
+        switching=hop))
+    ports = sorted({p for r in tc.routes for p in r.ports})
+    cfg = sim.SimConfig(horizon=10 * max(f.period for f in tc.flows),
+                        seed=seed, release_policy=sim.RELEASE_JITTERED,
+                        be_saturate=True, trace_ports=ports)
+    got = sim.simulate_cbs(tc, cfg)
+    want = oracles.reference_simulate_cbs(tc, cfg)
+    assert sim.report_to_json(got) == sim.report_to_json(want)
+    assert got.credit_trace == want.credit_trace
+    credits = [c for _t, _p, c in got.credit_trace]
+    assert min(credits) < 0 < max(credits)
+    assert {p for _t, p, _c in got.credit_trace} == set(ports)
 
 
 # network CQF simulation
