@@ -134,7 +134,9 @@ def link_shaping(C: Fraction, l_max_on_link: Fraction) -> TokenBucket:
 def cbs_shaping(cfg_prev_port: CbsClassConfig, C: Fraction,
                 l_max_on_link: Fraction) -> TokenBucket:
     """Cap on what a predecessor CBS port can have emitted:
-    idleSlope*t + (c_max - c_min) + l_max."""
+    idleSlope*t + (c_max - c_min) + l_max.  The named model of the shaping
+    line tfa_solve lays out inline; the test oracle builds its caps with
+    it."""
     c_min, c_max = credit_bounds(cfg_prev_port, frac(C))
     burst = (c_max - c_min) + frac(l_max_on_link)
     return TokenBucket(burst, cfg_prev_port.idle_slope)
@@ -145,37 +147,6 @@ Line = tuple[Number, Number]     # (burst, rate): burst + rate*t for t > 0
 # its first slope and its slope drops (num, den, drop) at the times
 # num/den >= 0, in time order (a drop at 0 takes effect at once)
 Envelope = tuple[Sequence[Line], Number, list[tuple[Number, Number, Number]]]
-
-
-def group_envelope(lines: Sequence[Line]) -> Envelope:
-    """Lower envelope of lines on t > 0: one group's share of a port
-    aggregate, i.e. a predecessor's summed flow bucket and its shaping
-    caps, or the bucket of the flows the port sources itself.
-
-    The envelope starts on the lowest line (the shallowest of equals) and
-    moves, at each crossing, to the line that crosses first; only
-    shallower lines can cross, so the slope strictly falls at each change.
-    Where three lines meet, two changes may share one time;
-    aggregate_segments merges them.  Crossing times stay quotients, so the
-    lines may be given in Fractions or, on a common scale, in ints.
-    tfa_solve's evaluator builds the envelopes of its groups, whose lines
-    it knows in burst order, in closed form instead.
-    """
-    b, r = min(lines)
-    slope = r
-    drops: list[tuple[Number, Number, Number]] = []
-    while True:
-        nxt = None
-        for bi, ri in lines:
-            if ri < r:
-                num, den = bi - b, r - ri
-                if nxt is None or num * nxt[1] < nxt[0] * den:
-                    nxt = (num, den, bi, ri)
-        if nxt is None:
-            return lines, slope, drops
-        num, den, b, ri = nxt
-        drops.append((num, den, r - ri))
-        r = ri
 
 
 def aggregate_segments(envelopes: Iterable[Envelope], burst_unit: Fraction,
@@ -262,7 +233,6 @@ def _peak_excess(envelopes: Sequence[Envelope], rate: Number
 class PortAnalysis:
     port: Port
     arrival: Curve
-    service: Curve
     delay_bound: Fraction
     contributing_flows: tuple[int, ...]
 
@@ -398,7 +368,6 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     cfg = CbsClassConfig(1, idsl, idsl - C, max(l_max), l_lower)
     _, c_max = credit_bounds(cfg, C)
     service = cbs_service_curve(cfg, C)
-    service_curve = service.curve()
     drain = (C - idsl) / C
     credit_range = {l: c_max + drain * l for l in set(l_max)}
 
@@ -604,7 +573,7 @@ def tfa_solve(tc: TestCase) -> CbsReport:
         port: PortAnalysis(
             port, Curve.from_canonical(aggregate_segments(
                 envelopes[p], Fraction(1, scale * port_scale[p]), rate_unit)),
-            service_curve, delays[p], tuple(fid for fid, _ in members[p]))
+            delays[p], tuple(fid for fid, _ in members[p]))
         for p, port in enumerate(ports)
     }
     per_flow_hops = {

@@ -31,10 +31,12 @@ reset to zero or recovering towards it.  It is eligible once the credit is
 sends a run of back-to-back MTU frames from the end of each class frame (or
 from 0) until the first boundary at or past the horizon, and an eligible
 frame waits for the first of the run's frame boundaries at or after it
-became eligible.  Credit-trace records of a frame are written when it is
-scheduled; those of its transmission end wait until the next frame at the
-port (or the end of the simulation) shows whether a frame was queued
-behind it.
+became eligible.  The run start, max(e, 0), is derived, not stored; a run
+from e at or past the horizon stops where it starts, and a frame not queued
+behind the last one is never eligible before e.  Credit-trace records of a
+frame are written when it is scheduled; those of its transmission end wait
+until the next frame at the port (or the end of the simulation) shows
+whether a frame was queued behind it.
 
 The heap orders entries by (tick, batch, port, flow, seq, hop).  With a
 positive propagation plus switching delay every batch is 1.  Without one, a
@@ -57,21 +59,23 @@ feasibility interval of offset periodic tasks: Leung & Merrill, IPL 1980;
 Goossens, Grolleau & Cucu-Grosjean, Real-Time Systems 2016).  At the first
 release popped at or after each boundary kH it copies the state.  Its
 snapshot, relative to kH, holds each port's end credit and its end tick
-and best-effort run start less kH (CBS; a port whose last frame ended
-before kH with its credit back at zero by then is idle, up to its run's
-phase), or the open tick less kH and the load of the port's latest cycle
-(CQF; a cycle that opened before kH takes no later frame), and every heap
-entry with its tick less kH and its seq less k times its flow's releases
-per H.  When a snapshot equals the previous boundary's, the state moves
-m x H on, m being the most that keeps every release of the skipped
+less kH (CBS; a port whose last frame ended before kH with its credit back
+at zero by then is idle, up to the phase of the best-effort run from its
+end tick), or the open tick less kH and the load of the port's latest
+cycle (CQF; a cycle that opened before kH takes no later frame), and every
+heap entry with its tick less kH and its seq less k times its flow's
+releases per H.  When a snapshot equals the previous boundary's, the state
+moves m x H on, m being the most that keeps every release of the skipped
 hypercycles at or before the last release tick, every delivery in them by
 the horizon and, with best-effort saturation, every frame in them ending
 before the horizon; each flow gains m x its releases per H frames, and
-the tail runs exactly.  The skipped hypercycles repeat delays already
-seen, so the report is the uncut run's.  A credit trace is per-event
-output, so a traced run takes no snapshot; a saturated run shifts the
-phase of its best-effort runs against H and in practice never repeats, so
-it runs to the end in memory that does not grow with the horizon.
+the tail runs exactly.  No jump meets a port still at tick -1: the frames
+heading for it stay on the heap, which grows every hypercycle, so no such
+snapshot repeats.  The skipped hypercycles repeat delays already seen, so
+the report is the uncut run's.  A credit trace is per-event output, so a
+traced run takes no snapshot.  A saturated run repeats only once its
+best-effort runs keep their phase against H, which many never do; such a
+run goes to the end in memory that does not grow with the horizon.
 SimReport.periodic_from and hypercycles_skipped tell which happened.
 
 simulate_port drives one port with several credit queues and explicit
@@ -429,12 +433,11 @@ class _Cut:
     a delivery.  H is the hypercycle in ticks and per[fid] the flow's
     releases per H.  A boundary copies the heap and the simulator's
     per-port lists; view(B, *lists) yields the ports relative to the
-    boundary tick B, the lists in `ticks` move on with the heap, and `ends`
-    holds the ports' end ticks when best-effort runs stop at the
-    horizon."""
+    boundary tick B.  The first list holds each port's tick (CBS end tick,
+    CQF open tick) and moves on with the heap; with best-effort saturation
+    the ports' end ticks bound the jump too."""
 
-    def __init__(self, tc, cfg, grid, phases, drain, path, lists, view,
-                 ticks, ends=()):
+    def __init__(self, tc, cfg, grid, phases, drain, path, lists, view):
         self.releases, self.last = _releases(tc, cfg, grid, phases, drain)
         self.period = {fid: period
                        for fid, (_, period) in self.releases.items()}
@@ -443,7 +446,8 @@ class _Cut:
                     for fid, period in self.period.items()}
         self.horizon = grid.ticks(cfg.horizon)
         self.drain = drain
-        self.lists, self.view, self.ticks, self.ends = lists, view, ticks, ends
+        self.lists, self.view = lists, view
+        self.saturated = cfg.be_saturate
         self.due = math.inf if cfg.trace_ports else 0
         self.seen = None            # the state copied at the last boundary
         self.periodic_from = None
@@ -475,16 +479,15 @@ class _Cut:
                          [values[:] for values in self.lists])):
             m = min(self.last - max(u for u, *_, h in entries if h == 0),
                     self.horizon - latest)
-            if self.ends:
-                m = min(m, self.horizon - 1 - max(self.ends))
+            if self.saturated:
+                m = min(m, self.horizon - 1 - max(self.lists[0]))
             m //= H
             if m > 0:
                 self.skipped, shift, per = m, m * H, self.per
                 heap[:] = [(u + shift, b, q, f, s + m * per[f], h)
                            for u, b, q, f, s, h in heap]
-                for values in self.ticks:
-                    values[:] = [v if v is None else v + shift
-                                 for v in values]
+                ticks = self.lists[0]
+                ticks[:] = [v + shift for v in ticks]
                 for fid, n in per.items():
                     self.count[fid] += m * n
                 t += shift
@@ -569,34 +572,32 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
     nxt = {fid: [*p[1:], None] for fid, p in path.items()}
     be = grid.ticks(be_tx) if cfg.be_saturate else None
     horizon = grid.ticks(cfg.horizon)
-    # a best-effort run starts after each frame that ends before this
-    run_until = horizon if be is not None else 0
     tx_t = {fid: grid.ticks(d) for fid, d in tx.items()}
     recovery_t = {fid: grid.ticks(d) for fid, d in recovery.items()}
     hop_t = grid.ticks(consts.propagation + consts.switching)
     prop_t = grid.ticks(consts.propagation)
 
     # per port: end tick and end credit of the last scheduled frame, the
-    # credit in ticks of recovery at the idle slope, and the start of the
-    # best-effort run after it (None: no run)
+    # credit in ticks of recovery at the idle slope; with saturation a
+    # best-effort run starts at that end tick (at 0 before any frame)
     n = len(ports)
     end = [-1] * n
     credit = [0] * n
-    run = [0 if be is not None else None] * n
     records = [[] if k in cfg.trace_ports else None for k in ports]
 
-    def view(B, end, credit, run):
+    def view(B, end, credit):
         # a port whose last frame ended before B with its credit back at
         # zero by then treats every later arrival alike, up to the phase of
         # its best-effort run
-        for e, c, r in zip(end, credit, run):
-            if e < B and e - c <= B:
-                yield None if r is None else (r - B) % be
+        for e, c in zip(end, credit):
+            if e >= B or e - c > B:
+                yield e - B, c
+            elif be is not None:
+                yield (max(e, 0) - B) % be
             else:
-                yield e - B, c, None if r is None else r - B
+                yield None
 
-    cut = _Cut(tc, cfg, grid, phases, drain, path, (end, credit, run), view,
-               (end, run), end if be is not None else ())
+    cut = _Cut(tc, cfg, grid, phases, drain, path, (end, credit), view)
     heap, deliver, due = cut.heap, cut.deliver, cut.due
     period, last = cut.period, cut.last
     push, pop = heapq.heappush, heapq.heappop
@@ -621,12 +622,13 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
             if ready < t:
                 ready = t
             start = ready
-            s0 = run[p]
-            if s0 is not None:
-                # the first run boundary at or after ready, or the run's
-                # stop, the first boundary at or past the horizon; a frame
-                # reaching the port in a later batch of the run's first
-                # tick finds its first best-effort frame already sent
+            if be is not None:
+                # the first boundary at or after ready of the run from
+                # max(e, 0), or the run's stop, the first boundary at or
+                # past the horizon; a frame reaching the port in a later
+                # batch of the run's first tick finds its first best-effort
+                # frame already sent
+                s0 = e if e > 0 else 0
                 frames = -((s0 - ready) // be)
                 if frames == 0 and batch > 1:
                     frames = 1
@@ -655,7 +657,6 @@ def simulate_cbs(tc: TestCase, cfg: SimConfig) -> SimReport:
         fin = start + tx_t[flow]
         end[p] = fin
         credit[p] = c_start - recovery_t[flow]
-        run[p] = fin if fin < run_until else None
         nxt_p = nxt[flow][hop]
         if nxt_p is None:
             deliver(fin + prop_t, flow, seq)
@@ -787,8 +788,7 @@ def simulate_cqf(tc: TestCase, cfg: SimConfig) -> SimReport:
         for o, w in zip(opened, load):
             yield None if o < B else (o - B, w)
 
-    cut = _Cut(tc, cfg, grid, phases, drain, path, (opened, load), view,
-               (opened,))
+    cut = _Cut(tc, cfg, grid, phases, drain, path, (opened, load), view)
     heap, deliver, due = cut.heap, cut.deliver, cut.due
     period, last = cut.period, cut.last
     push, pop = heapq.heappush, heapq.heappop

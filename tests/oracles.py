@@ -9,7 +9,10 @@ of the breakpoint-list evaluator in cbs; rebuilt_aggregate does so for any
 port from given upstream delays, and reference_tfa runs plain Jacobi sweeps
 of it from zero to the least fixed point of the rounded TFA map.
 rate_latency_delay reads a delay bound off an aggregate's segments in closed
-form, the way feed-forward TFA did before it read the peak backlog on ints.
+form, the way feed-forward TFA did before it read the peak backlog on ints;
+tfa_service is the one service TFA gives every port.  group_envelope is the
+general lower envelope of a group's lines, where the TFA evaluator builds
+its groups' envelopes in closed form.
 report_json_reference writes a CBS report through a document and the JSON
 encoder, the text cbs.report_to_json writes in one pass.
 Exact Fractions throughout, so agreement checks against the implementation
@@ -195,6 +198,47 @@ def rate_latency_delay(segments: Sequence[Seg], service: RateLatency
     return max(Fraction(0), service.latency + best / R)
 
 
+def group_envelope(lines: Sequence[cbs.Line]) -> cbs.Envelope:
+    """Lower envelope of lines on t > 0: one group's share of a port
+    aggregate, i.e. a predecessor's summed flow bucket and its shaping
+    caps, or the bucket of the flows the port sources itself.
+
+    The envelope starts on the lowest line (the shallowest of equals) and
+    moves, at each crossing, to the line that crosses first; only
+    shallower lines can cross, so the slope strictly falls at each change.
+    Where three lines meet, two changes may share one time;
+    cbs.aggregate_segments merges them.  Crossing times stay quotients, so
+    the lines may be given in Fractions or, on a common scale, in ints.
+    cbs.tfa_solve's evaluator builds the envelopes of its groups, whose
+    lines it knows in burst order, in closed form instead.
+    """
+    b, r = min(lines)
+    slope = r
+    drops = []
+    while True:
+        nxt = None
+        for bi, ri in lines:
+            if ri < r:
+                num, den = bi - b, r - ri
+                if nxt is None or num * nxt[1] < nxt[0] * den:
+                    nxt = (num, den, bi, ri)
+        if nxt is None:
+            return lines, slope, drops
+        num, den, b, ri = nxt
+        drops.append((num, den, r - ri))
+        r = ri
+
+
+def tfa_service(constants) -> RateLatency:
+    """The service cbs.tfa_solve gives every CBS port: idleSlope after
+    c_max / idleSlope, c_max from one MTU-sized best-effort frame; no term
+    depends on the port."""
+    C = constants.link_rate
+    idsl = constants.idle_slope_fraction * C
+    return cbs.cbs_service_curve(cbs.CbsClassConfig(
+        1, idsl, idsl - C, 1, cbs.default_lower_frame_bits(constants)), C)
+
+
 def rebuilt_aggregate(tc, delay, port) -> Curve:
     """The CBS aggregate at port when every port q upstream of it has delay
     bound delay[q]: each flow's source bucket shifted by the delays before
@@ -239,11 +283,7 @@ def reference_tfa(tc, grid: Fraction) -> dict:
     deviation of its rebuilt aggregate from the service, rounded up to
     grid, all from the previous sweep's delays, until a sweep changes
     nothing.  The map is monotone, so that is its least fixed point."""
-    consts = tc.constants
-    C = consts.link_rate
-    idsl = consts.idle_slope_fraction * C
-    service = cbs.cbs_service_curve(cbs.CbsClassConfig(
-        1, idsl, idsl - C, 1, cbs.default_lower_frame_bits(consts)), C)
+    service = tfa_service(tc.constants)
     delay = {p: Fraction(0) for r in tc.routes for p in r.ports}
     while True:
         swept = {p: math.ceil(h_dev(rebuilt_aggregate(tc, delay, p), service)

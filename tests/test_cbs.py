@@ -256,7 +256,7 @@ def check_against_oracle(members_per_group, caps_per_group, extra_rate,
     scale = math.lcm(*(F(b).denominator for b, _ in lines))
     rate_den = math.lcm(service.rate.denominator,
                         *(F(r).denominator for _, r in lines))
-    scaled = [cbs.group_envelope([(int(b * scale), int(r * rate_den))
+    scaled = [oracles.group_envelope([(int(b * scale), int(r * rate_den))
                                   for b, r in group])
               for group in line_groups]
     segments = cbs.aggregate_segments(scaled, F(1, scale), F(1, rate_den))
@@ -267,13 +267,13 @@ def check_against_oracle(members_per_group, caps_per_group, extra_rate,
     backlog = F(*cbs._peak_excess(scaled, int(service.rate * rate_den)))
     assert service.latency + backlog / (scale * service.rate) == delay
     # the peak backlog in Fractions is the same, in bits
-    envelopes = [cbs.group_envelope(lines) for lines in line_groups]
+    envelopes = [oracles.group_envelope(lines) for lines in line_groups]
     assert F(*cbs._peak_excess(envelopes, service.rate)) * scale == backlog
 
 
 def test_max_backlog_hand_values():
     # bucket 10 + t under a cap 4 + 2t: the aggregate bends at t = 6, 16
-    envelope = cbs.group_envelope([(10, 1), (4, 2)])
+    envelope = oracles.group_envelope([(10, 1), (4, 2)])
     assert envelope[1:] == (2, [(6, 1, 1)])
 
     def backlog(rate):
@@ -393,8 +393,9 @@ def test_tfa_single_flow_hand_computed():
     want_e2e = d0 + d1 + 2 * 1 + 1 * 1 + 1
     assert report.e2e_wcd[0] == want_e2e
     # delay bounds are recomputable from the stored curves
+    service = oracles.tfa_service(tc.constants)
     for pa in report.per_port.values():
-        assert h_dev(pa.arrival, pa.service) == pa.delay_bound
+        assert h_dev(pa.arrival, service) == pa.delay_bound
 
 
 def test_tfa_zero_flows():
@@ -513,10 +514,11 @@ def test_tfa_delays_are_the_fixed_point(case):
         # the sorted port order took 4, 4 and 5 evaluations per port
         assert report.iterations == 2
     delay = {p: pa.delay_bound for p, pa in report.per_port.items()}
+    service = oracles.tfa_service(tc.constants)
     for port, pa in report.per_port.items():
         alpha = oracles.rebuilt_aggregate(tc, delay, port)
         assert alpha == pa.arrival
-        want = h_dev(alpha, pa.service)
+        want = h_dev(alpha, service)
         if cyclic:
             want = math.ceil(want / cbs.CYCLIC_GRID) * cbs.CYCLIC_GRID
         assert pa.delay_bound == want
@@ -571,15 +573,17 @@ def test_dependency_cycle_detection():
 
 
 def test_tfa_ring_converges_on_rounding_grid():
-    report = cbs.tfa_solve(ring_tc())
+    tc = ring_tc()
+    report = cbs.tfa_solve(tc)
     assert report.converged
     assert report.iterations < cbs.MAX_ITERATIONS
+    service = oracles.tfa_service(tc.constants)
     for pa in report.per_port.values():
         assert pa.delay_bound > 0
         # rounding grid keeps denominators bounded on the cyclic path
         assert F(10) ** 12 % pa.delay_bound.denominator == 0
         # rounded-up delays stay sound against the stored curves
-        assert pa.delay_bound >= h_dev(pa.arrival, pa.service)
+        assert pa.delay_bound >= h_dev(pa.arrival, service)
 
 
 @pytest.mark.parametrize("case", ["ring", "ring_5x2_16_s16"])
@@ -709,8 +713,9 @@ def test_feed_forward_pairs_add_no_rounding(tc):
     except InstabilityError:
         assume(False)      # an overloaded draw has no bound to compare
     assert report.iterations == 1
+    service = oracles.tfa_service(tc.constants)
     for pa in report.per_port.values():
-        assert pa.delay_bound == h_dev(pa.arrival, pa.service)
+        assert pa.delay_bound == h_dev(pa.arrival, service)
     consts = tc.constants
     for fid, hops in report.per_flow_hops.items():
         assert all(d == report.per_port[p].delay_bound for p, d in hops)
@@ -776,26 +781,6 @@ def test_tfa_evaluation_cap_names_case_and_port(monkeypatch):
     with pytest.raises(ConvergenceError,
                        match=r"^ring: port \w+->\w+ still moving after 2 "):
         cbs.tfa_solve(ring_tc())
-
-
-@pytest.mark.parametrize("kind,seed", [("medium_mesh", 1), ("ring", 2)])
-def test_tfa_service_is_the_per_port_cbs_service(kind, seed):
-    # every port's service is the one its own class config gives; none of
-    # its terms depends on the port
-    spec = testgen.GenSpec(kind, 6, 3, 60, payload_range=(64, 700),
-                           seed=seed)
-    tc = testgen.build_testcase("svc", spec, nm.CBS, nm.NetworkConstants())
-    consts = tc.constants
-    C = consts.link_rate
-    idsl = consts.idle_slope_fraction * C
-    report = cbs.tfa_solve(tc)
-    assert report.per_port
-    for pa in report.per_port.values():
-        l_max_class = max(nm.frame_bits(tc.flow(fid), consts)
-                          for fid in pa.contributing_flows)
-        cfg = cbs.CbsClassConfig(1, idsl, idsl - C, l_max_class,
-                                 cbs.default_lower_frame_bits(consts))
-        assert pa.service == cbs.cbs_service_curve(cfg, C).curve()
 
 
 # ======================================================================
@@ -889,22 +874,25 @@ def pinned_tc(name):
 def tfa_digests():
     out = {}
     for name, *_ in TFA_DIGEST_CASES:
-        report = cbs.tfa_solve(pinned_tc(name))
+        tc = pinned_tc(name)
+        report = cbs.tfa_solve(tc)
         out[name] = {
             "report_sha256": hashlib.sha256(
                 cbs.report_to_json(report).encode()).hexdigest(),
             "arrival_segments": sum(
                 len(pa.arrival.segments) for pa in report.per_port.values()),
-            "exact_sha256": exact_sha256(report),
+            "exact_sha256": exact_sha256(report, tc.constants),
         }
     return out
 
 
-def exact_sha256(report):
+def exact_sha256(report, constants):
     """sha256 over the exact Fractions of a report: report bytes round
     every delay to a float, which can hide a slip in a delay whose
-    denominator runs to hundreds of bits."""
-    ports = [(p, pa.delay_bound, pa.arrival.segments, pa.service.segments,
+    denominator runs to hundreds of bits.  Each port's entry holds the
+    service TFA gives every port, so the digest pins that too."""
+    service = oracles.tfa_service(constants).curve().segments
+    ports = [(p, pa.delay_bound, pa.arrival.segments, service,
               pa.contributing_flows)
              for p, pa in sorted(report.per_port.items())]
     text = repr((ports, sorted(report.e2e_wcd.items()),

@@ -820,9 +820,33 @@ def test_long_horizon_keeps_delays_and_counts_every_release():
             assert long.hypercycles_skipped > short.hypercycles_skipped, label
 
 
+def saturated_repeating_star():
+    """One 500-byte flow h1 -> h2 every 1000 us at 100 bits/us with no
+    frame overhead: its 40 us frame leaves 960 us, eight 120 us best-effort
+    frames, to the next release, so the runs keep their phase against H."""
+    return star_tc([("h1", "h2", 1000, 500)], frame_overhead=0,
+                   link_rate=100)
+
+
+def test_saturated_run_takes_the_cut():
+    # The state repeats from the first boundary on, and the report and the
+    # hypercycles skipped are the reference engine's and the cut's.
+    tc = saturated_repeating_star()
+    for policy, skipped in ((sim.RELEASE_SYNCHRONIZED, 97),
+                            (sim.RELEASE_JITTERED, 96)):
+        cfg = sim.SimConfig(horizon=F(100000), seed=3, release_policy=policy,
+                            be_saturate=True)
+        report = sim.simulate_cbs(tc, cfg)
+        assert (report.periodic_from, report.hypercycles_skipped) == (
+            0, skipped), policy
+        assert sim.report_to_json(report) == sim.report_to_json(
+            oracles.reference_simulate_cbs(tc, cfg)), policy
+
+
 def test_saturated_and_traced_runs_take_no_cut():
-    # Best-effort runs drift against H, so the saturated star of the heap
-    # test never repeats; a traced run takes no snapshot at all.
+    # The best-effort runs of this saturated star (the heap test's) drift
+    # against H, so it never repeats, though a saturated run may (above); a
+    # traced run takes no snapshot at all.
     tc = star_tc([("h1", "h2", 2500, 965)])
     saturated = sim.simulate_cbs(tc, sim.SimConfig(horizon=F(250000),
                                                    be_saturate=True))
@@ -894,6 +918,7 @@ def cbs_cases(draw):
 @given(tc=cbs_cases(), seed=st.integers(0, 2 ** 32), saturate=st.booleans())
 @example(tc=star_tc([("h1", "h3", 1000, 965), ("h2", "h3", 2500, 965)],
                     propagation=F(0), switching=F(0)), seed=0, saturate=False)
+@example(tc=saturated_repeating_star(), seed=3, saturate=True)
 def test_cbs_cut_matches_the_uncut_run(tc, seed, saturate):
     """simulate_cbs reports the same bytes, or raises the same error, when
     no snapshot may match; where H is short the horizon spans several."""
