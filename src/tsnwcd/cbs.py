@@ -17,16 +17,16 @@ service serves every port.
 
 The port delays are the least fixed point of the port-delay map, the
 cyclic TFA of Thomas, Le Boudec & Mifdaoui (RTSS 2019), which tfa_solve
-finds on any port graph with one worklist.  It evaluates the queued port
-that comes first in one order, the strongly connected components of the
-port graph in topological order, and queues the next port of each flow
-whose summed delay upstream of it moved.  A solve lays every port's lines
+finds one strongly connected component of the port graph at a time, in
+topological order: it sweeps a component's stale ports in search order,
+and marks stale the next port of each flow whose summed delay upstream
+of it moved, until none is.  A solve lays every port's lines
 out once, as ints, and one integer evaluator builds each group's envelope
 in closed form and reads each delay bound off the aggregate's peak backlog
 above the service rate, at the first slope change that brings the
 aggregate's slope down to that rate.  Every delay and every flow's summed
 delay upstream of each hop is a reduced (num, den) int pair.  On a
-feed-forward graph the worklist evaluates each port once, on its own
+feed-forward graph every component is one port, evaluated once on its own
 scale, so every delay is exact.  With cyclic port dependencies it
 evaluates a component's ports again until they settle; one scale serves
 every port and each delay is a count of CYCLIC_GRID ticks, rounded up in
@@ -42,7 +42,6 @@ c_max / idleSlope and the shaping burst to (c_max - c_min) + max frame.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -253,14 +252,15 @@ def default_lower_frame_bits(constants: NetworkConstants) -> Fraction:
 
 
 def _port_order(path: dict[int, tuple[int, ...]], n: int
-                ) -> tuple[list[int], bool]:
-    """The n ports in the order TFA evaluates them, and whether some port's
-    delay (transitively) feeds back into itself.
+                ) -> list[list[int]]:
+    """The strongly connected components of the n-port graph, in the
+    order TFA settles them.
 
     The port graph has an edge from each port to the next on every flow's
-    path.  Its strongly connected components come in topological order, so
-    that every port comes after each upstream port outside its own
-    component, and each component's ports in ascending index.  No route
+    path.  Its components come in topological order, so that every port
+    comes after each upstream port outside its own component, and each
+    component's ports in the order the search first reached them, the
+    search visiting ports and successors in ascending index.  No route
     repeats a node, so no port feeds itself: the graph has a cycle exactly
     when some component holds more than one port.
     """
@@ -270,7 +270,7 @@ def _port_order(path: dict[int, tuple[int, ...]], n: int
             succ[p].add(q)
     # Tarjan's algorithm, without recursion: a component closes only after
     # every component downstream of it, so the closing order reversed is
-    # topological
+    # topological, and its stack holds its ports in the order reached
     index, low, on_stack = [-1] * n, [0] * n, [False] * n
     stack: list[int] = []
     components: list[list[int]] = []
@@ -282,7 +282,7 @@ def _port_order(path: dict[int, tuple[int, ...]], n: int
         visited += 1
         stack.append(v)
         on_stack[v] = True
-        return v, iter(succ[v])
+        return v, iter(sorted(succ[v]))
 
     for root in range(n):
         if index[root] >= 0:
@@ -300,14 +300,14 @@ def _port_order(path: dict[int, tuple[int, ...]], n: int
                     i = stack.index(v)
                     for w in stack[i:]:
                         on_stack[w] = False
-                    components.append(sorted(stack[i:]))
+                    components.append(stack[i:])
                     del stack[i:]
             elif index[w] < 0:
                 work.append(enter(w))
             elif on_stack[w]:
                 low[v] = min(low[v], index[w])
-    order = [p for component in reversed(components) for p in component]
-    return order, len(components) < n
+    components.reverse()
+    return components
 
 
 def tfa_solve(tc: TestCase) -> CbsReport:
@@ -320,21 +320,22 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     monotone, so each evaluation stays at or below its least fixed point,
     and evaluating until no upstream delay moves ends there whatever the
     order (Cousot, 1977); the order sets only how many evaluations that
-    takes.  One worklist evaluates the queued port that comes first in
-    _port_order's order, the strongly connected components of the port
-    graph in topological order, rebuilds its envelopes from the upstream
-    rows, and queues the next port of each member flow whose upstream delay
-    moved, until nothing is queued.  A row can move because a row upstream
-    of it moved even when the port's delay did not.  On a feed-forward port
-    graph every component is one port and each port comes after every port
-    upstream of it, so each port is evaluated once and its delay is exact.
-    On a cyclic one a component is evaluated again until it settles, and
-    each delay is rounded up to CYCLIC_GRID: exact delays would only
-    approach the fixed point, while the rounded map reaches its own in
-    finitely many evaluations.  Each delay and each flow's delay upstream
-    of each hop is a reduced (num, den) int pair, in CYCLIC_GRID ticks on a
-    cyclic graph and in us on a feed-forward one, and each port's delay and
-    each flow's end-to-end sum becomes a Fraction once, in the report.
+    takes.  Each strongly connected component of the port graph is settled
+    before any port downstream of it is evaluated, in _port_order's order:
+    every port starts stale, and the component is swept in its search
+    order, each stale port's envelopes rebuilt from the upstream rows and
+    the next port of each member flow whose upstream delay moved marked
+    stale, until none of its ports is.  A row can move because a row
+    upstream of it moved even when the port's delay did not.  On a
+    feed-forward port graph every component is one port, so each port is
+    evaluated once and its delay is exact.  On a cyclic one a component is
+    swept again until it settles, and each delay is rounded up to
+    CYCLIC_GRID: exact delays would only approach the fixed point, while
+    the rounded map reaches its own in finitely many evaluations.  Each
+    delay and each flow's delay upstream of each hop is a reduced (num,
+    den) int pair, in CYCLIC_GRID ticks on a cyclic graph and in us on a
+    feed-forward one, and each port's delay and each flow's end-to-end sum
+    becomes a Fraction once, in the report.
     iterations is the number of evaluations per port, rounded up.  Every
     port is its index in netmodel.port_table's sorted ports; it turns back
     into a (node, next) pair only in the report and in error messages.
@@ -371,7 +372,8 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     drain = (C - idsl) / C
     credit_range = {l: c_max + drain * l for l in set(l_max)}
 
-    order, cyclic = _port_order(path, n)
+    components = _port_order(path, n)
+    cyclic = len(components) < n
     # Every evaluation works on ints: rates in units of 1/rate_den bits/us,
     # bursts in units of 1/(scale * m) bits, with scale making every frame
     # and credit range an int and m the port's own factor, and delays in
@@ -518,42 +520,35 @@ def tfa_solve(tc: TestCase) -> CbsReport:
         g = math.gcd(num, den)
         return num // g, den // g
 
-    # a heap of the queued ports' ranks in the order: each port first, then
-    # every port whose upstream row moved; on a feed-forward graph no port
-    # comes back, as each comes after every port upstream of it
+    # each component swept in its order until none of its ports is stale
     delays: list = [None] * n
-    rank = [0] * n
-    for i, p in enumerate(order):
-        rank[p] = i
-    queue = list(range(n))
-    queued = [True] * n
+    stale = [True] * n
     evaluations = [0] * n
-    while queue:
-        i = heapq.heappop(queue)
-        queued[i] = False
-        p = order[i]
-        evaluations[p] += 1
-        if evaluations[p] > MAX_ITERATIONS:
-            raise ConvergenceError(
-                f"{tc.name}: port {'->'.join(ports[p])} still moving "
-                f"after {MAX_ITERATIONS} evaluations")
-        dn, dd = delays[p] = evaluate(p)
-        for fid, k in members[p]:
-            row = upstream[fid]
-            un, ud = row[k]
-            if cyclic:
-                u = (un + dn, 1)
-            else:
-                num, den = un * dd + dn * ud, ud * dd
-                g = math.gcd(num, den)
-                u = (num // g, den // g)
-            if u != row[k + 1]:
-                row[k + 1] = u
-                if k + 1 < len(path[fid]):
-                    q = rank[path[fid][k + 1]]
-                    if not queued[q]:
-                        queued[q] = True
-                        heapq.heappush(queue, q)
+    for component in components:
+        while any(stale[p] for p in component):
+            for p in component:
+                if not stale[p]:
+                    continue
+                stale[p] = False
+                evaluations[p] += 1
+                if evaluations[p] > MAX_ITERATIONS:
+                    raise ConvergenceError(
+                        f"{tc.name}: port {'->'.join(ports[p])} still "
+                        f"moving after {MAX_ITERATIONS} evaluations")
+                dn, dd = delays[p] = evaluate(p)
+                for fid, k in members[p]:
+                    row = upstream[fid]
+                    un, ud = row[k]
+                    if cyclic:
+                        u = (un + dn, 1)
+                    else:
+                        num, den = un * dd + dn * ud, ud * dd
+                        g = math.gcd(num, den)
+                        u = (num // g, den // g)
+                    if u != row[k + 1]:
+                        row[k + 1] = u
+                        if k + 1 < len(path[fid]):
+                            stale[path[fid][k + 1]] = True
     iterations = -(-sum(evaluations) // n)
     # the constant term once per route length: its links and switches
     fixed = {k: consts.propagation * k + consts.switching * (k - 1)
@@ -566,7 +561,7 @@ def tfa_solve(tc: TestCase) -> CbsReport:
                             const.denominator * ud * unit)
     delays = [Fraction(dn, dd * unit) for dn, dd in delays]
 
-    # every port's last envelopes are fresh once nothing is queued: its
+    # every port's last envelopes are fresh once nothing is stale: its
     # aggregate, back in bits and us, comes from them
     rate_unit = Fraction(1, rate_den)
     per_port = {

@@ -66,16 +66,16 @@ cycle (CQF; a cycle that opened before kH takes no later frame), and every
 heap entry with its tick less kH and its seq less k times its flow's
 releases per H.  When a snapshot equals the previous boundary's, the state
 moves m x H on, m being the most that keeps every release of the skipped
-hypercycles at or before the last release tick, every delivery in them by
-the horizon and, with best-effort saturation, every frame in them ending
-before the horizon; each flow gains m x its releases per H frames, and
-the tail runs exactly.  No jump meets a port still at tick -1: the frames
-heading for it stay on the heap, which grows every hypercycle, so no such
-snapshot repeats.  The skipped hypercycles repeat delays already seen, so
-the report is the uncut run's.  A credit trace is per-event output, so a
-traced run takes no snapshot.  A saturated run repeats only once its
-best-effort runs keep their phase against H, which many never do; such a
-run goes to the end in memory that does not grow with the horizon.
+hypercycles at or before the last release tick and every delivery in
+them by the horizon, saturated or not (_Cut says why); each flow gains
+m x its releases per H frames, and the tail runs exactly.  No jump meets
+a port still at tick -1: the frames heading for it stay on the heap,
+which grows every hypercycle, so no such snapshot repeats.  The skipped
+hypercycles repeat delays already seen, so the report is the uncut run's.
+A credit trace is per-event output, so a traced run takes no snapshot.  A
+saturated run repeats only once its best-effort runs keep their phase
+against H, which many never do; such a run goes to the end in memory that
+does not grow with the horizon.
 SimReport.periodic_from and hypercycles_skipped tell which happened.
 
 simulate_port drives one port with several credit queues and explicit
@@ -434,8 +434,13 @@ class _Cut:
     releases per H.  A boundary copies the heap and the simulator's
     per-port lists; view(B, *lists) yields the ports relative to the
     boundary tick B.  The first list holds each port's tick (CBS end tick,
-    CQF open tick) and moves on with the heap; with best-effort saturation
-    the ports' end ticks bound the jump too."""
+    CQF open tick) and moves on with the heap.  Saturation needs no bound
+    of its own on the jump: the horizon stops a best-effort run, which
+    moves only frames eligible at or past it.  A skipped frame whose copy
+    was delivered in the copied hypercycle is delivered by the horizon; one
+    whose copy was in flight and that becomes eligible at or past it ends
+    past it from the shifted state too, and the cut and uncut runs differ
+    only in events past the horizon: both raise the same HorizonError."""
 
     def __init__(self, tc, cfg, grid, phases, drain, path, lists, view):
         self.releases, self.last = _releases(tc, cfg, grid, phases, drain)
@@ -447,7 +452,6 @@ class _Cut:
         self.horizon = grid.ticks(cfg.horizon)
         self.drain = drain
         self.lists, self.view = lists, view
-        self.saturated = cfg.be_saturate
         self.due = math.inf if cfg.trace_ports else 0
         self.seen = None            # the state copied at the last boundary
         self.periodic_from = None
@@ -467,9 +471,9 @@ class _Cut:
         """The flow's seq-th release popped at t >= due at port p, the
         first at or after a boundary: copy the state and, on a repeat, skip
         the most hypercycles that keep every release of them at or before
-        last, every delivery of them by the horizon and every port's end
-        before it.  Returns t and seq moved on past the hypercycles
-        skipped; due moves to the next boundary, or past every tick."""
+        last and every delivery of them by the horizon.  Returns t and seq
+        moved on past the hypercycles skipped; due moves to the next
+        boundary, or past every tick."""
         H, heap = self.H, self.heap
         k = t // H
         self.due = (k + 1) * H
@@ -478,10 +482,7 @@ class _Cut:
         if self.repeats((k, k * H, entries,
                          [values[:] for values in self.lists])):
             m = min(self.last - max(u for u, *_, h in entries if h == 0),
-                    self.horizon - latest)
-            if self.saturated:
-                m = min(m, self.horizon - 1 - max(self.lists[0]))
-            m //= H
+                    self.horizon - latest) // H
             if m > 0:
                 self.skipped, shift, per = m, m * H, self.per
                 heap[:] = [(u + shift, b, q, f, s + m * per[f], h)

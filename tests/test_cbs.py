@@ -4,13 +4,13 @@ Credit-bound and curve-construction hand values, the token-bucket port
 aggregate against the general min-plus oracle, the closed-form port delay
 against the general horizontal deviation, a fully hand-computed
 single-switch fixed point, every port's delay as the fixed point of its
-rebuilt aggregate (the one worklist evaluating each port once on
+rebuilt aggregate (the per-component passes evaluating each port once on
 feed-forward cases, and reaching the least fixed point of the rounded map
 on cyclic ones, under default and non-default constants and periods), the
-worklist's grid ticks against plain sweeps and the end-to-end sums of the
-reported delays on generated one-way rings, the evaluation cap, instability
-detection, report serialization against the reference writer and pinned
-report bytes.
+port order's components, the passes' grid ticks against plain sweeps and
+the end-to-end sums of the reported delays on generated one-way rings, the
+exact evaluation counts, the evaluation cap, instability detection, report
+serialization against the reference writer and pinned report bytes.
 """
 import hashlib
 import json
@@ -510,8 +510,8 @@ def test_tfa_delays_are_the_fixed_point(case):
     assert report.converged
     assert (report.iterations == 1) != cyclic
     if case.startswith("ring_") and not case.endswith("_odd"):
-        # component order: each ring port is evaluated about twice, where
-        # the sorted port order took 4, 4 and 5 evaluations per port
+        # per-component passes: each ring port is evaluated about twice
+        # (test_tfa_evaluation_counts pins the exact counts)
         assert report.iterations == 2
     delay = {p: pa.delay_bound for p, pa in report.per_port.items()}
     service = oracles.tfa_service(tc.constants)
@@ -546,10 +546,17 @@ def ring_tc():
                        nm.NetworkConstants())
 
 
+def flat_order(path, n):
+    """cbs._port_order's components, one after the other, and whether some
+    component holds more than one port."""
+    components = cbs._port_order(path, n)
+    return [p for c in components for p in c], len(components) < n
+
+
 def port_order(tc):
-    """cbs._port_order on tc's port table, with (node, next) ports."""
+    """flat_order on tc's port table, with (node, next) ports."""
     ports, path, _, _ = nm.port_table(tc)
-    order, cyclic = cbs._port_order(path, len(ports))
+    order, cyclic = flat_order(path, len(ports))
     return [ports[p] for p in order], cyclic
 
 
@@ -559,17 +566,18 @@ def test_dependency_cycle_detection():
     # the three ring ports are one component, after the three talkers
     assert order[3:6] == [("r1", "r2"), ("r2", "r3"), ("r3", "r1")]
     # two talkers into one switch port
-    order, cyclic = cbs._port_order({0: (0, 2), 1: (1, 2)}, 3)
+    order, cyclic = flat_order({0: (0, 2), 1: (1, 2)}, 3)
     assert not cyclic
     assert sorted(order) == [0, 1, 2] and order[-1] == 2
     # a two-port cycle {1, 3} fed from 4 and 5 and feeding 0; port 2 apart
-    order, cyclic = cbs._port_order(
+    order, cyclic = flat_order(
         {0: (4, 5, 3, 1, 0), 1: (1, 3), 2: (2,)}, 6)
     assert cyclic
     assert sorted(order) == list(range(6))
     at = {p: i for i, p in enumerate(order)}
     assert at[4] < at[5] < at[1] < at[0]
-    assert at[3] == at[1] + 1        # one component, in ascending index
+    # one component, in the order the search reached it: 1, then 3
+    assert at[3] == at[1] + 1
 
 
 def test_tfa_ring_converges_on_rounding_grid():
@@ -588,8 +596,8 @@ def test_tfa_ring_converges_on_rounding_grid():
 
 @pytest.mark.parametrize("case", ["ring", "ring_5x2_16_s16"])
 def test_tfa_ring_delays_are_the_least_fixed_point(case):
-    # the worklist ends where plain Jacobi sweeps from zero end, whatever
-    # order it evaluates the ports in
+    # the per-component passes end where plain Jacobi sweeps from zero
+    # end, whatever order they evaluate the ports in
     if case == "ring":
         tc = ring_tc()
     else:
@@ -671,9 +679,9 @@ def meshes(draw, odd=None):
 @given(st.one_of(one_way_rings(), meshes()))
 def test_port_order_is_topological_over_components(tc):
     # every port comes after each port upstream of it outside its own
-    # component, a component's ports are adjacent and ascending, and the
-    # order reports a cycle exactly when some port precedes itself along
-    # the routes
+    # component, a component's ports are adjacent (in search order, so
+    # compared as a set), and the order reports a cycle exactly when some
+    # port precedes itself along the routes
     ports = sorted({p for r in tc.routes for p in r.ports})
     later = {p: set() for p in ports}      # ports after p on some route
     for r in tc.routes:
@@ -696,9 +704,9 @@ def test_port_order_is_topological_over_components(tc):
             if p not in reach[q]:
                 assert at[p] < at[q]
     for p in ports:
-        component = sorted({p} | {q for q in reach[p] if p in reach[q]})
-        first = at[component[0]]
-        assert order[first:first + len(component)] == component
+        component = {p} | {q for q in reach[p] if p in reach[q]}
+        first = min(at[q] for q in component)
+        assert set(order[first:first + len(component)]) == component
 
 
 @settings(max_examples=20, deadline=None)
@@ -775,6 +783,32 @@ def test_generated_residence_within_port_bounds(tc, policy, saturate):
     except InstabilityError:
         assume(False)      # an overloaded draw has no bound to compare
     check_residence_within_port_bounds(tc, report, policy, saturate)
+
+@pytest.mark.parametrize("case, evaluations", [
+    ("ring", 17), ("ring_6x3_60_s2", 70), ("ring_6x4_65_s1473067262", 84),
+    ("ring_8x3_65_s58824847", 100),
+    # feed-forward: each port once
+    ("mesh_8x4_80_s1", 84), ("mesh_8x4_80_s2", 89),
+    ("mesh_10x4_100_s1", 120), ("mesh_10x4_100_s3", 126),
+])
+def test_tfa_evaluation_counts(monkeypatch, case, evaluations):
+    # the exact evaluations a solve makes, each one _peak_excess call: the
+    # passes over each component in search order; sweeping components in
+    # ascending port order took 81, 94 and 122 on the pinned rings
+    tc = ring_tc() if case == "ring" else pinned_tc(case)
+    calls = []
+    peak_excess = cbs._peak_excess
+
+    def counting(*args):
+        calls.append(None)
+        return peak_excess(*args)
+
+    monkeypatch.setattr(cbs, "_peak_excess", counting)
+    cbs.tfa_solve(tc)
+    assert len(calls) == evaluations
+    if case.startswith("mesh"):
+        assert evaluations == len(nm.port_table(tc)[0])
+
 
 def test_tfa_evaluation_cap_names_case_and_port(monkeypatch):
     monkeypatch.setattr(cbs, "MAX_ITERATIONS", 2)

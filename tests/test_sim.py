@@ -828,6 +828,16 @@ def saturated_repeating_star():
                    link_rate=100)
 
 
+def saturated_late_chain():
+    """One flow of 125 us frames every 250 us along six saturated switches
+    at 96 bits/us, each frame as long as a best-effort one: its runs keep
+    their phase against H, so the state repeats from boundary 3 on, while
+    its frames take longer than the 500 us drain margin.  The cut then
+    skips hypercycles with frames in flight that end past the horizon."""
+    return chain_tc(6, [(250, 1500)], mechanism=CBS, link_rate=96,
+                    frame_overhead=0)
+
+
 def test_saturated_run_takes_the_cut():
     # The state repeats from the first boundary on, and the report and the
     # hypercycles skipped are the reference engine's and the cut's.
@@ -919,6 +929,7 @@ def cbs_cases(draw):
 @example(tc=star_tc([("h1", "h3", 1000, 965), ("h2", "h3", 2500, 965)],
                     propagation=F(0), switching=F(0)), seed=0, saturate=False)
 @example(tc=saturated_repeating_star(), seed=3, saturate=True)
+@example(tc=saturated_late_chain(), seed=0, saturate=True)
 def test_cbs_cut_matches_the_uncut_run(tc, seed, saturate):
     """simulate_cbs reports the same bytes, or raises the same error, when
     no snapshot may match; where H is short the horizon spans several."""
