@@ -62,7 +62,6 @@ from .netmodel import (
     wire_bits,
 )
 
-Port = tuple[str, str]
 Number = Union[int, Fraction]
 
 MAX_ITERATIONS = 1000     # evaluations of any one port
@@ -230,7 +229,6 @@ def _peak_excess(envelopes: Sequence[Envelope], rate: Number
 
 @dataclass
 class PortAnalysis:
-    port: Port
     arrival: Curve
     delay_bound: Fraction
     contributing_flows: tuple[int, ...]
@@ -566,7 +564,7 @@ def tfa_solve(tc: TestCase) -> CbsReport:
     rate_unit = Fraction(1, rate_den)
     per_port = {
         port: PortAnalysis(
-            port, Curve.from_canonical(aggregate_segments(
+            Curve.from_canonical(aggregate_segments(
                 envelopes[p], Fraction(1, scale * port_scale[p]), rate_unit)),
             delays[p], tuple(fid for fid, _ in members[p]))
         for p, port in enumerate(ports)

@@ -66,7 +66,7 @@ def _int_setting(ctx, command, key, flag_value, default):
     """_setting for an integer flag: a config value must be a JSON int,
     neither a bool nor a float, so nothing is truncated or coerced."""
     value = _setting(ctx, command, key, flag_value, default)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not netmodel.is_int(value):
         raise click.UsageError(
             f"config {command}.{key} must be an integer, got {value!r}")
     return value

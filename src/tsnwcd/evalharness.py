@@ -34,6 +34,7 @@ from .minplus import frac
 from .netmodel import (
     CBS,
     TestCase,
+    is_int,
     json_num,
     json_text,
     serialize_flows,
@@ -58,16 +59,6 @@ HIGH_CONFIDENCE = Fraction(4, 5)
 MIN_ANSWERED_TESTCASES = 50
 
 DEFAULT_BIN_COUNT = 10
-
-
-def _confidence(value) -> Optional[Fraction]:
-    """None, or value as an exact Fraction that must lie in [0, 1]."""
-    if value is None:
-        return None
-    c = frac(value)
-    if not 0 <= c <= 1:
-        raise ValidationError(f"confidence {c} outside [0, 1]")
-    return c
 
 
 # ---------------------------------------------------------------- MCQA types
@@ -96,21 +87,21 @@ class McqItem:
 
 @dataclass(frozen=True)
 class Run:
-    """A single model response: an answer plus optional metadata.
+    """A single model response to a multiple-choice item.
 
-    ``answer`` is an option index or letter for MCQA, a delay in us for
-    open-ended items, or None when the model gave nothing usable.
+    ``answer`` is an option index or letter, or None when the model gave
+    nothing usable; ``confidence``, when given, is what calibration reads.
     """
 
     answer: Union[int, str, Fraction, None]
     confidence: Optional[Fraction] = None
-    latency_ms: Optional[Fraction] = None
-    raw_text: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "confidence", _confidence(self.confidence))
-        if self.latency_ms is not None:
-            object.__setattr__(self, "latency_ms", frac(self.latency_ms))
+        if self.confidence is not None:
+            c = frac(self.confidence)
+            if not 0 <= c <= 1:
+                raise ValidationError(f"confidence {c} outside [0, 1]")
+            object.__setattr__(self, "confidence", c)
 
 
 @dataclass(frozen=True)
@@ -133,11 +124,9 @@ class RunRecord:
 @dataclass(frozen=True)
 class FlowPrediction:
     wcd: Fraction
-    confidence: Optional[Fraction] = None
 
     def __post_init__(self):
         object.__setattr__(self, "wcd", frac(self.wcd))
-        object.__setattr__(self, "confidence", _confidence(self.confidence))
 
 
 @dataclass(frozen=True)
@@ -272,7 +261,6 @@ def build_open_prompt(tc: TestCase, mechanism: str) -> str:
 # ----------------------------------------------------------- prediction parse
 
 _FLOW_LABEL = re.compile(r"(?:flow|f)?[ _]*(\d+)", re.IGNORECASE)
-_CONF_KEYS = ("confidence", "conf")
 _WCD_KEYS = ("wcd_us", "wcd", "delay_us", "delay", "value")
 
 
@@ -296,36 +284,24 @@ def _as_number(v) -> Optional[Fraction]:
     return None
 
 
-def _as_confidence(v) -> Optional[Fraction]:
-    c = _as_number(v)
-    return c if c is not None and 0 <= c <= 1 else None
-
-
-def _scan_mapping(obj: dict) -> tuple[dict[int, FlowPrediction],
-                                      Optional[Fraction]]:
+def _scan_mapping(obj: dict) -> dict[int, FlowPrediction]:
+    """Each flow-labelled key's delay: its number, or the first of
+    _WCD_KEYS in its object; every other key, confidence included, is
+    skipped."""
     out = {}
-    shared_conf = None
     for key, val in obj.items():
-        if isinstance(key, str) and key.strip().lower() in _CONF_KEYS:
-            shared_conf = _as_confidence(val)
-            continue
         fid = _flow_id(key)
         if fid is None:
             continue
         wcd = _as_number(val)
-        conf = None
         if wcd is None and isinstance(val, dict):
             for wk in _WCD_KEYS:
                 if wk in val:
                     wcd = _as_number(val[wk])
                     break
-            for ck in _CONF_KEYS:
-                if ck in val:
-                    conf = _as_confidence(val[ck])
-                    break
         if wcd is not None:
-            out[fid] = FlowPrediction(wcd, conf)
-    return out, shared_conf
+            out[fid] = FlowPrediction(wcd)
+    return out
 
 
 def parse_prediction(text: str, testcase: str,
@@ -342,7 +318,6 @@ def parse_prediction(text: str, testcase: str,
     decoder = json.JSONDecoder(parse_float=Fraction,
                                parse_constant=lambda _: None)
     flows: dict[int, FlowPrediction] = {}
-    shared_conf = None
     pos = text.find("{")
     while pos != -1:
         try:
@@ -350,16 +325,12 @@ def parse_prediction(text: str, testcase: str,
         except ValueError:
             obj = None
         if isinstance(obj, dict):
-            found, conf = _scan_mapping(obj)
-            found = {k: v for k, v in found.items() if k in known}
+            found = {k: v for k, v in _scan_mapping(obj).items()
+                     if k in known}
             if found:
-                flows, shared_conf = found, conf
+                flows = found
                 break
         pos = text.find("{", pos + 1)
-    if shared_conf is not None:
-        flows = {k: (v if v.confidence is not None
-                     else FlowPrediction(v.wcd, shared_conf))
-                 for k, v in flows.items()}
     mode = classify_failure(len(flows), len(known),
                             all(p.wcd == 0 for p in flows.values()))
     return PredictionSet(testcase, flows, mode)
@@ -406,8 +377,15 @@ def truth_from_json(text: str) -> tuple[str, dict[int, Fraction]]:
     """Read (testcase name, flow id -> wcd) from an analysis report."""
     with _malformed("analysis report"):
         doc = json.loads(text, parse_float=Fraction)
-        return doc["testcase"], {int(row["id"]): Fraction(row["wcd_us"])
-                                 for row in doc["flows"]}
+        name, flows = doc["testcase"], {}
+        if not isinstance(name, str):
+            raise TypeError(f"testcase must be a string, got {name!r}")
+        for row in doc["flows"]:
+            fid = row["id"]
+            if not is_int(fid):
+                raise TypeError(f"flow id must be an integer, got {fid!r}")
+            flows[fid] = Fraction(row["wcd_us"])
+        return name, flows
 
 
 def score_open(preds: Iterable[PredictionSet],
@@ -753,11 +731,15 @@ def mcq_items_from_json(text: str) -> list[McqItem]:
         doc = json.loads(text)
         items = doc["items"] if isinstance(doc, dict) else doc
         for row in items:
+            correct = row["correct"]
+            if not is_int(correct):
+                raise TypeError(
+                    f"correct must be an integer, got {correct!r}")
             out.append(McqItem(
                 id=str(row["id"]),
                 question=row["question"],
                 options=tuple(row["options"]),
-                correct_label=int(row["correct"])))
+                correct_label=correct))
     return out
 
 
@@ -770,10 +752,7 @@ def run_records_from_jsonl(text: str) -> list[RunRecord]:
         with _malformed("run record", line_no):
             doc = json.loads(line, parse_float=Fraction)
             runs = tuple(
-                Run(answer=r.get("answer"),
-                    confidence=r.get("confidence"),
-                    latency_ms=r.get("latency_ms"),
-                    raw_text=r.get("raw_text", ""))
+                Run(answer=r.get("answer"), confidence=r.get("confidence"))
                 for r in doc["runs"])
             out.append(RunRecord(id=str(doc["id"]), runs=runs))
     return out

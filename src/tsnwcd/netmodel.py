@@ -43,6 +43,11 @@ def _fmt_num(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def is_int(x) -> bool:
+    """x is an int and not a bool, which Python counts as one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def json_num(x: Fraction) -> Union[int, float]:
     x = frac(x)
     if x.denominator == 1:
@@ -182,10 +187,6 @@ class Flow:
         if not 0 < self.payload_bytes <= MTU_BYTES:
             raise ValidationError(
                 f"flow {self.id}: payload must be in 1..{MTU_BYTES} bytes")
-
-    @property
-    def label(self) -> str:
-        return f"F{self.id}"
 
 
 @dataclass(frozen=True)
@@ -483,7 +484,7 @@ def constants_from_json(text: str) -> tuple[str, NetworkConstants]:
                 raise ParseError(
                     f"cut_through must be true or false, got {value!r}")
         elif key == "frame_overhead":
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not is_int(value):
                 raise ParseError(
                     f"frame_overhead must be an integer, got {value!r}")
         else:
@@ -598,22 +599,16 @@ def bundle_paths(directory: Union[str, Path], name: str) -> dict[str, Path]:
     }
 
 
-def infer_bundle_name(directory: Union[str, Path]) -> str:
+def load_testcase(directory: Union[str, Path]) -> TestCase:
+    """Read a bundle directory into a TestCase, named after its one
+    *_config.json; raises ParseError naming a missing or malformed file
+    and ValidationError on an invalid test case."""
     configs = sorted(Path(directory).glob("*_config.json"))
     if len(configs) != 1:
         raise ParseError(
             f"expected exactly one *_config.json in {directory}, "
             f"found {len(configs)}")
-    return configs[0].name[:-len("_config.json")]
-
-
-def load_testcase(directory: Union[str, Path],
-                  name: Optional[str] = None) -> TestCase:
-    """Read a bundle directory into a TestCase; raises ParseError naming
-    a missing or malformed file and ValidationError on an invalid test
-    case."""
-    if name is None:
-        name = infer_bundle_name(directory)
+    name = configs[0].name[:-len("_config.json")]
     paths = bundle_paths(directory, name)
     topo = parse_file(paths["topo"], parse_topology)
     flows = parse_file(paths["flows"], parse_flows)

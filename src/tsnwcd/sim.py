@@ -111,6 +111,7 @@ from .netmodel import (
     CQF,
     MTU_BYTES,
     TestCase,
+    is_int,
     json_num,
     json_text,
     port_table,
@@ -141,7 +142,7 @@ class SimConfig:
         object.__setattr__(self, "horizon", frac(self.horizon))
         if self.horizon <= 0:
             raise ValidationError("horizon must be > 0")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+        if not is_int(self.seed):
             raise ValidationError("seed must be an integer")
         if self.release_policy not in _POLICIES:
             raise ValidationError(f"unknown release policy {self.release_policy!r}")

@@ -31,6 +31,7 @@ from .netmodel import (
     Topology,
     constants_from_json,
     constants_to_json,
+    is_int,
     json_text,
     save_testcase,
 )
@@ -55,6 +56,19 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("switch_count", "hosts_per_switch", "flow_count"):
+            if not is_int(getattr(self, key)):
+                raise ValidationError(
+                    f"{key} must be an integer, got {getattr(self, key)!r}")
+        for key in ("payload_range", "deadline_range"):
+            pair = getattr(self, key)
+            if len(pair) != 2 or not all(map(is_int, pair)):
+                raise ValidationError(
+                    f"{key} must hold two integers, got {pair!r}")
+        # checked, not converted, so the manifest keeps each period as given
+        if not all(map(_positive_rational, self.period_choices)):
+            raise ValidationError(f"period_choices must be positive "
+                                  f"rationals, got {self.period_choices!r}")
         if self.topology_kind not in TOPOLOGY_KINDS:
             raise ValidationError(f"unknown topology kind {self.topology_kind!r}")
         if self.topology_kind == ONE_SWITCH and self.switch_count != 1:
@@ -76,6 +90,17 @@ class GenSpec:
         dlo, dhi = self.deadline_range
         if not (0 < dlo <= dhi):
             raise ValidationError("deadline_range must be positive")
+
+
+def _positive_rational(x) -> bool:
+    """x is positive as gen_flows reads it, through Fraction; a bool, which
+    Fraction takes as 0 or 1, is not a period."""
+    if isinstance(x, bool):
+        return False
+    try:
+        return Fraction(x) > 0
+    except (ValueError, TypeError, ArithmeticError):
+        return False
 
 
 def _host(switch_index: int, host_index: int) -> str:

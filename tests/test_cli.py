@@ -753,6 +753,51 @@ def test_score_two_truth_files_for_one_testcase_is_domain_error(runner,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, raw", [
+    ("switch_count", "3.0"), ("switch_count", "1e400"),
+    ("hosts_per_switch", "3.0"), ("hosts_per_switch", "2.5"),
+    ("hosts_per_switch", "1e400"), ("flow_count", "3.0"),
+    ("flow_count", "2.5"), ("flow_count", "true"),
+    ("period_choices", '"a"'), ("period_choices", '{"a": 1}'),
+    ("period_choices", '["a", "b"]'), ("payload_range", "[1.5, 2.5]"),
+    ("deadline_range", "[1.5, 2.5]"),
+    ("period_choices", "[true]"), ("period_choices", "[1e400]"),
+    ("testcase", '["TC2"]'), ("testcase", "5"), ("id", "1.5"),
+    ("id", "true"), ("correct", "1.5"), ("correct", "true"),
+])
+def test_wrong_type_in_manifest_spec_truth_or_item_is_domain_error(
+        runner, tmp_path, field, raw):
+    # each used to end in a traceback from range, Fraction or randrange, or
+    # to be taken as another value: true as 1, a truth's id 1.5 as flow 1,
+    # an item's correct 1.5 as option 1
+    out = tmp_path / "out"
+    if field == "correct":
+        path, runs = write_mcqa_inputs(tmp_path)
+        doc = json.loads(path.read_text())
+        doc[1][field] = "@"
+        path.write_text(json.dumps(doc).replace('"@"', raw))
+        args = ["score-mcqa", "--items", str(path), "--runs", str(runs),
+                "--out", str(out)]
+        where = str(path)
+    elif field in ("testcase", "id"):
+        truth_dir, pred_dir = write_fixture_score_dirs(tmp_path)
+        path = truth_dir / "TC2_truth.json"
+        doc = json.loads(path.read_text())
+        (doc if field == "testcase" else doc["flows"][0])[field] = "@"
+        path.write_text(json.dumps(doc).replace('"@"', raw))
+        args, where = score_args(truth_dir, pred_dir, out), str(path)
+    else:
+        entry = testgen.default_manifest()[10]    # TC11, a ring
+        entry["spec"][field] = "@"
+        path = tmp_path / "manifest.json"
+        path.write_text(testgen.manifest_to_json([entry]).replace('"@"', raw))
+        args = ["gen", "--manifest", str(path), "--out", str(out)]
+        where = "manifest entry 'TC11'"
+    res = runner.invoke(main, args)
+    assert_clean_domain_error(res, where, field)
+    assert not out.exists()
+
+
 def test_config_file_supplies_defaults(runner, tmp_path):
     tc_dir = chain_tc_dir(tmp_path)
     cfg = tmp_path / "cfg.json"

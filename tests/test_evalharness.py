@@ -209,11 +209,17 @@ def test_parse_nested_flows_object():
 
 
 def test_parse_per_flow_details_and_shared_confidence():
-    ps = ev.parse_prediction(
-        '{"F0": {"wcd_us": 10, "confidence": 0.9}, "F1": 20, '
-        '"confidence": 0.7}', "T", range(2))
-    assert ps.per_flow[0] == ev.FlowPrediction(F(10), F(9, 10))
-    assert ps.per_flow[1] == ev.FlowPrediction(F(20), F(7, 10))
+    # no score reads a confidence, per flow or shared: a reply parses as it
+    # does with those keys deleted, whatever their values
+    without = ev.parse_prediction('{"F0": {"wcd_us": 10}, "F1": 20}',
+                                  "T", range(2))
+    assert without.per_flow == {0: ev.FlowPrediction(F(10)),
+                                1: ev.FlowPrediction(F(20))}
+    for shared in ("confidence", "conf"):
+        for value in ("0.7", "1.5", '"high"'):
+            text = ('{"F0": {"wcd_us": 10, "confidence": %s}, "F1": 20, '
+                    '"%s": %s}' % (value, shared, value))
+            assert ev.parse_prediction(text, "T", range(2)) == without
 
 
 def test_parse_all_zero_is_trivial_zero():
@@ -518,8 +524,7 @@ def test_run_records_jsonl():
             '\n'
             '{"id": "q1", "runs": [{"answer": 2}, {"answer": 2}]}\n')
     records = ev.run_records_from_jsonl(text)
-    assert records[0].runs[0].confidence == F(9, 10)
-    assert records[0].runs[0].latency_ms == F(241, 2)
+    assert records[0].runs == (ev.Run("A", F(9, 10)),)
     assert records[1].runs == (ev.Run(2), ev.Run(2))
 
 
