@@ -20,19 +20,20 @@ cyclic TFA of Thomas, Le Boudec & Mifdaoui (RTSS 2019), which tfa_solve
 finds one strongly connected component of the port graph at a time, in
 topological order: it sweeps a component's stale ports in search order,
 and marks stale the next port of each flow whose summed delay upstream
-of it moved, until none is.  A solve lays every port's lines
-out once, as ints, and one integer evaluator builds each group's envelope
-in closed form and reads each delay bound off the aggregate's peak backlog
-above the service rate, at the first slope change that brings the
-aggregate's slope down to that rate.  Every delay and every flow's summed
-delay upstream of each hop is a reduced (num, den) int pair.  On a
-feed-forward graph every component is one port, evaluated once on its own
-scale, so every delay is exact.  With cyclic port dependencies it
-evaluates a component's ports again until they settle; one scale serves
-every port and each delay is a count of CYCLIC_GRID ticks, rounded up in
-one integer ceiling division.  Each delay and each end-to-end sum becomes
-a Fraction once, in the report.  Each port's reported aggregate is built
-once, from its last envelopes, and the report's JSON text in one pass.
+of it moved, until none is.  A solve lays every port's lines out once, as
+ints, and one integer evaluator builds each group's envelope in closed
+form, sums the envelopes into one breakpoint list and reads each delay
+bound off it: the aggregate's peak backlog above the service rate sits at
+the first breakpoint whose slope is at most that rate.  Every delay and
+every flow's summed delay upstream of each hop is a reduced (num, den) int
+pair.  On a feed-forward graph every component is one port, evaluated
+once on its own scale, so every delay is exact.  With cyclic port
+dependencies it evaluates a component's ports again until they settle;
+one scale serves every port and each delay is a count of CYCLIC_GRID
+ticks, rounded up in one integer ceiling division.  Each delay and each
+end-to-end sum becomes a Fraction once, in the report.  Each port's
+reported aggregate is the breakpoint list of its last evaluation, turned
+into Fractions once, and the report's JSON text is written in one pass.
 The end-to-end bound adds the constant propagation/switching/sync terms to
 the per-port queueing bounds.
 
@@ -46,7 +47,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import ConvergenceError, InstabilityError, ValidationError
 from .minplus import Curve, RateLatency, Seg, TokenBucket, frac
@@ -140,33 +141,32 @@ def cbs_shaping(cfg_prev_port: CbsClassConfig, C: Fraction,
     return TokenBucket(burst, cfg_prev_port.idle_slope)
 
 
-Line = tuple[Number, Number]     # (burst, rate): burst + rate*t for t > 0
-# a concave curve on t > 0, the lower envelope of its lines: those lines,
-# its first slope and its slope drops (num, den, drop) at the times
+# a concave curve on t > 0, all ints on one scale: its value at 0+, its
+# first slope and its slope drops (num, den, drop) at the times
 # num/den >= 0, in time order (a drop at 0 takes effect at once)
-Envelope = tuple[Sequence[Line], Number, list[tuple[Number, Number, Number]]]
+Envelope = tuple[int, int, list[tuple[int, int, int]]]
 
 
-def aggregate_segments(envelopes: Iterable[Envelope], burst_unit: Fraction,
-                       rate_unit: Fraction) -> list[Seg]:
+def aggregate_breakpoints(envelopes: Iterable[Envelope]
+                          ) -> tuple[int, list[tuple[int, int, int]]]:
     """Class aggregate at a port, the sum of its groups' envelopes, as
-    canonical (start, value, slope) pieces in bits, us and bits/us.
+    (den, pieces): its canonical (time, value, slope) breakpoints, with
+    times in 1/den of the envelopes' time unit and values times den.
 
-    Every line of the envelopes is an int on one scale: bursts in
-    burst_unit bits and rates in rate_unit bits/us, so their crossings lie
-    at quotients of ints in units of burst_unit / rate_unit us.  Each
-    envelope is concave with at most one slope change per line, so the sum
-    is concave too: its value at 0+ and first slope are the groups' sums,
-    and it changes slope exactly where some group does.  The pieces are
-    found on ints, with times over the lcm of the crossings' denominators
-    and values times it, and each becomes a Fraction once.  They are those
-    of Curve(...) of the same function, so Curve.from_canonical takes them
-    as they are.
+    Each envelope is concave, so the sum is concave too: its value at 0+
+    and first slope are the groups' sums, and it changes slope exactly
+    where some group does.  den is the lcm of the changes' denominators,
+    so every breakpoint is an int triple.  The pieces are those of
+    Curve(...) of the same function, so their Fractions go to
+    Curve.from_canonical as they are.  Both a port's delay bound and its
+    reported aggregate are read off them: alpha(t) - rate*t rises until
+    the first breakpoint whose slope is at most rate and falls from there
+    on, so that breakpoint holds the peak backlog above a service rate.
     """
     value = slope = 0
     drops: list[tuple[int, int, int]] = []
-    for lines, r, envelope_drops in envelopes:
-        value += min(lines)[0]
+    for v, r, envelope_drops in envelopes:
+        value += v
         slope += r
         drops += envelope_drops
     den = math.lcm(*(d for _, d, _ in drops))
@@ -178,53 +178,7 @@ def aggregate_segments(envelopes: Iterable[Envelope], burst_unit: Fraction,
             pieces[-1] = (t, value, slope - drop)
         else:
             pieces.append((t, value + slope * (t - start), slope - drop))
-    bn, bd = burst_unit.numerator, burst_unit.denominator
-    rn, rd = rate_unit.numerator, rate_unit.denominator
-    return [Seg(Fraction(t * bn * rd, den * bd * rn),
-                Fraction(value * bn, den * bd), Fraction(slope * rn, rd))
-            for t, value, slope in pieces]
-
-
-def _peak_excess(envelopes: Sequence[Envelope], rate: Number
-                 ) -> tuple[Number, int]:
-    """max over t > 0 of alpha(t) - rate*t, alpha the sum of envelopes
-    whose lines all have positive bursts, as (excess, den): the backlog is
-    excess / den in the envelopes' units, an int pair when their lines and
-    rate are ints.
-
-    alpha is concave, so alpha(t) - rate*t rises until the first slope
-    change after which alpha's slope is at most rate, and falls from there
-    on: only the changes up to that point are visited, earliest first, and
-    alpha is evaluated there alone.  Its delay bound at a rate-latency
-    server, the horizontal deviation, is latency + backlog / rate: the
-    positive bursts keep it from waiting for less than the latency.  Raises
-    InstabilityError when alpha's final slope exceeds rate.
-    """
-    slope, pending = 0, []
-    for _, r, drops in envelopes:
-        slope += r
-        pending += drops
-    num, den = 0, 1
-    while slope > rate:
-        if not pending:
-            raise InstabilityError(
-                f"arrival rate {slope} exceeds service rate {rate}")
-        first = 0
-        for i, (n, d, _) in enumerate(pending):
-            if n * pending[first][1] < pending[first][0] * d:
-                first = i
-        num, den, drop = pending.pop(first)
-        slope -= drop
-    # alpha(num/den) - rate*num/den, times den
-    excess = -rate * num
-    for lines, _, _ in envelopes:
-        low = None
-        for b, r in lines:
-            value = b * den + r * num
-            if low is None or value < low:
-                low = value
-        excess += low
-    return excess, den
+    return den, pieces
 
 
 @dataclass
@@ -459,9 +413,10 @@ def tfa_solve(tc: TestCase) -> CbsReport:
             f"{tc.name}: aggregate rate reaches the idle slope at "
             f"port(s) {names}")
 
-    # per port: its envelopes from its last evaluation and their factor m
-    envelopes: list = [None] * n
-    port_scale = [1] * n
+    # per port: the breakpoints of its last evaluation, as (den, pieces),
+    # with times in rate_den / (scale * den) us, values in 1 / (scale * den)
+    # bits and slopes in 1/rate_den bits/us
+    aggregate: list = [None] * n
     to_shaping = C_at - idsl_at     # slope drop from link onto shaping line
 
     def evaluate(p: int) -> tuple[int, int]:
@@ -475,7 +430,10 @@ def tfa_solve(tc: TestCase) -> CbsReport:
         a credit range to it, so the envelope starts on the link line, at
         rate C (with a change at time 0 when the bucket starts there too),
         moves on to the line crossing it first, and from there to the last
-        line if that is shallower still."""
+        line if that is shallower still.  The stability check has put the
+        aggregate's final slope below the idle slope, so some breakpoint
+        holds the peak, and every line's burst is positive, so the delay is
+        never below the latency."""
         own, groups = layout[p]
         m = 1
         if not cyclic:
@@ -484,10 +442,10 @@ def tfa_solve(tc: TestCase) -> CbsReport:
                     un, ud = row[k]
                     if un and m % (wd * ud):
                         m = m // math.gcd(m, wd * ud) * wd * ud
-        envs = envelopes[p] = []
+        envs = []
         if own is not None:
             b, r = own
-            envs.append((((b * m, r),), r, []))
+            envs.append((b * m, r, []))
         for shares, frames, r, link, shaping in groups:
             b = frames * m
             for wn, wd, row, k in shares:
@@ -496,11 +454,9 @@ def tfa_solve(tc: TestCase) -> CbsReport:
                     b += wn * un * (m // (wd * ud))
             l = link * m
             if shaping is None:
-                lines = ((b, r), (l, C_at))
                 drops = [(b - l, C_at - r, C_at - r)] if r < C_at else []
             else:
                 s = shaping * m
-                lines = ((b, r), (l, C_at), (s, idsl_at))
                 if r < C_at and (b - l) * to_shaping < (s - l) * (C_at - r):
                     drops = [(b - l, C_at - r, C_at - r)]
                     if idsl_at < r:
@@ -509,10 +465,13 @@ def tfa_solve(tc: TestCase) -> CbsReport:
                     drops = [(s - l, to_shaping, to_shaping)]
                     if r < idsl_at:
                         drops.append((b - s, idsl_at - r, idsl_at - r))
-            envs.append((lines, C_at, drops))
-        port_scale[p] = m
-        excess, den = _peak_excess(envs, idsl_at)
-        num, den = lat_num * den * m + exc_num * excess, delay_den * den * m
+            envs.append((l, C_at, drops))
+        den, pieces = aggregate_breakpoints(envs)
+        den *= m
+        aggregate[p] = den, pieces
+        t, value, _ = next(x for x in pieces if x[2] <= idsl_at)
+        num = lat_num * den + exc_num * (value - idsl_at * t)
+        den *= delay_den
         if cyclic:
             return -(-num // den), 1
         g = math.gcd(num, den)
@@ -559,16 +518,17 @@ def tfa_solve(tc: TestCase) -> CbsReport:
                             const.denominator * ud * unit)
     delays = [Fraction(dn, dd * unit) for dn, dd in delays]
 
-    # every port's last envelopes are fresh once nothing is stale: its
+    # every port's last breakpoints are fresh once nothing is stale: its
     # aggregate, back in bits and us, comes from them
-    rate_unit = Fraction(1, rate_den)
-    per_port = {
-        port: PortAnalysis(
-            Curve.from_canonical(aggregate_segments(
-                envelopes[p], Fraction(1, scale * port_scale[p]), rate_unit)),
-            delays[p], tuple(fid for fid, _ in members[p]))
-        for p, port in enumerate(ports)
-    }
+    per_port = {}
+    for p, port in enumerate(ports):
+        den, pieces = aggregate[p]
+        den *= scale
+        arrival = Curve.from_canonical([
+            Seg(Fraction(t * rate_den, den), Fraction(value, den),
+                Fraction(slope, rate_den)) for t, value, slope in pieces])
+        per_port[port] = PortAnalysis(arrival, delays[p],
+                                      tuple(fid for fid, _ in members[p]))
     per_flow_hops = {
         fid: [(ports[p], delays[p]) for p in path[fid]]
         for fid in sorted(path)

@@ -384,7 +384,12 @@ def truth_from_json(text: str) -> tuple[str, dict[int, Fraction]]:
             fid = row["id"]
             if not is_int(fid):
                 raise TypeError(f"flow id must be an integer, got {fid!r}")
-            flows[fid] = Fraction(row["wcd_us"])
+            if fid in flows:
+                raise ValueError(f"flow id {fid} appears twice")
+            wcd = row["wcd_us"]
+            if not (is_int(wcd) or isinstance(wcd, Fraction)):
+                raise TypeError(f"wcd_us must be a number, got {wcd!r}")
+            flows[fid] = Fraction(wcd)
         return name, flows
 
 

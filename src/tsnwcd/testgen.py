@@ -56,7 +56,8 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("switch_count", "hosts_per_switch", "flow_count"):
+        for key in ("switch_count", "hosts_per_switch", "flow_count",
+                    "seed"):
             if not is_int(getattr(self, key)):
                 raise ValidationError(
                     f"{key} must be an integer, got {getattr(self, key)!r}")
@@ -270,7 +271,8 @@ def parse_manifest(text: str) -> list[dict]:
 
 def testcase_from_entry(entry: dict) -> TestCase:
     """Build one manifest entry; a malformed entry raises ParseError naming
-    the entry and the key."""
+    the entry and the key, and one that cannot be built a ParseError naming
+    the entry."""
     if not isinstance(entry, dict):
         raise ParseError(f"manifest entry must be an object, got {entry!r}")
     where = f"manifest entry {entry.get('name', '?')!r}"
@@ -291,7 +293,10 @@ def testcase_from_entry(entry: dict) -> TestCase:
         raise ParseError(f"{where}: spec is missing key {exc}") from exc
     except (TypeError, ValueError, ToolkitError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
-    return build_testcase(entry["name"], spec, mech, constants)
+    try:
+        return build_testcase(entry["name"], spec, mech, constants)
+    except ToolkitError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 # the shipped corpus

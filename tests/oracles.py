@@ -177,9 +177,9 @@ def aggregate_arrival(groups: Sequence[SourceGroup]) -> Curve:
 def rate_latency_delay(segments: Sequence[Seg], service: RateLatency
                        ) -> Fraction:
     """Delay bound of an arrival curve, given as its canonical segments
-    (Curve.segments or cbs.aggregate_segments), at a rate-latency server
-    (rate R, latency T), in closed form: T + max over the segment starts s
-    of (alpha(s+)/R - s), and never below 0.
+    (Curve.segments), at a rate-latency server (rate R, latency T), in
+    closed form: T + max over the segment starts s of (alpha(s+)/R - s),
+    and never below 0.
 
     Between segment starts alpha(t)/R - t is linear and alpha jumps only
     upward, so the supremum over t sits at a segment start; a leading
@@ -198,22 +198,22 @@ def rate_latency_delay(segments: Sequence[Seg], service: RateLatency
     return max(Fraction(0), service.latency + best / R)
 
 
-def group_envelope(lines: Sequence[cbs.Line]) -> cbs.Envelope:
-    """Lower envelope of lines on t > 0: one group's share of a port
-    aggregate, i.e. a predecessor's summed flow bucket and its shaping
-    caps, or the bucket of the flows the port sources itself.
+def group_envelope(lines: Sequence[tuple[int, int]]) -> cbs.Envelope:
+    """Lower envelope of (burst, rate) lines on t > 0, on one int scale:
+    one group's share of a port aggregate, i.e. a predecessor's summed flow
+    bucket and its shaping caps, or the bucket of the flows the port
+    sources itself, as its value at 0+, first slope and slope drops.
 
     The envelope starts on the lowest line (the shallowest of equals) and
     moves, at each crossing, to the line that crosses first; only
     shallower lines can cross, so the slope strictly falls at each change.
     Where three lines meet, two changes may share one time;
-    cbs.aggregate_segments merges them.  Crossing times stay quotients, so
-    the lines may be given in Fractions or, on a common scale, in ints.
-    cbs.tfa_solve's evaluator builds the envelopes of its groups, whose
-    lines it knows in burst order, in closed form instead.
+    cbs.aggregate_breakpoints merges them.  cbs.tfa_solve's evaluator
+    builds the envelopes of its groups, whose lines it knows in burst
+    order, in closed form instead.
     """
     b, r = min(lines)
-    slope = r
+    value, slope = b, r
     drops = []
     while True:
         nxt = None
@@ -223,7 +223,7 @@ def group_envelope(lines: Sequence[cbs.Line]) -> cbs.Envelope:
                 if nxt is None or num * nxt[1] < nxt[0] * den:
                     nxt = (num, den, bi, ri)
         if nxt is None:
-            return lines, slope, drops
+            return value, slope, drops
         num, den, b, ri = nxt
         drops.append((num, den, r - ri))
         r = ri

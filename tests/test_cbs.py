@@ -31,6 +31,7 @@ from tsnwcd.errors import (
 from tsnwcd.minplus import (
     Curve,
     RateLatency,
+    Seg,
     TokenBucket,
     frac,
     h_dev,
@@ -256,34 +257,42 @@ def check_against_oracle(members_per_group, caps_per_group, extra_rate,
     scale = math.lcm(*(F(b).denominator for b, _ in lines))
     rate_den = math.lcm(service.rate.denominator,
                         *(F(r).denominator for _, r in lines))
-    scaled = [oracles.group_envelope([(int(b * scale), int(r * rate_den))
-                                  for b, r in group])
-              for group in line_groups]
-    segments = cbs.aggregate_segments(scaled, F(1, scale), F(1, rate_den))
+    envelopes = [oracles.group_envelope([(int(b * scale), int(r * rate_den))
+                                         for b, r in group])
+                 for group in line_groups]
+    den, pieces = cbs.aggregate_breakpoints(envelopes)
+    # back in bits and us, as tfa_solve reports them
+    segments = [Seg(F(t * rate_den, den * scale), F(value, den * scale),
+                    F(slope, rate_den)) for t, value, slope in pieces]
     assert tuple(segments) == oracle.segments
     assert Curve(segments) == oracle
     assert Curve.from_canonical(segments) == Curve(segments)
     assert oracles.rate_latency_delay(segments, service) == delay
-    backlog = F(*cbs._peak_excess(scaled, int(service.rate * rate_den)))
+    # the peak backlog sits at the first breakpoint that brings the slope
+    # down to the service rate
+    rate = int(service.rate * rate_den)
+    t, value, _ = next(x for x in pieces if x[2] <= rate)
+    backlog = F(value - rate * t, den)
     assert service.latency + backlog / (scale * service.rate) == delay
-    # the peak backlog in Fractions is the same, in bits
-    envelopes = [oracles.group_envelope(lines) for lines in line_groups]
-    assert F(*cbs._peak_excess(envelopes, service.rate)) * scale == backlog
 
 
 def test_max_backlog_hand_values():
     # bucket 10 + t under a cap 4 + 2t: the aggregate bends at t = 6, 16
     envelope = oracles.group_envelope([(10, 1), (4, 2)])
-    assert envelope[1:] == (2, [(6, 1, 1)])
+    assert envelope == (4, 2, [(6, 1, 1)])
+    den, pieces = cbs.aggregate_breakpoints([envelope])
+    assert (den, pieces) == (1, [(0, 4, 2), (6, 16, 1)])
 
     def backlog(rate):
-        return F(*cbs._peak_excess([envelope], rate))
+        t, value, _ = next(x for x in pieces if x[2] <= rate)
+        return F(value - rate * t, den)
 
     assert backlog(3) == 4          # peak at 0+
     assert backlog(F(3, 2)) == 16 - 9
     assert backlog(1) == 16 - 6
-    with pytest.raises(InstabilityError):
-        backlog(F(1, 2))
+    # a rate below the last slope, 1: the aggregate outgrows it, and no
+    # breakpoint holds a peak
+    assert all(slope > F(1, 2) for _, _, slope in pieces)
 
 
 CAP_KINDS = ("free", "equal_rate", "never_crosses", "coincides")
@@ -792,18 +801,19 @@ def test_generated_residence_within_port_bounds(tc, policy, saturate):
     ("mesh_10x4_100_s1", 120), ("mesh_10x4_100_s3", 126),
 ])
 def test_tfa_evaluation_counts(monkeypatch, case, evaluations):
-    # the exact evaluations a solve makes, each one _peak_excess call: the
-    # passes over each component in search order; sweeping components in
-    # ascending port order took 81, 94 and 122 on the pinned rings
+    # the exact evaluations a solve makes, each one aggregate_breakpoints
+    # call: the passes over each component in search order; sweeping
+    # components in ascending port order took 81, 94 and 122 on the pinned
+    # rings
     tc = ring_tc() if case == "ring" else pinned_tc(case)
     calls = []
-    peak_excess = cbs._peak_excess
+    breakpoints = cbs.aggregate_breakpoints
 
     def counting(*args):
         calls.append(None)
-        return peak_excess(*args)
+        return breakpoints(*args)
 
-    monkeypatch.setattr(cbs, "_peak_excess", counting)
+    monkeypatch.setattr(cbs, "aggregate_breakpoints", counting)
     cbs.tfa_solve(tc)
     assert len(calls) == evaluations
     if case.startswith("mesh"):

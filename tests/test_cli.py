@@ -113,6 +113,21 @@ def test_gen_failing_entry_writes_nothing(runner, tmp_path, cycle_T,
     assert not out.exists() and not truth.exists()
 
 
+def test_gen_entry_that_cannot_be_built_names_itself(runner, tmp_path):
+    # TC3 is one switch with 8 end stations, 28 pairs: the error used to
+    # name neither the entry nor the manifest
+    tc3 = testgen.default_manifest()[2]
+    tc3["spec"]["flow_count"] = 500
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(testgen.manifest_to_json([tc3]))
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["gen", "--manifest", str(manifest),
+                               "--out", str(out)])
+    assert_clean_domain_error(
+        res, "manifest entry 'TC3': cannot draw 500 distinct pairs")
+    assert not out.exists()
+
+
 def test_analyze_rejects_cqf_cycle_that_does_not_divide_a_period(runner,
                                                                  tmp_path):
     # es1-s1-s2-es2 with T = 60 and periods 100 and 75: the closed form
@@ -764,12 +779,16 @@ def test_score_two_truth_files_for_one_testcase_is_domain_error(runner,
     ("period_choices", "[true]"), ("period_choices", "[1e400]"),
     ("testcase", '["TC2"]'), ("testcase", "5"), ("id", "1.5"),
     ("id", "true"), ("correct", "1.5"), ("correct", "true"),
+    ("seed", "8100.0"), ("seed", "true"), ("seed", '"x"'),
+    ("wcd_us", "true"), ("wcd_us", '"250"'), ("id", "1"),
 ])
 def test_wrong_type_in_manifest_spec_truth_or_item_is_domain_error(
         runner, tmp_path, field, raw):
     # each used to end in a traceback from range, Fraction or randrange, or
     # to be taken as another value: true as 1, a truth's id 1.5 as flow 1,
-    # an item's correct 1.5 as option 1
+    # an item's correct 1.5 as option 1, a truth's wcd_us "250" as 250, a
+    # seed 8100.0 as another case than 8100; a truth's id 1 repeats flow
+    # 1's, and its second row (300) replaced the first (100)
     out = tmp_path / "out"
     if field == "correct":
         path, runs = write_mcqa_inputs(tmp_path)
@@ -779,7 +798,7 @@ def test_wrong_type_in_manifest_spec_truth_or_item_is_domain_error(
         args = ["score-mcqa", "--items", str(path), "--runs", str(runs),
                 "--out", str(out)]
         where = str(path)
-    elif field in ("testcase", "id"):
+    elif field in ("testcase", "id", "wcd_us"):
         truth_dir, pred_dir = write_fixture_score_dirs(tmp_path)
         path = truth_dir / "TC2_truth.json"
         doc = json.loads(path.read_text())
